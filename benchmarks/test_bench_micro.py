@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.cache import analysis_cache
 from repro.analysis.postponement import task_postponement_intervals
 from repro.analysis.rta import response_times
 from repro.analysis.schedulability import is_rpattern_schedulable
@@ -195,14 +196,19 @@ def test_rta_all_tasks(benchmark):
 
 
 def test_postponement_analysis(benchmark):
+    """One cold θ analysis (with its RTA and promotion times).
+
+    The analysis cache is cleared inside the measured callable: every
+    round after the first would otherwise time a cache hit."""
     taskset = _workload(seed=7, target=0.4)
     base = taskset.timebase()
     horizon = 2000 * base.ticks_per_unit
-    result = benchmark(
-        lambda: task_postponement_intervals(
-            taskset, base, horizon_ticks=horizon
-        )
-    )
+
+    def run():
+        analysis_cache().clear()
+        return task_postponement_intervals(taskset, base, horizon_ticks=horizon)
+
+    result = benchmark(run)
     assert len(result.thetas) == len(taskset)
 
 
@@ -288,6 +294,28 @@ def test_generation_phase(benchmark):
         lambda: generate_binned_tasksets(bins, 3, None, 17)
     )
     assert sum(len(v) for v in corpus.values()) == 9
+
+
+def test_generation_exhausted_bin(benchmark):
+    """Cold generation of a top bin whose draw budget runs out.
+
+    Bins above 0.8 rarely admit a set: at the paper's protocol they
+    spend their whole draw budget, 96% or more of a cold sweep's draws,
+    on candidates the in-bin check and the screen throw away.  This is
+    the regime ``test_generation_phase`` deliberately stops short of."""
+    from repro.workload.fastgen import GenerationStats
+    from repro.workload.generator import generate_binned_tasksets
+
+    def run():
+        stats = GenerationStats()
+        corpus = generate_binned_tasksets(
+            [(0.9, 1.0)], 3, None, 23, max_draws_per_bin=1000, stats=stats
+        )
+        return corpus, stats
+
+    corpus, stats = benchmark(run)
+    assert stats.draws == 1000
+    assert len(corpus[(0.9, 1.0)]) < 3
 
 
 def test_bench_sweep_wall(benchmark):

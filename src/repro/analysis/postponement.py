@@ -27,11 +27,27 @@ postponed releases of higher-priority backups are the inspecting points of
 lower-priority ones.  Finally θ_i is floored at the dual-priority
 promotion time Y_i, which is always safe (the paper states this fallback;
 its "R_i" is read as the promotion-based postponement, see DESIGN.md).
+
+:func:`task_postponement_intervals` does not rescan the higher-priority
+backups per inspecting point as :func:`job_postponement_interval` does.
+It keeps them in two sorted arrays, one by r̃ and one by d, each with
+prefix sums of C, so the interference at t̄ is
+
+    (C-sum over r̃ < t̄) - (C-sum over d <= r_ij)
+
+and a job's inspecting points are one bisect slice of the r̃ array.  The
+subtraction is exact because every backup has r̃ < d: each θ_kj is at
+most d_kj - c_k - r_kj, Y_k <= D_k - C_k, and ``Task`` enforces
+0 < C <= D, so θ_k < D_k.  ``tests/reference_postponement.py`` keeps the
+per-job rescan as the differential oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
@@ -148,7 +164,9 @@ def task_postponement_intervals(
         horizon_ticks: cap on each task's examination window
             ``LCM_{q<=i}(k_q P_q)``; ``None`` uses the full LCM (can be
             huge for random task sets -- prefer passing the simulation
-            horizon).
+            horizon).  Backups are published for lower priorities over
+            the lowest-priority window, i.e. the whole (m,k)-hyperperiod
+            when uncapped.
         floor_at_promotion: apply the θ_i := max(θ_i, Y_i) safety floor.
 
     Returns:
@@ -198,61 +216,75 @@ def _task_postponement_intervals(
     if patterns is None:
         patterns = [RPattern(t.mk) for t in taskset]
     promotions = promotion_times(taskset, base)
+    windows: List[int] = []
+    for index in range(len(taskset)):
+        window = mk_hyperperiod_ticks(taskset, base, upto_priority=index)
+        if horizon_ticks is not None:
+            window = min(window, horizon_ticks)
+        windows.append(window)
+    # Windows only grow with the priority level, so the lowest-priority
+    # window bounds every job any task examines: publish backups that far.
+    publish_limit = windows[-1]
 
     thetas: List[int] = []
     raw_thetas: List[int] = []
     job_thetas: Dict[int, List[Tuple[int, int]]] = {}
-    # Postponed (release, deadline, wcet) of every mandatory backup job of
-    # already-processed (higher-priority) tasks, flat across tasks.
-    hp_backup_jobs: List[Tuple[int, int, int]] = []
-    max_window = 0
+    # Published higher-priority backups as (r̃, C) and (d, C) pairs.
+    by_release: List[Tuple[int, int]] = []
+    by_deadline: List[Tuple[int, int]] = []
 
     for index, task in enumerate(taskset):
         period = base.to_ticks(task.period)
         deadline_rel = base.to_ticks(task.deadline)
         wcet = base.to_ticks(task.wcet)
-        window = mk_hyperperiod_ticks(taskset, base, upto_priority=index)
-        if horizon_ticks is not None:
-            window = min(window, horizon_ticks)
-        max_window = max(max_window, window)
+        by_release.sort()
+        by_deadline.sort()
+        releases = list(map(itemgetter(0), by_release))
+        release_sums = list(accumulate(map(itemgetter(1), by_release), initial=0))
+        deadlines = list(map(itemgetter(0), by_deadline))
+        deadline_sums = list(accumulate(map(itemgetter(1), by_deadline), initial=0))
+        # t̄ minus the C-sum over r̃ < t̄, at the inspecting point
+        # t̄ = releases[j].  A repeated r̃ only lowers it, so the maximum
+        # over a slice needs no deduplication.
+        point_slack = [point - s for point, s in zip(releases, release_sums)]
 
+        mandatory = _mandatory_jobs_before(patterns[index], period, publish_limit)
+        examined = bisect_right(mandatory, -(-windows[index] // period))
         per_job: List[Tuple[int, int]] = []
-        theta_min: Optional[int] = None
-        for job_index in _mandatory_jobs_before(patterns[index], period, window):
+        for job_index in mandatory[:examined]:
             release = (job_index - 1) * period
             abs_deadline = release + deadline_rel
-            theta_j = job_postponement_interval(
-                release, abs_deadline, wcet, hp_backup_jobs
-            )
-            per_job.append((job_index, theta_j))
-            if theta_min is None or theta_j < theta_min:
-                theta_min = theta_j
-        if theta_min is None:
-            # No mandatory job in the window (cannot happen under R-pattern,
-            # whose first job is always mandatory, but E-patterns with a
-            # tiny window could): fall back to the promotion time.
-            theta_min = promotions[index]
+            # Inspecting points: the r̃ in (release, abs_deadline), then
+            # abs_deadline itself.
+            lo = bisect_right(releases, release)
+            hi = bisect_left(releases, abs_deadline, lo)
+            best = abs_deadline - release_sums[hi]
+            if lo < hi:
+                best = max(best, max(point_slack[lo:hi]))
+            # Backups with d <= release do not interfere; all of them have
+            # r̃ < d <= release < t̄, so their C-sum comes off every point.
+            stale = deadline_sums[bisect_right(deadlines, release)]
+            per_job.append((job_index, best + stale - wcet - release))
+        # No mandatory job in the window (cannot happen under R-pattern,
+        # whose first job is always mandatory, but E-patterns with a tiny
+        # window could): fall back to the promotion time.
+        theta_min = (
+            min(theta for _, theta in per_job) if per_job else promotions[index]
+        )
         raw_thetas.append(theta_min)
         theta = max(theta_min, promotions[index]) if floor_at_promotion else theta_min
         thetas.append(theta)
         job_thetas[index] = per_job
 
-        # Publish this task's postponed backup jobs for lower priorities.
-        # Enumerate over the *global* horizon so that lower-priority tasks
-        # see all interfering jobs inside their own windows.
-        publish_limit = window if horizon_ticks is None else horizon_ticks
-        for job_index in _mandatory_jobs_before(
-            patterns[index], period, publish_limit
-        ):
+        for job_index in mandatory:
             release = (job_index - 1) * period
-            hp_backup_jobs.append(
-                (release + theta, release + deadline_rel, wcet)
-            )
+            by_release.append((release + theta, wcet))
+            by_deadline.append((release + deadline_rel, wcet))
 
     return PostponementResult(
         thetas=thetas,
         promotions=promotions,
         raw_thetas=raw_thetas,
         job_thetas=job_thetas,
-        horizon=max_window,
+        horizon=publish_limit,
     )

@@ -49,6 +49,11 @@ from .sim.gantt import render_gantt
 from .workload.presets import motivation_tasksets
 from .workload.release import RELEASE_PRESETS, ReleaseModel
 
+#: Horizon cap, in model time units, of ``simulate`` without ``--horizon``.
+#: ``analyze`` computes θ_i over the same horizon, so its θ column is the
+#: postponement ``simulate --scheme MKSS_Selective`` applies.
+SIMULATE_HORIZON_CAP_UNITS = 2000
+
 
 def parse_taskset(spec: str) -> TaskSet:
     """Parse "P,D,C,m,k; P,D,C,m,k; ..." into a TaskSet."""
@@ -163,7 +168,11 @@ def cmd_analyze(args) -> int:
     print(f"(m,k)-utilization: {float(taskset.mk_utilization):.3f}")
     print(f"R-pattern schedulable: {is_rpattern_schedulable(taskset)}")
     rows = []
-    thetas = task_postponement_intervals(taskset, base)
+    thetas = task_postponement_intervals(
+        taskset,
+        base,
+        horizon_ticks=analysis_horizon(taskset, base, SIMULATE_HORIZON_CAP_UNITS),
+    )
     responses = response_times_mandatory(taskset, base)
     promotions = promotion_times(taskset, base)
     for index, task in enumerate(taskset):
@@ -201,7 +210,7 @@ def cmd_simulate(args) -> int:
     if args.horizon:
         horizon = args.horizon * base.ticks_per_unit
     else:
-        horizon = analysis_horizon(taskset, base, 2000)
+        horizon = analysis_horizon(taskset, base, SIMULATE_HORIZON_CAP_UNITS)
     dvfs = _dvfs_from_args(args)
     speed_plan = None
     if dvfs is not None and dvfs.applies_to(args.scheme):
@@ -210,7 +219,10 @@ def cmd_simulate(args) -> int:
         dvfs = resolve_dvfs(dvfs)
         if dvfs is not None:
             speed_plan = speed_plan_for(
-                taskset, base, dvfs, horizon_cap_units=args.horizon or 2000
+                taskset,
+                base,
+                dvfs,
+                horizon_cap_units=args.horizon or SIMULATE_HORIZON_CAP_UNITS,
             )
     result = run_policy(
         taskset,

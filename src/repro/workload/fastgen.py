@@ -12,11 +12,17 @@ while doing almost no work per rejected candidate:
    the ``random.Random`` stream exactly like ``draw_raw`` (same calls in
    the same order, including the early stop at the first infeasible
    task) but recording only plain integers: periods, (m, k) pairs and
-   WCETs in grid units.  The exact WCET quantization runs on integers
-   via :func:`limit_denominator_int`, a Fraction-free transcription of
-   ``Fraction.limit_denominator``.  No ``Task`` objects, no Fractions.
+   WCETs in grid units.  The exact WCET quantization floors the float
+   share's own ratio in integers (:func:`quantized_wcet_units`) and
+   calls :func:`limit_denominator_int`, a Fraction-free transcription
+   of ``Fraction.limit_denominator``, only for the ~1% of shares close
+   enough to a grid boundary for the denominator limit to matter.  Each
+   feasible candidate's (m,k)-utilization is computed once, in integers
+   (:func:`candidate_mk_utilization`).  No ``Task`` objects, no
+   Fractions.
 2. **Vectorized necessary-condition screen** -- feasible, in-bin
-   candidates are packed into numpy int64 blocks and screened with
+   candidates first meet the synchronous-demand stage on plain ints;
+   its survivors are packed into numpy int64 blocks and screened with
    iterated *lower bounds* on the first-job response times under the
    deeply-red pattern.  The screen only ever rejects candidates that are
    provably unschedulable (the bound is exact integer arithmetic and
@@ -138,6 +144,37 @@ def limit_denominator_int(
     return pb, qb
 
 
+#: ``draw_raw`` limits each share's denominator to this before scaling.
+SHARE_MAX_DENOMINATOR = 10**6
+
+
+def quantized_wcet_units(
+    share: float, k: int, period: int, m: int, grid_num: int, grid_den: int
+) -> int:
+    """``draw_raw``'s quantized WCET ``C = share * k * P / m``, in grid units.
+
+    That is ``w = floor(S * A / B)`` with ``S`` the share after
+    ``limit_denominator(10**6)``, ``A = k * P * grid_den`` and
+    ``B = m * grid_num``.  The closest fraction with denominator at most
+    ``N`` lies within ``1 / (N + 1)`` of the share (Dirichlet), so it
+    moves ``share * A / B`` by less than ``A / (B * N)``: unless the
+    float share's own ``share * A / B`` lies that close to an integer,
+    both have the same floor, and :func:`limit_denominator_int` runs only
+    in that rare case.
+    """
+    numerator, denominator = share.as_integer_ratio()
+    scale = k * period * grid_den
+    divisor = m * grid_num
+    total = denominator * divisor
+    w, rest = divmod(numerator * scale, total)
+    # |S*A/B - share*A/B| < A/(B*N) and the fractional part of share*A/B
+    # is rest/total = rest/(denominator*B): compare both gaps in integers.
+    if min(rest, total - rest) * SHARE_MAX_DENOMINATOR <= scale * denominator:
+        p, q = limit_denominator_int(numerator, denominator, SHARE_MAX_DENOMINATOR)
+        w = (p * scale) // (q * divisor)
+    return w
+
+
 def draw_candidate(
     rng: random.Random,
     cfg,
@@ -150,10 +187,9 @@ def draw_candidate(
     Returns ``None`` for an infeasible draw (a WCET that quantizes to
     zero or exceeds its deadline) -- crucially *stopping at the same
     task* the sequential path stops at, so no further RNG values are
-    consumed.  Feasibility is decided in exact integer arithmetic:
-    with ``share = p/q`` (after denominator limiting), the quantized
-    WCET is ``w * grid`` where ``w = (p*k*period*grid_den) //
-    (q*m*grid_num)``, infeasible iff ``w <= 0`` or
+    consumed.  Feasibility is decided in exact integer arithmetic: the
+    quantized WCET is ``w * grid`` with ``w`` from
+    :func:`quantized_wcet_units`, infeasible iff ``w <= 0`` or
     ``w * grid_num > period * grid_den``.
     """
     n = rng.randint(cfg.min_tasks, cfg.max_tasks)
@@ -173,8 +209,7 @@ def draw_candidate(
             period = rng.randint(*cfg.period_range)
         k = rng.randint(lo_k, hi_k)
         m = rng.randint(1, k - 1)
-        p, q = limit_denominator_int(*share.as_integer_ratio())
-        w = (p * k * period * grid_den) // (q * m * grid_num)
+        w = quantized_wcet_units(share, k, period, m, grid_num, grid_den)
         if w <= 0 or w * grid_num > period * grid_den:
             return None
         periods.append(period)
@@ -192,17 +227,21 @@ def draw_candidate(
 
 def candidate_mk_utilization(
     candidate: RawCandidate, grid_num: int, grid_den: int
-) -> Fraction:
-    """Exact achieved (m,k)-utilization of a raw candidate.
+) -> float:
+    """Achieved (m,k)-utilization of a raw candidate, as a float.
 
-    Equals ``TaskSet.mk_utilization`` of the built set (same rational,
-    hence the same float), without constructing any tasks.
+    Equals ``float(TaskSet.mk_utilization)`` of the built set without
+    constructing any tasks: the exact sum of ``m * w * grid / (k * P)``
+    is taken over a common denominator in integers, and one int/int true
+    division rounds it correctly, as ``Fraction.__float__`` does.
     """
     periods, ks, ms, wunits = candidate
-    total = Fraction(0)
-    for period, k, m, w in zip(periods, ks, ms, wunits):
-        total += Fraction(m * w * grid_num, k * period * grid_den)
-    return total
+    windows = [k * period for k, period in zip(ks, periods)]
+    common = math.lcm(*windows)
+    numerator = sum(
+        m * w * (common // window) for m, w, window in zip(ms, wunits, windows)
+    )
+    return (numerator * grid_num) / (common * grid_den)
 
 
 def build_taskset(candidate: RawCandidate, grid: Fraction) -> TaskSet:
@@ -388,13 +427,34 @@ def _screen_rejects_numpy(
     return [bool(flag) for flag in reject]
 
 
+def _synchronous_overload(candidate: RawCandidate, grid_den: int) -> bool:
+    """The screen's first stage: some cumulative WCET exceeds its period."""
+    periods, _, _, wunits = candidate
+    total = 0
+    for period, w in zip(periods, wunits):
+        total += w
+        if total > period * grid_den:  # D_i == P_i, both in grid ticks
+            return True
+    return False
+
+
 def screen_rejects(candidates: Sequence[RawCandidate], cfg) -> List[bool]:
-    """Provable-unschedulability flags for a block of raw candidates."""
-    if not candidates:
-        return []
-    if _np is not None:
-        return _screen_rejects_numpy(candidates, cfg)
-    return _screen_rejects_python(candidates, cfg)
+    """Provable-unschedulability flags for a block of raw candidates.
+
+    The synchronous-demand stage runs first, on plain ints; it alone
+    rejects most in-bin candidates of the top bins.  Only its survivors
+    pay for the screen arrays and the refinement rounds (numpy or pure
+    python), whose per-candidate verdicts do not depend on the rest of
+    the block.
+    """
+    grid_den = cfg.wcet_grid.denominator
+    flags = [_synchronous_overload(c, grid_den) for c in candidates]
+    survivors = [c for c, overloaded in zip(candidates, flags) if not overloaded]
+    if not survivors:
+        return flags
+    screen = _screen_rejects_numpy if _np is not None else _screen_rejects_python
+    verdicts = iter(screen(survivors, cfg))
+    return [overloaded or next(verdicts) for overloaded in flags]
 
 
 # -- the staged per-bin fill loop ------------------------------------
@@ -460,24 +520,28 @@ def fill_bin(
             draw_candidate(rng, cfg, target, grid_num, grid_den)
             for _ in range(block)
         ]
+        utilizations = [
+            None
+            if candidate is None
+            else candidate_mk_utilization(candidate, grid_num, grid_den)
+            for candidate in candidates
+        ]
         # Screen only the candidates that can reach the admission test.
         screened: Dict[int, bool] = {}
         if use_screen:
-            eligible: List[int] = []
-            for position, candidate in enumerate(candidates):
-                if candidate is None:
-                    continue
-                achieved = float(
-                    candidate_mk_utilization(candidate, grid_num, grid_den)
-                )
-                if bin_lo <= achieved < bin_hi:
-                    eligible.append(position)
+            eligible = [
+                position
+                for position, achieved in enumerate(utilizations)
+                if achieved is not None and bin_lo <= achieved < bin_hi
+            ]
             flags = screen_rejects(
                 [candidates[position] for position in eligible], cfg
             )
             screened = dict(zip(eligible, flags))
         consumed = block
-        for position, candidate in enumerate(candidates):
+        for position, (candidate, achieved) in enumerate(
+            zip(candidates, utilizations)
+        ):
             draws += 1
             if stats is not None:
                 stats.draws += 1
@@ -485,9 +549,6 @@ def fill_bin(
                 continue
             if stats is not None:
                 stats.feasible += 1
-            achieved = float(
-                candidate_mk_utilization(candidate, grid_num, grid_den)
-            )
             if not bin_lo <= achieved < bin_hi:
                 continue
             if stats is not None:

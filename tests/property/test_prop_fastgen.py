@@ -5,10 +5,12 @@ because it is *byte-identical* to the sequential ``TaskSetGenerator``
 loop: same task sets, same order, same fingerprints, same RNG stream
 position after every bin.  These tests enforce that over a multi-config
 corpus, plus the exactness obligations of the individual stages (the
-integer ``limit_denominator`` transcription, the numpy/pure-python
-screen agreement, the screen's reject-only-provably-unschedulable
-soundness, and the early-exit admission simulation's agreement with the
-full heap simulation).
+integer ``limit_denominator`` transcription and the guarded quantization
+that calls it only near a grid boundary, the integer (m,k)-utilization,
+the numpy/pure-python screen agreement and its synchronous-demand first
+stage, the screen's reject-only-provably-unschedulable soundness, and
+the early-exit admission simulation's agreement with the full heap
+simulation).
 """
 
 import random
@@ -25,10 +27,13 @@ from repro.analysis.schedulability import (
 )
 from repro.workload.fastgen import (
     GenerationStats,
+    build_taskset,
+    candidate_mk_utilization,
     draw_candidate,
     fill_bin,
     generate_single_bin,
     limit_denominator_int,
+    quantized_wcet_units,
     screen_rejects,
 )
 from repro.workload.generator import (
@@ -243,6 +248,31 @@ class TestScreen:
         )
         _identical(seq, fast)
 
+    def test_candidate_mk_utilization_matches_built_set(self):
+        for name, cfg in sorted(CONFIGS.items()):
+            grid = cfg.wcet_grid
+            for cand in self._candidates(150, seed=21, cfg=cfg):
+                assert candidate_mk_utilization(
+                    cand, grid.numerator, grid.denominator
+                ) == float(build_taskset(cand, grid).mk_utilization), name
+
+    def test_demand_stage_then_rounds_match_full_screen(self, monkeypatch):
+        cfg = GeneratorConfig()
+        cands = self._candidates(400, seed=4)
+        expected = fastgen._screen_rejects_python(cands, cfg)
+        overloaded = [
+            fastgen._synchronous_overload(c, cfg.wcet_grid.denominator)
+            for c in cands
+        ]
+        # Both stages must decide something in this corpus.
+        assert any(overloaded)
+        assert any(
+            flag and not first for flag, first in zip(expected, overloaded)
+        )
+        assert screen_rejects(cands, cfg) == expected
+        monkeypatch.setattr(fastgen, "_np", None)
+        assert screen_rejects(cands, cfg) == expected
+
 
 class TestFastAdmissionSim:
     def test_miss_verdict_matches_heap_simulation(self):
@@ -262,3 +292,59 @@ class TestFastAdmissionSim:
             assert mandatory_miss_exists(taskset) == expected
             misses += expected
         assert misses, "corpus should contain unschedulable sets"
+
+
+GRIDS = [Fraction(1, 100), Fraction(1, 10), Fraction(3, 100), Fraction(2, 100)]
+
+
+def _fraction_wcet_units(share, k, period, m, grid):
+    """``draw_raw``'s quantization, in grid units, through Fractions."""
+    exact = Fraction(share).limit_denominator(10**6) * k * period / m
+    return int(exact // grid)
+
+
+def _random_task(rng):
+    k = rng.randint(2, 20)
+    return k, rng.randint(5, 50), rng.randint(1, k - 1), rng.choice(GRIDS)
+
+
+class TestQuantizedWcet:
+    def test_random_shares_match_fraction_path(self):
+        rng = random.Random(5)
+        for _ in range(20000):
+            share = rng.random() * rng.choice([1.0, 0.1, 0.01])
+            k, period, m, grid = _random_task(rng)
+            assert quantized_wcet_units(
+                share, k, period, m, grid.numerator, grid.denominator
+            ) == _fraction_wcet_units(share, k, period, m, grid)
+
+    def test_boundary_shares_take_the_fallback(self, monkeypatch):
+        # Shares within 1e-9 of a w boundary: the float share's own floor
+        # can differ from the denominator-limited one, so the guarded
+        # path must hand every one of them to limit_denominator_int.
+        calls = []
+        original = fastgen.limit_denominator_int
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fastgen, "limit_denominator_int", counting)
+        rng = random.Random(9)
+        unguarded_wrong = 0
+        for trial in range(3000):
+            k, period, m, grid = _random_task(rng)
+            scale = k * period * grid.denominator
+            divisor = m * grid.numerator
+            boundary = rng.randint(1, 3 * period * grid.denominator)
+            share = (boundary + rng.uniform(-1e-9, 1e-9)) * divisor / scale
+            expected = _fraction_wcet_units(share, k, period, m, grid)
+            numerator, denominator = share.as_integer_ratio()
+            unguarded_wrong += (
+                numerator * scale // (denominator * divisor) != expected
+            )
+            assert quantized_wcet_units(
+                share, k, period, m, grid.numerator, grid.denominator
+            ) == expected
+            assert len(calls) == trial + 1
+        assert unguarded_wrong, "corpus should need the fallback's answer"

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+from repro.analysis.hyperperiod import analysis_horizon
+from repro.analysis.postponement import task_postponement_intervals
 from repro.cli import main, parse_taskset
 from repro.errors import ReproError
+from repro.workload.generator import TaskSetGenerator
+from repro.workload.serialization import save_taskset
 
 
 class TestParseTaskset:
@@ -329,6 +336,49 @@ class TestCommands:
         assert main(base + ["--resume", "--force-new"]) == 0
         header = json.loads(journal.read_text().splitlines()[0])
         assert header["kind"] == "header"
+
+
+class TestAnalyzeHorizon:
+    def test_generated_set_reports_simulate_theta_promptly(self, tmp_path):
+        """``analyze`` computes θ at ``simulate``'s default horizon.
+
+        This set's (m,k)-hyperperiod is 622,440,000 ticks; an uncapped θ
+        analysis over it did not finish in 100 s.  Capped, the θ column
+        is the postponement ``simulate --scheme MKSS_Selective`` applies.
+        """
+        from repro.cli import SIMULATE_HORIZON_CAP_UNITS
+
+        taskset = TaskSetGenerator(seed=2).generate(0.5)
+        path = tmp_path / "generated.json"
+        save_taskset(taskset, str(path))
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", "--tasks-file", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            check=True,
+        )
+        base = taskset.timebase()
+        thetas = task_postponement_intervals(
+            taskset,
+            base,
+            horizon_ticks=analysis_horizon(
+                taskset, base, SIMULATE_HORIZON_CAP_UNITS
+            ),
+        ).thetas
+        rows = [
+            line.split() for line in done.stdout.splitlines()
+            if line.startswith("tau")
+        ]
+        assert [row[-1] for row in rows] == [
+            str(base.from_ticks(theta)) for theta in thetas
+        ]
 
 
 class TestParseBins:

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.hyperperiod import mk_hyperperiod_ticks
 from repro.analysis.postponement import (
     inspecting_points,
     job_postponement_interval,
     task_postponement_intervals,
 )
-from repro.analysis.schedulability import simulate_mandatory_fp
+from repro.analysis.schedulability import (
+    is_rpattern_schedulable,
+    simulate_mandatory_fp,
+)
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 
@@ -101,3 +105,43 @@ class TestTaskPostponementIntervals:
         assert ok, misses
         # The highest-priority task has no interference: theta = D - C.
         assert result.thetas[0] == 8
+
+
+class TestUncappedPublish:
+    """An uncapped call publishes backups over the whole hyperperiod.
+
+    τ4's window (144 ticks) is longer than the windows of τ1-τ3 (12, 24
+    and 48).  Publishing each task's backups only up to its own window
+    hid every higher-priority backup after tick 48 from τ4, which then
+    got θ4 = 3 and missed jobs 1 and 7 (finishing at 15 and 87 against
+    deadlines 12 and 84).
+    """
+
+    TASKS = [(4, 4, 1, 1, 2), (6, 6, 1, 3, 6), (8, 8, 2, 5, 6), (12, 12, 4, 1, 6)]
+
+    @pytest.fixture
+    def taskset(self):
+        return TaskSet([Task(*params) for params in self.TASKS])
+
+    def test_uncapped_matches_hyperperiod_cap(self, taskset):
+        base = taskset.timebase()
+        hyperperiod = mk_hyperperiod_ticks(taskset, base)
+        assert hyperperiod == 144
+        assert is_rpattern_schedulable(taskset, base)
+        uncapped = task_postponement_intervals(taskset, base)
+        capped = task_postponement_intervals(
+            taskset, base, horizon_ticks=hyperperiod
+        )
+        assert uncapped.thetas == capped.thetas == [3, 4, 4, 2]
+        assert uncapped.horizon == hyperperiod
+
+    def test_uncapped_offsets_meet_every_deadline(self, taskset):
+        base = taskset.timebase()
+        result = task_postponement_intervals(taskset, base)
+        ok, misses = simulate_mandatory_fp(
+            taskset,
+            base,
+            horizon_ticks=mk_hyperperiod_ticks(taskset, base),
+            release_offsets=result.thetas,
+        )
+        assert ok, misses

@@ -34,12 +34,6 @@ from .sensitivity import (
     per_task_slack,
     scale_wcets,
 )
-from .reliability import (
-    fault_probability,
-    job_failure_probability,
-    reliability_comparison,
-    taskset_failure_probability,
-)
 from .energy_bounds import (
     backup_overlap_bound,
     dp_energy_bound,
@@ -75,10 +69,6 @@ __all__ = [
     "critical_scaling_factor",
     "per_task_slack",
     "scale_wcets",
-    "fault_probability",
-    "job_failure_probability",
-    "reliability_comparison",
-    "taskset_failure_probability",
     "backup_overlap_bound",
     "dp_energy_bound",
     "selective_energy_bound",

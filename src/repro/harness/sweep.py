@@ -273,10 +273,6 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
       collect_trace, fold, power_model, release_model,
       initial_history)`` carries a pickled TaskSet (used for explicitly
       supplied workloads and for the inline ``workers=1`` path);
-    * ``("gen", bins, sets_per_bin, config, seed, bin_range, index,
-      scheme, ...)`` names a task set by position within a deterministic
-      generation, regenerated worker-side via :data:`_WORKER_TASKSETS`
-      (legacy full-sweep path, kept as the fallback);
     * ``("genbin", bins, sets_per_bin, config, seed, bin_range,
       rng_state, index, scheme, ...)`` additionally carries the RNG
       state at the start of that bin's fill loop, so the worker
@@ -309,11 +305,6 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
     ) = job[-9:]
     if kind == "set":
         taskset = job[1]
-    elif kind == "gen":
-        (_, bins, sets_per_bin, config, seed, bin_range, index) = job[:7]
-        taskset = _regenerated_tasksets(bins, sets_per_bin, config, seed)[
-            bin_range
-        ][index]
     elif kind == "genbin":
         (
             _,

@@ -5,11 +5,11 @@
 hook of :func:`repro.harness.sweep.utilization_sweep`.  For one
 (task set, scheme, scenario) it
 
-1. builds the scheme's :class:`~repro.sim.validation.ConformanceSpec`
-   from a freshly prepared policy (each policy declares its own
-   invariant suite via :meth:`SchedulingPolicy.conformance`),
+1. builds the scheme's :class:`~repro.sim.profile.SchemeProfile` from a
+   freshly prepared policy (:meth:`SchedulingPolicy.profile` -- the
+   same rules the engine and the batch kernel execute),
 2. runs the scheme in **trace** mode and audits the trace against the
-   spec (:func:`~repro.sim.validation.audit_result`) and the energy
+   profile (:func:`~repro.sim.validation.audit_result`) and the energy
    report against the DPD rule
    (:func:`~repro.sim.validation.audit_energy`), and
 3. re-runs the *same* descriptor in any requested trace-less modes
@@ -37,8 +37,8 @@ from ..errors import ConfigurationError, UnknownSchemeError
 from ..faults.scenario import FaultScenario
 from ..model.taskset import TaskSet
 from ..sim.engine import PolicyContext
+from ..sim.profile import SchemeProfile
 from ..sim.validation import (
-    ConformanceSpec,
     ValidationIssue,
     audit_energy,
     audit_result,
@@ -88,13 +88,13 @@ def conformance_spec(
     taskset: TaskSet,
     scheme: str,
     horizon_cap_units: int = 2000,
-) -> Optional[ConformanceSpec]:
-    """The scheme's declared invariant suite for this task set.
+) -> Optional[SchemeProfile]:
+    """The scheme's rules for this task set, as the auditor checks them.
 
     Prepares a fresh policy instance exactly as a run would (same
     cached horizon), then asks it for its
-    :class:`~repro.sim.validation.ConformanceSpec`.  None means the
-    policy declares no suite and only model-level checks apply.
+    :class:`~repro.sim.profile.SchemeProfile`.  None means the policy
+    declares no rules and only model-level checks apply.
     """
     try:
         factory = SCHEME_FACTORIES[scheme]
@@ -120,7 +120,7 @@ def conformance_spec(
         histories=(),
     )
     policy.prepare(ctx)
-    return policy.conformance(ctx)
+    return policy.profile(ctx)
 
 
 def audit_scheme(
@@ -144,7 +144,7 @@ def audit_scheme(
         horizon_cap_units: horizon cap in model time units.
         modes: subset of :data:`AUDIT_MODES` to audit.  The trace run
             always happens (it is the reference); listing ``"trace"``
-            additionally audits it against the conformance spec.
+            additionally audits it against the scheme's profile.
         power_model: energy model (default: the paper's).
         release_model: arrival process shared by every mode's run (None
             = the paper's periodic releases).  Under a non-periodic
@@ -188,7 +188,7 @@ def audit_scheme(
             continue
         if mode == "trace":
             issues = audit_result(
-                reference.result, spec, initial_history_met=initial_history
+                reference.result, spec, initial_history=initial_history
             )
             issues += audit_energy(reference.result, reference.energy)
             audits.append(ModeAudit(mode="trace", issues=tuple(issues)))

@@ -193,15 +193,7 @@ class MKHistory:
 
 
 def normalize_initial_history(value) -> str:
-    """Normalize an initial-history knob to one of the named modes.
-
-    Accepts the mode strings plus the legacy booleans (``True`` was the
-    paper's all-met boundary, ``False`` the all-miss one).
-    """
-    if value is True:
-        return "met"
-    if value is False:
-        return "miss"
+    """Validate an initial-history knob: one of the named modes."""
     if value in INITIAL_HISTORY_MODES:
         return value
     raise ModelError(

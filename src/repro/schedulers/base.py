@@ -73,7 +73,7 @@ def run_policy(
         timebase=base,
         transient_fault_fn=transient,
         permanent_fault=permanent,
-        initial_history_met=initial_history,
+        initial_history=initial_history,
         execution_time_fn=execution_time_fn,
         collect_trace=collect_trace,
         fold=fold,

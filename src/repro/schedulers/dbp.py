@@ -30,7 +30,7 @@ from ..sim.engine import (
     ReleasePlan,
     SchedulingPolicy,
 )
-from ..sim.validation import ConformanceSpec, TaskConformance
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
 class DistanceBasedPriority(SchedulingPolicy):
@@ -75,15 +75,19 @@ class DistanceBasedPriority(SchedulingPolicy):
             classified_as="optional",
         )
 
-    def conformance(self, ctx: PolicyContext) -> ConformanceSpec:
+    def profile(self, ctx: PolicyContext) -> SchemeProfile:
         # FD classification, single copy, no backups; the energy-aware
         # variant only runs optionals within two misses of failure.
-        return ConformanceSpec(
+        # Everything runs on the survivor after a fault.
+        return SchemeProfile(
             scheme=self.name,
             tasks=tuple(
-                TaskConformance(
-                    classification="fd",
-                    optional_fd_max=None if self._run_all else 2,
+                TaskProfile(
+                    "fd",
+                    fd_max=None if self._run_all else 2,
+                    main_processor=self._processor,
+                    optional_processor=self._processor,
+                    postfault_optionals=True,
                 )
                 for _ in ctx.taskset
             ),

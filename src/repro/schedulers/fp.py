@@ -16,7 +16,7 @@ from ..sim.engine import (
     ReleasePlan,
     SchedulingPolicy,
 )
-from ..sim.validation import ConformanceSpec, TaskConformance
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
 class SingleProcessorFP(SchedulingPolicy):
@@ -44,12 +44,13 @@ class SingleProcessorFP(SchedulingPolicy):
             classified_as="mandatory",
         )
 
-    def conformance(self, ctx: PolicyContext) -> ConformanceSpec:
+    def profile(self, ctx: PolicyContext) -> SchemeProfile:
         # Every job mandatory, single copy, no backups, no postponement.
-        return ConformanceSpec(
+        return SchemeProfile(
             scheme=self.name,
             tasks=tuple(
-                TaskConformance(classification="all") for _ in ctx.taskset
+                TaskProfile("all", main_processor=self._processor)
+                for _ in ctx.taskset
             ),
             max_copies=1,
         )

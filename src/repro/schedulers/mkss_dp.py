@@ -22,20 +22,12 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..analysis.promotion import promotion_times
-from ..model.job import JobRole
-from ..model.patterns import Pattern, RPattern, is_window_periodic
-from ..sim.engine import (
-    PRIMARY,
-    SPARE,
-    CopySpec,
-    PolicyContext,
-    ReleasePlan,
-    SchedulingPolicy,
-)
-from ..sim.validation import ConformanceSpec, TaskConformance
+from ..model.patterns import Pattern, RPattern
+from ..sim.engine import PRIMARY, SPARE, PolicyContext
+from ..sim.profile import ProfiledPolicy, TaskProfile
 
 
-class MKSSDualPriority(SchedulingPolicy):
+class MKSSDualPriority(ProfiledPolicy):
     """Static R-pattern + preference-oriented dual-priority backups."""
 
     name = "MKSS_DP"
@@ -66,7 +58,6 @@ class MKSSDualPriority(SchedulingPolicy):
         )
         self._split_mains = split_mains
         self._split_strategy = split_strategy
-        self._promotions: List[int] = []
         self._main_processor: List[int] = []
 
     def prepare(self, ctx: PolicyContext) -> None:
@@ -74,8 +65,29 @@ class MKSSDualPriority(SchedulingPolicy):
             self._patterns = [RPattern(task.mk) for task in ctx.taskset]
         elif len(self._patterns) != len(ctx.taskset):
             raise ValueError("need exactly one pattern per task")
-        self._promotions = promotion_times(ctx.taskset, ctx.timebase)
+        promotions = promotion_times(ctx.taskset, ctx.timebase)
         self._main_processor = self._assign_mains(ctx)
+        # Backups live on the other processor, postponed by the promotion
+        # time Y_i (Equation 2).  Post-fault, a task whose main lived on
+        # the survivor keeps releasing at r; one whose *backup* lived
+        # there keeps the Y_i postponement.  Mixing offsets within one
+        # task would break the periodicity assumption behind the
+        # promotion-time guarantee.
+        self.adopt_rules(
+            TaskProfile(
+                "pattern",
+                pattern=pattern,
+                main_processor=main,
+                backup_offset=promotion,
+                postfault_main_offset=(
+                    0 if main == PRIMARY else promotion,
+                    0 if main == SPARE else promotion,
+                ),
+            )
+            for pattern, main, promotion in zip(
+                self._patterns, self._main_processor, promotions
+            )
+        )
 
     def _assign_mains(self, ctx: PolicyContext) -> List[int]:
         n = len(ctx.taskset)
@@ -104,99 +116,3 @@ class MKSSDualPriority(SchedulingPolicy):
         if not self._split_mains:
             return PRIMARY
         return PRIMARY if task_index % 2 == 0 else SPARE
-
-    def plan_release(
-        self,
-        ctx: PolicyContext,
-        task_index: int,
-        job_index: int,
-        release: int,
-        deadline: int,
-        fd: int,
-    ) -> ReleasePlan:
-        assert self._patterns is not None
-        if not self._patterns[task_index].is_mandatory(job_index):
-            return ReleasePlan.skip()
-        if ctx.fault_mode:
-            # Keep the survivor's analyzed schedule intact: a task whose
-            # main lived on the survivor keeps releasing normally; a task
-            # whose *backup* lived there keeps the Y_i postponement.
-            # Mixing offsets within one task would break the periodicity
-            # assumption behind the promotion-time guarantee.
-            survivor = ctx.surviving_processor()
-            offset = (
-                0
-                if self.main_processor(task_index) == survivor
-                else self._promotions[task_index]
-            )
-            return ReleasePlan(
-                copies=(CopySpec(JobRole.MAIN, survivor, release + offset),),
-                classified_as="mandatory",
-            )
-        main_proc = self.main_processor(task_index)
-        backup_proc = SPARE if main_proc == PRIMARY else PRIMARY
-        postponed = release + self._promotions[task_index]
-        return ReleasePlan(
-            copies=(
-                CopySpec(JobRole.MAIN, main_proc, release),
-                CopySpec(JobRole.BACKUP, backup_proc, postponed),
-            ),
-            classified_as="mandatory",
-        )
-
-    def conformance(self, ctx: PolicyContext) -> ConformanceSpec:
-        # Pattern classification, no optionals, backups postponed by the
-        # promotion time Y_i (Equation 2).  Post-fault, a task whose main
-        # lived on the survivor keeps releasing at r; one whose *backup*
-        # lived there keeps the Y_i postponement.
-        assert self._patterns is not None
-        tasks = []
-        for index, pattern in enumerate(self._patterns):
-            promotion = self._promotions[index]
-            main_proc = self.main_processor(index)
-            tasks.append(
-                TaskConformance(
-                    classification="pattern",
-                    pattern=pattern,
-                    optional_fd_max=0,
-                    backup_offset=promotion,
-                    postfault_main_offset=(
-                        0 if main_proc == PRIMARY else promotion,
-                        0 if main_proc == SPARE else promotion,
-                    ),
-                )
-            )
-        return ConformanceSpec(scheme=self.name, tasks=tuple(tasks))
-
-    def batch_profile(self, ctx: PolicyContext):
-        # Pattern-mandatory only; mains split per _assign_mains, backups
-        # on the other processor postponed by Y_i.  Post-fault a task
-        # whose main lived on the survivor releases at r, otherwise it
-        # keeps the Y_i postponement (mirrors plan_release exactly).
-        assert self._patterns is not None
-        if not all(is_window_periodic(p) for p in self._patterns):
-            return None
-        from ..sim.batch_profile import BatchProfile, BatchTaskProfile
-
-        tasks = []
-        for index, pattern in enumerate(self._patterns):
-            promotion = self._promotions[index]
-            main_proc = self.main_processor(index)
-            tasks.append(
-                BatchTaskProfile(
-                    classification="pattern",
-                    pattern_window=tuple(pattern.window()),
-                    main_processor=main_proc,
-                    backup_offset=promotion,
-                    postfault_main_offset=(
-                        0 if main_proc == PRIMARY else promotion,
-                        0 if main_proc == SPARE else promotion,
-                    ),
-                )
-            )
-        return BatchProfile(tasks=tuple(tasks))
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # Promotions and main placement are fixed at prepare(); the only
-        # release-to-release variation is the pattern phase.
-        return self.fold_state_from_patterns(self._patterns, pattern_phases)

@@ -17,20 +17,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..model.job import JobRole
-from ..model.patterns import Pattern, RPattern, is_window_periodic
-from ..sim.engine import (
-    PRIMARY,
-    SPARE,
-    CopySpec,
-    PolicyContext,
-    ReleasePlan,
-    SchedulingPolicy,
-)
-from ..sim.validation import ConformanceSpec, TaskConformance
+from ..model.patterns import Pattern, RPattern
+from ..sim.engine import PolicyContext
+from ..sim.profile import ProfiledPolicy, TaskProfile
 
 
-class MKSSStatic(SchedulingPolicy):
+class MKSSStatic(ProfiledPolicy):
     """Static R-pattern standby-sparing without procrastination."""
 
     name = "MKSS_ST"
@@ -49,73 +41,10 @@ class MKSSStatic(SchedulingPolicy):
             self._patterns = [RPattern(task.mk) for task in ctx.taskset]
         elif len(self._patterns) != len(ctx.taskset):
             raise ValueError("need exactly one pattern per task")
-
-    def plan_release(
-        self,
-        ctx: PolicyContext,
-        task_index: int,
-        job_index: int,
-        release: int,
-        deadline: int,
-        fd: int,
-    ) -> ReleasePlan:
-        assert self._patterns is not None
-        if not self._patterns[task_index].is_mandatory(job_index):
-            return ReleasePlan.skip()
-        if ctx.fault_mode:
-            survivor = ctx.surviving_processor()
-            return ReleasePlan(
-                copies=(CopySpec(JobRole.MAIN, survivor, release),),
-                classified_as="mandatory",
-            )
-        return ReleasePlan(
-            copies=(
-                CopySpec(JobRole.MAIN, PRIMARY, release),
-                CopySpec(JobRole.BACKUP, SPARE, release),
-            ),
-            classified_as="mandatory",
+        # Pattern-mandatory jobs only, main on the primary and backup on
+        # the spare both at the nominal release; post-fault mains land on
+        # the survivor at the release too.
+        self.adopt_rules(
+            TaskProfile("pattern", pattern=pattern, backup_offset=0)
+            for pattern in self._patterns
         )
-
-    def conformance(self, ctx: PolicyContext) -> ConformanceSpec:
-        # Pattern classification, never an optional, both copies released
-        # together (no procrastination): backup offset 0, post-fault
-        # mandatory releases land on the survivor immediately.
-        assert self._patterns is not None
-        return ConformanceSpec(
-            scheme=self.name,
-            tasks=tuple(
-                TaskConformance(
-                    classification="pattern",
-                    pattern=pattern,
-                    optional_fd_max=0,
-                    backup_offset=0,
-                )
-                for pattern in self._patterns
-            ),
-        )
-
-    def batch_profile(self, ctx: PolicyContext):
-        # Pattern-mandatory only, both copies at the nominal release,
-        # post-fault mains land on the survivor immediately.  Supplied
-        # patterns that are not window-periodic cannot be expressed as a
-        # k-bit mask, so those runs stay on the scalar engine.
-        assert self._patterns is not None
-        if not all(is_window_periodic(p) for p in self._patterns):
-            return None
-        from ..sim.batch_profile import BatchProfile, BatchTaskProfile
-
-        return BatchProfile(
-            tasks=tuple(
-                BatchTaskProfile(
-                    classification="pattern",
-                    pattern_window=tuple(pattern.window()),
-                    main_processor=PRIMARY,
-                    backup_offset=0,
-                )
-                for pattern in self._patterns
-            ),
-        )
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # The only release-to-release variation is the pattern phase.
-        return self.fold_state_from_patterns(self._patterns, pattern_phases)

@@ -33,7 +33,7 @@ from ..sim.engine import (
     ReleasePlan,
     SchedulingPolicy,
 )
-from ..sim.validation import ConformanceSpec, TaskConformance
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
 class ReExecutionFP(SchedulingPolicy):
@@ -96,41 +96,25 @@ class ReExecutionFP(SchedulingPolicy):
         self._recovery_counts[key] = used + 1
         return CopySpec(job.role, self._target(ctx), now)
 
-    def conformance(self, ctx: PolicyContext) -> ConformanceSpec:
-        # FD classification, no backups; each logical job may execute up
-        # to 1 + max_recoveries copies' worth of work.
-        return ConformanceSpec(
+    def profile(self, ctx: PolicyContext) -> SchemeProfile:
+        # FD classification, single copy, no backups; each logical job
+        # may execute up to 1 + max_recoveries copies' worth of work.
+        # Recoveries only follow transient faults, which the batch kernel
+        # excludes up front.  With two processors ``_target`` is always
+        # the survivor in fault mode, the profile's post-fault rule.
+        return SchemeProfile(
             scheme=self.name,
             tasks=tuple(
-                TaskConformance(
-                    classification="fd",
-                    optional_fd_max=self.fd_threshold,
-                )
-                for _ in ctx.taskset
-            ),
-            max_copies=1 + self.max_recoveries,
-        )
-
-    def batch_profile(self, ctx: PolicyContext):
-        # FD classification, single copy, no backups.  Recoveries only
-        # trigger on transient faults, which the batch kernel excludes
-        # up front, so the recovery ledger never activates in a batched
-        # run.  With two processors ``_target`` is always the survivor
-        # in fault mode, which is exactly the kernel's post-fault rule.
-        from ..sim.batch_profile import BatchProfile, BatchTaskProfile
-
-        return BatchProfile(
-            tasks=tuple(
-                BatchTaskProfile(
-                    classification="fd",
+                TaskProfile(
+                    "fd",
                     fd_max=self.fd_threshold,
                     main_processor=self._processor,
-                    backup_offset=None,
                     optional_processor=self._processor,
                     postfault_optionals=True,
                 )
                 for _ in ctx.taskset
             ),
+            max_copies=1 + self.max_recoveries,
         )
 
     def fold_state(self, ctx: PolicyContext, pattern_phases):

@@ -54,10 +54,11 @@ proven safe (see tests/property/test_prop_batch.py):
 Fallback rules
 --------------
 
-A simulation is batchable when its policy publishes a
-:class:`~repro.sim.batch_profile.BatchProfile` (after ``prepare``), its
-fault scenario cannot produce transient faults, no execution-time model
-is set, and every ``k`` fits the packed-window encoding.  Anything else
+A simulation is batchable when its prepared policy publishes a
+:class:`~repro.sim.profile.SchemeProfile` whose tasks are all
+FD-classified or follow a window-periodic pattern, its fault scenario
+cannot produce transient faults, no execution-time model is set, and
+every ``k`` fits the packed-window encoding.  Anything else
 returns None from :func:`build_batch_item` and runs on the scalar
 engine -- correctness never depends on batchability.
 """
@@ -73,16 +74,12 @@ from ..model.history import (
     make_initial_history,
     packed_initial_window,
 )
+from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
-from .batch_profile import BatchProfile
-from .engine import (
-    PRIMARY,
-    PolicyContext,
-    SimulationError,
-    SimulationResult,
-)
+from .engine import PolicyContext, SimulationError, SimulationResult
 from .folding import RunStats
+from .profile import SchemeProfile
 from .timeline import ReleaseTimeline
 
 try:  # pragma: no cover - import success is the normal path
@@ -148,7 +145,7 @@ class BatchItem:
     taskset: TaskSet
     scheme: str
     policy_name: str
-    profile: BatchProfile
+    profile: SchemeProfile
     horizon_ticks: int
     timebase: TimeBase
     timeline: ReleaseTimeline
@@ -177,7 +174,9 @@ def build_batch_item(
     model (the kernel's lockstep release tables assume the periodic
     recurrence), a DVFS config applying to this scheme (the kernel's
     lockstep arrays know nothing of per-task stretched budgets), no
-    batch profile, or a window too deep to pack.
+    profile or one the kernel cannot express (an ``"all"``
+    classification, a pattern that is not window-periodic), or a window
+    too deep to pack.
     """
     if _np is None:
         return None
@@ -225,13 +224,16 @@ def build_batch_item(
         histories=histories,
     )
     policy.prepare(ctx)
-    profile = policy.batch_profile(ctx)
+    profile = policy.profile(ctx)
     if profile is None or len(profile.tasks) != len(taskset):
         return None
-    for task, task_profile in zip(taskset, profile.tasks):
-        if task_profile.classification == "pattern" and len(
-            task_profile.pattern_window
-        ) != task.mk.k:
+    for task, rules in zip(taskset, profile.tasks):
+        if rules.classification == "all":
+            return None
+        if rules.classification == "pattern" and not (
+            is_window_periodic(rules.pattern)
+            and rules.pattern.mk.k == task.mk.k
+        ):
             return None
     timeline = shared_release_timeline(taskset, horizon, base)
     return BatchItem(
@@ -341,7 +343,7 @@ class _Kernel:
             base = item.timebase
             self.horizon[s] = item.horizon_ticks
             self.task_count[s] = len(item.taskset)
-            self.sticky_sim[s] = item.profile.sticky_optionals
+            self.sticky_sim[s] = not item.profile.optional_preemption
             if item.permanent is not None:
                 self.fault_proc[s] = item.permanent[0]
                 self.fault_tick[s] = item.permanent[1]
@@ -368,10 +370,12 @@ class _Kernel:
             for i, prof in enumerate(item.profile.tasks):
                 if prof.classification == "fd":
                     self.is_fd[s, i] = True
-                    self.fd_max[s, i] = prof.fd_max
+                    self.fd_max[s, i] = (
+                        INF if prof.fd_max is None else prof.fd_max
+                    )
                 else:
                     mask = 0
-                    for bit, mandatory in enumerate(prof.pattern_window):
+                    for bit, mandatory in enumerate(prof.pattern.window()):
                         if mandatory:
                             mask |= 1 << bit
                     self.pat_mask[s, i] = mask
@@ -448,7 +452,7 @@ class _Kernel:
         self.tr_win = zeros()
         self.tr_cnt = zeros()
         self.violations = zeros()
-        self.next_opt = np.full((S, N), PRIMARY, dtype=i64)
+        self.next_opt = self.opt_proc.copy()
         self.released_c = np.zeros(S, dtype=i64)
         self.effective_c = np.zeros(S, dtype=i64)
         self.missed_c = np.zeros(S, dtype=i64)

@@ -5,7 +5,9 @@ MKSS-ST, MKSS-DP, the greedy scheme, and MKSS-Selective is *policy*:
 how a released job is classified (statically by pattern or dynamically by
 flexibility degree), which processor each copy goes to, and how much each
 backup release is postponed.  Policies express exactly that through
-:meth:`SchedulingPolicy.plan_release`; the engine owns everything else:
+:meth:`SchedulingPolicy.plan_release` (the standby-sparing schemes state
+it once, as a :class:`~repro.sim.profile.SchemeProfile` that a generic
+``plan_release`` executes); the engine owns everything else:
 
 * per-processor mandatory (MJQ) and optional (OJQ) ready queues, with the
   MJQ strictly above the OJQ (Algorithm 1, lines 2-9);
@@ -56,7 +58,6 @@ from ..model.history import (
     normalize_initial_history,
 )
 from ..model.job import FINISHED_STATUSES, Job, JobOutcome, JobRole, JobStatus
-from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
 from .folding import RunStats, shift_state
@@ -210,49 +211,19 @@ class SchedulingPolicy:
         """
         return None
 
+    def profile(self, ctx: PolicyContext):
+        """The policy's release rules as data, or None.
 
-    def batch_profile(self, ctx: PolicyContext):
-        """Closed-form release rules for the batch kernel, or None.
-
-        Called on a *prepared* policy (after :meth:`prepare`).  Returning
-        a :class:`~repro.sim.batch_profile.BatchProfile` asserts that for
-        every reachable release state the profile reproduces this
-        policy's :meth:`plan_release` exactly, so the vectorized kernel
-        (:mod:`repro.sim.batch`) may simulate it without per-release
-        callbacks.  The default None keeps the policy on the scalar
-        engine -- the safe answer for any policy whose decisions are not
-        provably expressible in the profile vocabulary.
+        Called on a *prepared* policy (after :meth:`prepare`).  A
+        :class:`~repro.sim.profile.SchemeProfile` is the policy's
+        complete contract: the conformance auditor
+        (:func:`repro.sim.validation.audit_result`) checks traces
+        against it, and the batch kernel (:mod:`repro.sim.batch`)
+        simulates the policy from it without per-release callbacks, so
+        it must reproduce :meth:`plan_release` exactly.  The default
+        None means only the model-level checks apply and the policy
+        stays on the scalar engine.
         """
-        return None
-
-    def conformance(self, ctx: PolicyContext):
-        """Scheme-specific invariant suite for the conformance auditor.
-
-        Called on a *prepared* policy (after :meth:`prepare`) with a
-        context matching the audited run.  Returning a
-        :class:`~repro.sim.validation.ConformanceSpec` opts the policy
-        into the scheme-aware checks of
-        :func:`repro.sim.validation.audit_result` -- classification
-        rules, backup postponement offsets, queue-priority conformance.
-        The default None means only the model-level checks apply.
-        """
-        return None
-
-    def fold_state_from_patterns(
-        self, patterns, pattern_phases: Tuple[int, ...]
-    ):
-        """``pattern_phases`` when every pattern is window-periodic, else None.
-
-        Shared implementation for static-pattern policies: their only
-        release-to-release variation is the pattern phase, so the phase
-        tuple is a complete fold signature -- provided every pattern
-        really is periodic in its window (user-supplied patterns may not
-        be, in which case folding must stay off).
-        """
-        if patterns is not None and all(
-            is_window_periodic(pattern) for pattern in patterns
-        ):
-            return pattern_phases
         return None
 
 
@@ -376,7 +347,7 @@ class StandbySparingEngine:
         timebase: Optional[TimeBase] = None,
         transient_fault_fn: Optional[TransientFaultFn] = None,
         permanent_fault: Optional[Tuple[int, int]] = None,
-        initial_history_met: "str | bool" = True,
+        initial_history: str = "met",
         execution_time_fn: Optional[ExecutionTimeFn] = None,
         collect_trace: bool = True,
         fold: bool = False,
@@ -394,11 +365,9 @@ class StandbySparingEngine:
             transient_fault_fn: per-copy fault oracle, or None for no
                 transient faults.
             permanent_fault: optional (processor, tick) permanent fault.
-            initial_history_met: boundary condition for (m,k)-histories:
-                a mode from
-                :data:`repro.model.history.INITIAL_HISTORY_MODES`
-                (``"met"``/``"miss"``/``"rpattern"``) or the legacy
-                booleans (True = "met", False = "miss").
+            initial_history: boundary condition for (m,k)-histories, a
+                mode from :data:`repro.model.history.INITIAL_HISTORY_MODES`
+                (``"met"``/``"miss"``/``"rpattern"``).
             execution_time_fn: actual execution time model (ACET < WCET);
                 None charges every job its full WCET (the paper's model).
             collect_trace: when False, skip all trace construction and
@@ -444,7 +413,7 @@ class StandbySparingEngine:
                 raise ConfigurationError(f"bad processor {processor} in fault spec")
             if tick < 0:
                 raise ConfigurationError(f"fault tick must be >= 0, got {tick}")
-        self._initial_history = normalize_initial_history(initial_history_met)
+        self._initial_history = normalize_initial_history(initial_history)
         self.execution_time_fn = execution_time_fn
         self.collect_trace = collect_trace
         self.fold = fold

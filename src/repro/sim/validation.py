@@ -20,17 +20,22 @@ Two layers:
   speed, and no mandatory segment may execute below the
   feasibility-checked speed (``dvfs-underspeed``).
 
-* :func:`audit_result` -- adds **scheme-level** invariants declared by
-  the policy through a :class:`ConformanceSpec` (see
-  :meth:`~repro.sim.engine.SchedulingPolicy.conformance`): the paper's
+* :func:`audit_result` -- adds **scheme-level** invariants: it replays
+  the trace against the policy's
+  :class:`~repro.sim.profile.SchemeProfile` (see
+  :meth:`~repro.sim.engine.SchedulingPolicy.profile`), the same rules
+  the engine and the batch kernel execute.  It checks the paper's
   classification rules (mandatory iff FD = 0 replayed from the outcome
   history, or iff the static pattern says so -- Definition 1 /
   Equation 1), the optional-selection rule (optionals only within the
-  scheme's FD window -- Algorithm 1 line 6), backup postponement (no
-  backup segment before r̃ = r + θ_i -- Definitions 2-5), post-fault
-  release offsets, and fixed-priority queue conformance (no copy runs
-  while a strictly higher-priority ready copy of the same queue class
-  waits on that processor, and never while a mandatory copy waits).
+  scheme's FD window -- Algorithm 1 line 6), optional placement (the
+  per-task alternation of principle (iii), and no optionals after a
+  permanent fault unless the scheme keeps them, then on the survivor),
+  backup postponement (no backup segment before r̃ = r + θ_i --
+  Definitions 2-5), post-fault release offsets, and fixed-priority
+  queue conformance (no copy runs while a strictly higher-priority
+  ready copy of the same queue class waits on that processor, and
+  never while a mandatory copy waits).
 
 Separate entry points cover the remaining surfaces:
 
@@ -51,7 +56,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..energy.accounting import active_energy_of
 from ..energy.dpd import shutdown_decision
@@ -61,9 +66,9 @@ from ..model.history import (
     normalize_initial_history,
 )
 from ..model.job import JobOutcome, JobRole
-from ..model.patterns import Pattern
 from ..qos.monitor import verify_mk
 from ..sim.engine import PRIMARY, SPARE, SimulationResult
+from ..sim.profile import SchemeProfile, TaskProfile
 
 _MAIN = JobRole.MAIN.value
 _BACKUP = JobRole.BACKUP.value
@@ -76,58 +81,6 @@ class ValidationIssue:
 
     kind: str
     detail: str
-
-
-@dataclass(frozen=True)
-class TaskConformance:
-    """Scheme invariants for one task, declared by the policy.
-
-    Attributes:
-        classification: how mandatory jobs are determined -- ``"fd"``
-            (mandatory iff the replayed flexibility degree is 0),
-            ``"pattern"`` (mandatory iff ``pattern.is_mandatory(j)``), or
-            ``"all"`` (every job mandatory).
-        pattern: the static pattern, required when classification is
-            ``"pattern"``.
-        optional_fd_max: optionals may only execute with flexibility
-            degree in ``[1, optional_fd_max]``; None means any FD >= 1
-            is acceptable; 0 means the scheme never runs optionals.
-        backup_offset: ticks past the nominal release before which no
-            backup segment of this task may start (the postponement
-            r̃ - r); None means the scheme creates no backup copies.
-        postfault_main_offset: per-surviving-processor enqueue offset of
-            post-fault mandatory releases (index = survivor).
-    """
-
-    classification: str
-    pattern: Optional[Pattern] = None
-    optional_fd_max: Optional[int] = 0
-    backup_offset: Optional[int] = None
-    postfault_main_offset: Tuple[int, int] = (0, 0)
-
-
-@dataclass(frozen=True)
-class ConformanceSpec:
-    """A policy's complete invariant suite for the auditor.
-
-    Attributes:
-        scheme: the policy name (for issue messages).
-        tasks: one :class:`TaskConformance` per task, in task order.
-        optional_preemption: whether a more urgent optional may preempt
-            a running optional (mirrors
-            :attr:`~repro.sim.engine.SchedulingPolicy.optional_preemption`);
-            when False, optional-vs-optional priority checks are skipped
-            because a dispatched optional legitimately holds its
-            processor.
-        max_copies: executions of one logical job may total at most this
-            many WCETs (1 for single-copy policies, 2 for
-            standby-sparing, 1 + max_recoveries for re-execution).
-    """
-
-    scheme: str
-    tasks: Tuple[TaskConformance, ...]
-    optional_preemption: bool = True
-    max_copies: int = 2
 
 
 def validate_result(
@@ -348,22 +301,21 @@ def validate_result(
 
 def audit_result(
     result: SimulationResult,
-    spec: Optional[ConformanceSpec] = None,
+    spec: Optional[SchemeProfile] = None,
     max_copies: Optional[int] = None,
-    initial_history_met: "str | bool" = True,
+    initial_history: str = "met",
 ) -> List[ValidationIssue]:
-    """Model-level checks plus the scheme checks declared by ``spec``.
+    """Model-level checks plus the scheme checks of the profile ``spec``.
 
     Args:
         result: a finished trace-mode simulation.
-        spec: the policy's invariant suite (from
-            :meth:`~repro.sim.engine.SchedulingPolicy.conformance`); None
-            runs only the model-level checks.
+        spec: the policy's rules (from
+            :meth:`~repro.sim.engine.SchedulingPolicy.profile`); None runs
+            only the model-level checks.
         max_copies: override for the execution cap; defaults to
             ``spec.max_copies`` (or 2 without a spec).
-        initial_history_met: the (m,k)-history boundary condition the
-            audited run used (must match for the FD replay to be exact):
-            a mode string or the legacy booleans.
+        initial_history: the (m,k)-history boundary condition the
+            audited run used (must match for the FD replay to be exact).
     """
     if max_copies is None:
         max_copies = spec.max_copies if spec is not None else 2
@@ -375,7 +327,7 @@ def audit_result(
             f"spec for {spec.scheme!r} covers {len(spec.tasks)} tasks, "
             f"result has {len(result.taskset)}"
         )
-    issues.extend(_audit_classification(result, spec, initial_history_met))
+    issues.extend(_audit_classification(result, spec, initial_history))
     issues.extend(_audit_offsets(result, spec))
     issues.extend(_audit_priority(result, spec))
     return issues
@@ -383,22 +335,40 @@ def audit_result(
 
 def _audit_classification(
     result: SimulationResult,
-    spec: ConformanceSpec,
-    initial_history_met: "str | bool",
+    spec: SchemeProfile,
+    initial_history: str,
 ) -> List[ValidationIssue]:
-    """Replay each task's (m,k)-history and check every classification.
+    """Replay each task's (m,k)-history and optional alternation.
 
+    Checks every classification, and where each legitimate optional ran.
     With constrained deadlines (D <= P, enforced by the task model) and
     the engine's deadline-before-release event order, job j's outcome is
     always decided before job j+1's release, so the flexibility degree
     at each release is exactly the replayed one.
+
+    Principle (iii): an optional released before a permanent fault runs
+    on the task's alternation toggle, which it then flips (or on
+    ``optional_processor`` when the task's optionals are pinned).  One
+    released at or after the fault tick (the fault is handled before
+    same-tick releases) breaks the rules unless the profile keeps
+    ``postfault_optionals``; it then runs on the survivor and leaves the
+    toggle alone.  An optional that never ran still flips the toggle but
+    has no segment to check.
     """
     issues: List[ValidationIssue] = []
     trace = result.trace
+    fault_tick, survivor = _fault_view(result)
+    ran_on: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
+    for segment in trace.segments:
+        if segment.role == _OPTIONAL:
+            ran_on[(segment.task_index, segment.job_index)].add(
+                segment.processor
+            )
     for task_index, task in enumerate(result.taskset):
         tc = spec.tasks[task_index]
+        toggle = tc.optional_processor
         history = make_initial_history(
-            task.mk, normalize_initial_history(initial_history_met)
+            task.mk, normalize_initial_history(initial_history)
         )
         for key in sorted(k for k in trace.records if k[0] == task_index):
             record = trace.records[key]
@@ -443,11 +413,14 @@ def _audit_classification(
                     )
                 )
             if classified == "optional":
-                limit = tc.optional_fd_max
+                limit = tc.fd_max
                 allowed = (
                     fd >= 1
                     and limit != 0
                     and (limit is None or fd <= limit)
+                )
+                after_fault = (
+                    fault_tick is not None and record.release >= fault_tick
                 )
                 if not allowed:
                     issues.append(
@@ -458,6 +431,34 @@ def _audit_classification(
                             f"[1, {'inf' if limit is None else limit}]",
                         )
                     )
+                elif after_fault and not tc.postfault_optionals:
+                    issues.append(
+                        ValidationIssue(
+                            "postfault-optional",
+                            f"{label} released at {record.release} ran as "
+                            f"an optional after the permanent fault at "
+                            f"{fault_tick}; {spec.scheme} runs no "
+                            f"optionals after a fault",
+                        )
+                    )
+                elif not mandatory_required:
+                    if after_fault:
+                        expected = survivor
+                    elif tc.alternate_optionals:
+                        expected = toggle
+                        toggle = SPARE if toggle == PRIMARY else PRIMARY
+                    else:
+                        expected = tc.optional_processor
+                    wrong = sorted(ran_on.get(key, set()) - {expected})
+                    if wrong:
+                        issues.append(
+                            ValidationIssue(
+                                "optional-processor",
+                                f"{label} optional ran on processor(s) "
+                                f"{wrong}; {spec.scheme} places it on "
+                                f"processor {expected}",
+                            )
+                        )
             history.record(record.outcome is JobOutcome.EFFECTIVE)
     return issues
 
@@ -473,7 +474,7 @@ def _fault_view(
 
 
 def _expected_enqueue(
-    record, role: str, tc: TaskConformance,
+    record, role: str, tc: TaskProfile,
     fault_tick: Optional[int], survivor: Optional[int],
 ) -> int:
     """The earliest tick a copy of this role may become ready."""
@@ -491,7 +492,7 @@ def _expected_enqueue(
 
 
 def _audit_offsets(
-    result: SimulationResult, spec: ConformanceSpec
+    result: SimulationResult, spec: SchemeProfile
 ) -> List[ValidationIssue]:
     """Postponed-release conformance (Definitions 2-5 / Equation 2).
 
@@ -536,7 +537,7 @@ def _audit_offsets(
 
 
 def _audit_priority(
-    result: SimulationResult, spec: ConformanceSpec
+    result: SimulationResult, spec: SchemeProfile
 ) -> List[ValidationIssue]:
     """Fixed-priority queue conformance (Algorithm 1, lines 2-9).
 

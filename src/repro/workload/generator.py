@@ -179,14 +179,6 @@ class TaskSetGenerator:
         )
 
 
-#: Generation pipelines selectable in :func:`generate_binned_tasksets`:
-#: ``"fast"`` (default) is the staged blocked-draw/screened pipeline in
-#: :mod:`repro.workload.fastgen`, ``"sequential"`` the original
-#: one-draw-at-a-time loop.  Both produce byte-identical output; the
-#: sequential path is kept as the differential reference.
-GENERATION_PIPELINES: Tuple[str, ...] = ("fast", "sequential")
-
-
 def generate_binned_tasksets(
     bins: Sequence[Tuple[float, float]],
     sets_per_bin: int = 20,
@@ -194,7 +186,6 @@ def generate_binned_tasksets(
     seed: Optional[int] = None,
     max_draws_per_bin: int = 5000,
     *,
-    pipeline: str = "fast",
     stats=None,
 ) -> Dict[Tuple[float, float], List[TaskSet]]:
     """Populate (m,k)-utilization bins with schedulable task sets.
@@ -206,41 +197,14 @@ def generate_binned_tasksets(
     Sets are binned by their *achieved* (m,k)-utilization after WCET
     quantization, so a draw targeted at one bin may land in a neighbour.
 
-    ``pipeline`` selects the execution strategy (not the output -- the
-    two pipelines are differential-tested identical); ``stats`` may be a
+    Runs the staged pipeline of :mod:`repro.workload.fastgen`, which is
+    differential-tested draw-for-draw identical to one
+    :meth:`TaskSetGenerator.draw_raw` at a time; ``stats`` may be a
     :class:`repro.workload.fastgen.GenerationStats` to collect counters
-    and per-bin RNG states on the fast path.
+    and per-bin RNG states.
     """
-    if pipeline not in GENERATION_PIPELINES:
-        raise WorkloadError(
-            f"pipeline must be one of {GENERATION_PIPELINES}, "
-            f"got {pipeline!r}"
-        )
-    if pipeline == "fast":
-        from .fastgen import generate_binned_fast
+    from .fastgen import generate_binned_fast
 
-        return generate_binned_fast(
-            bins, sets_per_bin, config, seed, max_draws_per_bin, stats
-        )
-    generator = TaskSetGenerator(config, seed)
-    cfg = generator.config
-    result: Dict[Tuple[float, float], List[TaskSet]] = {
-        tuple(b): [] for b in bins
-    }
-    for bin_lo, bin_hi in result:
-        target_mid = (bin_lo + bin_hi) / 2
-        draws = 0
-        while len(result[(bin_lo, bin_hi)]) < sets_per_bin:
-            draws += 1
-            if draws > max_draws_per_bin:
-                break
-            taskset = generator.draw_raw(target_mid)
-            if taskset is None:
-                continue
-            achieved = float(taskset.mk_utilization)
-            if not bin_lo <= achieved < bin_hi:
-                continue
-            if not cfg.admits(taskset):
-                continue
-            result[(bin_lo, bin_hi)].append(taskset)
-    return result
+    return generate_binned_fast(
+        bins, sets_per_bin, config, seed, max_draws_per_bin, stats
+    )

@@ -68,30 +68,24 @@ def test_theta_offsets_post_fault_do_miss(workload):
     """The paper-literal behaviour (θ offsets after the fault) really does
     violate the constraint here — keep the counterexample alive so the
     finding stays verifiable."""
+    import dataclasses
+
     from repro.schedulers import MKSSSelective
     from repro.schedulers.base import run_policy
 
     class ThetaAfterFault(MKSSSelective):
         name = "MKSS_Selective_theta_post_fault"
 
-        def _mandatory_plan(self, ctx, task_index, release):
-            from repro.model.job import JobRole
-            from repro.sim.engine import PRIMARY, CopySpec, ReleasePlan
-
-            if ctx.fault_mode:
-                survivor = ctx.surviving_processor()
-                offset = (
-                    0
-                    if survivor == PRIMARY
-                    else self._postponements[task_index]
+        def prepare(self, ctx):
+            # The shipped profile, except that post-fault releases on
+            # the spare keep the θ_i backup offset instead of Y_i.
+            super().prepare(ctx)
+            self.adopt_rules(
+                dataclasses.replace(
+                    rules, postfault_main_offset=(0, rules.backup_offset)
                 )
-                return ReleasePlan(
-                    copies=(
-                        CopySpec(JobRole.MAIN, survivor, release + offset),
-                    ),
-                    classified_as="mandatory",
-                )
-            return super()._mandatory_plan(ctx, task_index, release)
+                for rules in self.profile(ctx).tasks
+            )
 
     base = workload.timebase()
     horizon = 1000 * base.ticks_per_unit

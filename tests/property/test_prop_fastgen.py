@@ -2,7 +2,7 @@
 
 The fast path in ``repro.workload.fastgen`` is only allowed to exist
 because it is *byte-identical* to the sequential ``TaskSetGenerator``
-loop: same task sets, same order, same fingerprints, same RNG stream
+loop (kept in ``tests/reference_generator.py``): same task sets, same order, same fingerprints, same RNG stream
 position after every bin.  These tests enforce that over a multi-config
 corpus, plus the exactness obligations of the individual stages (the
 integer ``limit_denominator`` transcription and the guarded quantization
@@ -41,6 +41,7 @@ from repro.workload.generator import (
     TaskSetGenerator,
     generate_binned_tasksets,
 )
+from tests.reference_generator import generate_binned_sequential
 
 BINS = [(0.2, 0.3), (0.5, 0.6), (0.8, 0.9)]
 
@@ -59,13 +60,8 @@ CONFIGS = {
 
 
 def _sequential(bins, sets_per_bin, config, seed, max_draws):
-    return generate_binned_tasksets(
-        bins,
-        sets_per_bin,
-        config,
-        seed,
-        max_draws_per_bin=max_draws,
-        pipeline="sequential",
+    return generate_binned_sequential(
+        bins, sets_per_bin, config, seed, max_draws_per_bin=max_draws
     )
 
 
@@ -85,7 +81,7 @@ class TestByteIdentity:
         cfg = CONFIGS[name]
         seq = _sequential(BINS, 3, cfg, seed, 150)
         fast = generate_binned_tasksets(
-            BINS, 3, cfg, seed, max_draws_per_bin=150, pipeline="fast"
+            BINS, 3, cfg, seed, max_draws_per_bin=150
         )
         _identical(seq, fast)
 
@@ -94,7 +90,7 @@ class TestByteIdentity:
         cfg = GeneratorConfig(admission="rotated", k_range=(2, 5))
         seq = _sequential([(0.5, 0.6)], 2, cfg, 5, 40)
         fast = generate_binned_tasksets(
-            [(0.5, 0.6)], 2, cfg, 5, max_draws_per_bin=40, pipeline="fast"
+            [(0.5, 0.6)], 2, cfg, 5, max_draws_per_bin=40
         )
         _identical(seq, fast)
 
@@ -130,12 +126,6 @@ class TestByteIdentity:
         seq = _sequential(BINS, 2, None, 3, 100)
         default = generate_binned_tasksets(BINS, 2, None, 3, max_draws_per_bin=100)
         _identical(seq, default)
-
-    def test_unknown_pipeline_rejected(self):
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError):
-            generate_binned_tasksets(BINS, 1, None, 1, pipeline="warp")
 
 
 class TestSingleBinShard:
@@ -244,7 +234,7 @@ class TestScreen:
         seq = _sequential(BINS, 2, None, 99, 100)
         monkeypatch.setattr(fastgen, "_np", None)
         fast = generate_binned_tasksets(
-            BINS, 2, None, 99, max_draws_per_bin=100, pipeline="fast"
+            BINS, 2, None, 99, max_draws_per_bin=100
         )
         _identical(seq, fast)
 

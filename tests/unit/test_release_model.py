@@ -147,9 +147,10 @@ class TestInitialHistoryKnob:
     def test_modes(self):
         assert INITIAL_HISTORY_MODES == ("met", "miss", "rpattern")
 
-    def test_normalize_accepts_legacy_booleans(self):
-        assert normalize_initial_history(True) == "met"
-        assert normalize_initial_history(False) == "miss"
+    def test_normalize_accepts_only_mode_names(self):
+        for legacy in (True, False):
+            with pytest.raises(ModelError):
+                normalize_initial_history(legacy)
         for mode in INITIAL_HISTORY_MODES:
             assert normalize_initial_history(mode) == mode
         with pytest.raises(ModelError):

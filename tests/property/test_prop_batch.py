@@ -14,6 +14,11 @@ pool-written journal (and vice versa), fall back to the scalar engine
 per job mid-batch when a job is not batchable (transient faults
 possible), and keep ``validate`` sampling coverage identical when every
 job was journal-resumed.
+
+Finally, one profile that uses the ``SchemeProfile`` fields in
+combinations no shipped scheme does must be read alike by its three
+readers: the engine's generic ``plan_release``, the kernel's tables and
+the auditor.
 """
 
 from __future__ import annotations
@@ -22,17 +27,22 @@ import json
 
 import pytest
 
+from repro.analysis.promotion import promotion_times
 from repro.errors import ConfigurationError
 from repro.faults.scenario import FaultScenario
 from repro.harness.events import EventLog
 from repro.harness.runner import SCHEME_FACTORIES, run_scheme
 from repro.harness.sweep import utilization_sweep
+from repro.harness.validate import audit_scheme
+from repro.model.patterns import EPattern
 from repro.sim.batch import (
     build_batch_item,
     numpy_available,
     run_batch,
     run_batch_payloads,
 )
+from repro.sim.engine import PRIMARY, SPARE
+from repro.sim.profile import ProfiledPolicy, TaskProfile
 from repro.workload.generator import TaskSetGenerator
 
 pytestmark = pytest.mark.skipif(
@@ -153,6 +163,91 @@ class TestBatchScalarAgreement:
             assert stats_view(batch_result) == stats_view(scalar.result), (
                 scheme
             )
+
+
+class VocabularyPolicy(ProfiledPolicy):
+    """Profile fields in combinations no shipped scheme uses."""
+
+    name = "profile-vocabulary"
+
+    def prepare(self, ctx):
+        promotions = promotion_times(ctx.taskset, ctx.timebase)
+        variants = (
+            # Unbounded FD window, mains and alternating optionals that
+            # start on the spare, post-fault optionals on the survivor.
+            lambda task, y: TaskProfile(
+                "fd",
+                fd_max=None,
+                main_processor=SPARE,
+                backup_offset=y,
+                optional_processor=SPARE,
+                alternate_optionals=True,
+                postfault_main_offset=(y, 0),
+                postfault_optionals=True,
+            ),
+            # A static E-pattern on the spare with no backup.
+            lambda task, y: TaskProfile(
+                "pattern", pattern=EPattern(task.mk), main_processor=SPARE
+            ),
+            # Optionals pinned to the spare, kept after a fault.
+            lambda task, y: TaskProfile(
+                "fd",
+                fd_max=2,
+                backup_offset=0,
+                optional_processor=SPARE,
+                postfault_main_offset=(0, y),
+                postfault_optionals=True,
+            ),
+            # Algorithm 1's shape: FD = 1, alternating from the primary.
+            lambda task, y: TaskProfile(
+                "fd",
+                fd_max=1,
+                main_processor=PRIMARY,
+                backup_offset=y,
+                alternate_optionals=True,
+                postfault_main_offset=(0, y),
+            ),
+        )
+        self.adopt_rules(
+            variants[index % len(variants)](task, y)
+            for index, (task, y) in enumerate(zip(ctx.taskset, promotions))
+        )
+
+
+class StickyVocabularyPolicy(VocabularyPolicy):
+    name = "profile-vocabulary-sticky"
+    optional_preemption = False
+
+
+class TestProfileVocabulary:
+    """One profile, three readers: engine, batch kernel and auditor agree."""
+
+    @pytest.mark.parametrize("policy", [VocabularyPolicy, StickyVocabularyPolicy])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_engine_and_auditor_agree(self, monkeypatch, policy, seed):
+        monkeypatch.setitem(SCHEME_FACTORIES, policy.name, policy)
+        taskset = TaskSetGenerator(seed=5100 + seed).generate(0.35)
+        scenario = (
+            None,
+            FaultScenario.permanent_only(seed=70 + seed, processor=0),
+            FaultScenario.permanent_only(seed=70 + seed, processor=1),
+        )[seed % 3]
+        item = build_batch_item(
+            taskset, policy.name, scenario, horizon_cap_units=200
+        )
+        assert item is not None
+        scalar = run_scheme(
+            taskset,
+            policy.name,
+            scenario=scenario,
+            horizon_cap_units=200,
+            collect_trace=False,
+        )
+        assert stats_view(run_batch([item])[0]) == stats_view(scalar.result)
+        report = audit_scheme(
+            taskset, policy.name, scenario=scenario, horizon_cap_units=200
+        )
+        assert report.ok, [issue.kind for issue in report.issues]
 
 
 def journal_job_rows(path):

@@ -69,6 +69,40 @@ def test_engine_stats_only_long_horizon(benchmark):
     assert result.all_mk_satisfied()
 
 
+def test_energy_accounting(benchmark):
+    """Both energy accounting paths over one 2000ms run.
+
+    ``energy_from_counts`` over the stats run's idle-gap multiset (what a
+    sweep job pays) and ``energy_of`` over the trace run's gaps (what an
+    audited or simulated run pays): the DPD rule applied gap by gap.
+    """
+    from repro.energy.accounting import energy_from_counts, energy_of
+    from repro.energy.power import PowerModel
+
+    taskset = _workload()
+    base = taskset.timebase()
+    horizon = 2000 * base.ticks_per_unit
+    traced = run_policy(taskset, MKSSSelective(), horizon, base)
+    stats = run_policy(
+        taskset, MKSSSelective(), horizon, base, collect_trace=False
+    )
+    model = PowerModel.paper_default()
+
+    def run():
+        return (
+            energy_from_counts(
+                stats.busy_by_processor, stats.stats.gap_counts, base, model
+            ),
+            energy_of(traced.trace, base, horizon, model),
+        )
+
+    from_counts, from_trace = benchmark(run)
+    benchmark.extra_info["gaps"] = sum(
+        sum(counts.values()) for counts in stats.stats.gap_counts
+    )
+    assert from_counts.per_processor == from_trace.per_processor
+
+
 def test_engine_aligned_long_horizon(benchmark):
     """Stats-only 2000ms run of the phase-aligned set, cycle by cycle.
 
@@ -336,7 +370,6 @@ def test_bench_sweep_wall(benchmark):
             sets_per_bin=2,
             seed=11,
             horizon_cap_units=300,
-            collect_trace=False,
         )
 
     sweep = benchmark(run)

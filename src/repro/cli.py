@@ -292,7 +292,6 @@ def cmd_sweep(args) -> int:
 
     panel = {"none": fig6a, "permanent": fig6b, "transient": fig6c}[args.faults]
     bins = parse_bins(args.bins) if args.bins else list(DEFAULT_BINS)
-    collect_trace = args.collect_trace and not args.fold
     log = EventLog()
     backend = args.backend
     if backend == "batch":
@@ -326,7 +325,6 @@ def cmd_sweep(args) -> int:
         force_new=args.force_new,
         job_timeout=args.job_timeout or None,
         events=log,
-        collect_trace=collect_trace,
         fold=args.fold,
         validate=args.validate,
         generation_store=args.gen_cache or None,
@@ -664,17 +662,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run's structured events to this JSONL file",
     )
     sweep.add_argument(
-        "--no-trace",
-        dest="collect_trace",
-        action="store_false",
-        help="run every job stats-only (identical results, lower wall "
-        "clock; sweeps never consume traces)",
-    )
-    sweep.add_argument(
         "--fold",
         action="store_true",
-        help="enable the cycle-folding fast path in every job (implies "
-        "--no-trace); per-job fold counts land on job_finish events",
+        help="enable the cycle-folding fast path in every job (jobs "
+        "always run stats-only); per-job fold counts land on job_finish "
+        "events",
     )
     sweep.add_argument(
         "--validate",
@@ -782,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     triage.add_argument(
         "--no-fold",
         action="store_true",
-        help="disable the cycle-folding fast path (runs with full traces)",
+        help="disable the cycle-folding fast path (plain stats-only runs)",
     )
     triage.add_argument(
         "--events",

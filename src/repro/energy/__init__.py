@@ -1,7 +1,7 @@
 """Energy modeling: power states, dynamic power down, trace accounting."""
 
 from .power import PowerModel
-from .dpd import DPDController, shutdown_decision
+from .dpd import shutdown_decision, sleep_threshold_ticks
 from .accounting import (
     EnergyReport,
     energy_from_counts,
@@ -24,8 +24,8 @@ from .dvfs import (
 
 __all__ = [
     "PowerModel",
-    "DPDController",
     "shutdown_decision",
+    "sleep_threshold_ticks",
     "EnergyReport",
     "energy_of",
     "energy_from_counts",

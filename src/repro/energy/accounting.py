@@ -9,7 +9,10 @@ Converts a :class:`~repro.sim.trace.ExecutionTrace` into an
   plan's DVS model;
 * idle gaps are classified by the DPD rule -- gaps longer than the
   break-even time sleep (``sleep_power`` + one ``transition_energy``),
-  shorter gaps idle at ``idle_power``;
+  shorter gaps idle at ``idle_power``.  The rule is applied as one
+  integer compare per gap against
+  :func:`~repro.energy.dpd.sleep_threshold_ticks`, and idle and sleep
+  time are summed in ticks and converted to units once per total;
 * a processor killed by a permanent fault consumes nothing after death
   (its accounting window is truncated at the fault instant).
 
@@ -26,7 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..sim.trace import ExecutionTrace
 from ..timebase import TimeBase, TimeLike
-from .dpd import shutdown_decision
+from .dpd import sleep_threshold_ticks
 from .dvs import DVSModel
 from .power import PowerModel
 
@@ -162,6 +165,7 @@ def energy_of(
             instead of the flat ``active_power``.
     """
     power = model or PowerModel.paper_default()
+    bound = sleep_threshold_ticks(power, timebase.ticks_per_unit)
     per_processor: Dict[int, ProcessorEnergy] = {}
     for processor in range(trace.processor_count):
         window_end = horizon_ticks
@@ -175,16 +179,16 @@ def energy_of(
             speed_units = _trace_speed_units(
                 trace, timebase, processor, window
             )
-        idle_units = Fraction(0)
-        sleep_units = Fraction(0)
-        transitions = 0
+        idle_ticks = sleep_ticks = transitions = 0
         for gap_start, gap_end in trace.idle_gaps(processor, window):
-            gap_units = timebase.from_ticks(gap_end - gap_start)
-            if shutdown_decision(gap_units, power):
-                sleep_units += gap_units
+            length = gap_end - gap_start
+            if bound is not None and length > bound:
+                sleep_ticks += length
                 transitions += 1
             else:
-                idle_units += gap_units
+                idle_ticks += length
+        idle_units = timebase.from_ticks(idle_ticks)
+        sleep_units = timebase.from_ticks(sleep_ticks)
         per_processor[processor] = ProcessorEnergy(
             busy_units=busy_units,
             idle_units=idle_units,
@@ -219,14 +223,15 @@ def energy_from_counts(
     by the engine in stats mode (already truncated at the horizon and at
     a dead processor's fault instant).  The DPD rule only needs each
     gap's *length*, so the multiset carries everything :func:`energy_of`
-    extracts from a trace; per-length arithmetic over exact Fractions is
-    associative and order-independent, making the result bit-identical
-    to the trace-based account of the same run.  On a DVFS run,
+    extracts from a trace; the tick sums are exact and order-independent,
+    making the result bit-identical to the trace-based account of the
+    same run.  On a DVFS run,
     ``speed_busy[p]`` (speed -> ticks, the engine's
     :attr:`~repro.sim.folding.RunStats.speed_busy` ledger) carries the
     scaled part of the busy time the same way.
     """
     power = model or PowerModel.paper_default()
+    bound = sleep_threshold_ticks(power, timebase.ticks_per_unit)
     per_processor: Dict[int, ProcessorEnergy] = {}
     for processor, (busy_ticks, counts) in enumerate(
         zip(busy_by_processor, gap_counts)
@@ -239,17 +244,15 @@ def energy_from_counts(
                 (speed, timebase.from_ticks(by_speed[speed]))
                 for speed in sorted(by_speed)
             )
-        idle_units = Fraction(0)
-        sleep_units = Fraction(0)
-        transitions = 0
-        for length in sorted(counts):
-            count = counts[length]
-            gap_units = timebase.from_ticks(length)
-            if shutdown_decision(gap_units, power):
-                sleep_units += gap_units * count
+        idle_ticks = sleep_ticks = transitions = 0
+        for length, count in counts.items():
+            if bound is not None and length > bound:
+                sleep_ticks += length * count
                 transitions += count
             else:
-                idle_units += gap_units * count
+                idle_ticks += length * count
+        idle_units = timebase.from_ticks(idle_ticks)
+        sleep_units = timebase.from_ticks(sleep_ticks)
         per_processor[processor] = ProcessorEnergy(
             busy_units=busy_units,
             idle_units=idle_units,

@@ -4,15 +4,17 @@ When a processor has no pending job, the scheduler computes the gap to the
 earliest upcoming mandatory arrival; if the gap exceeds the break-even time
 T_be it shuts the processor down and arms a wake-up timer.  Energy-wise the
 decision is a pure function of the gap length, which is what
-:func:`shutdown_decision` captures; :class:`DPDController` additionally
-tracks cycle counts for reporting.
+:func:`shutdown_decision` captures.  Because that function is monotone in
+the gap, on a fixed tick grid it collapses to one integer threshold,
+:func:`sleep_threshold_ticks` -- what the energy accounting applies to
+every gap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Optional
 
 from .power import PowerModel
 
@@ -36,6 +38,9 @@ def shutdown_decision(gap_units: Fraction, model: PowerModel) -> bool:
     gap to float instead would round huge or very fine-grained gaps and
     could flip the decision near the cost crossover -- and overflow
     outright for gaps beyond float range.
+
+    This is the reference statement of the rule: the conformance auditor
+    applies it gap by gap, checking :func:`sleep_threshold_ticks`.
     """
     if gap_units <= model.break_even:
         return False
@@ -50,36 +55,34 @@ def shutdown_decision(gap_units: Fraction, model: PowerModel) -> bool:
     )
 
 
-@dataclass
-class DPDController:
-    """Tracks shutdown decisions over a run, for diagnostics.
+@lru_cache(maxsize=128)
+def sleep_threshold_ticks(
+    model: PowerModel, ticks_per_unit: int
+) -> Optional[int]:
+    """The longest idle gap, in ticks, that DPD keeps idle.
 
-    Attributes:
-        model: the power model consulted for each decision.
-        shutdowns: gaps (start, end) that led to a shutdown.
-        idles: gaps kept in the idle state.
+    A gap of ``t`` ticks sleeps exactly when ``t`` exceeds the returned
+    bound; None means no gap ever sleeps.  With ``q`` ticks per unit and
+    idle power, sleep power and transition energy ``P_i``, ``P_s``,
+    ``E_tr`` (non-negative, as :class:`PowerModel` enforces),
+    :func:`shutdown_decision` on ``t / q`` units holds iff
+
+    * ``P_i > P_s``: ``t > max(floor(T_be*q), floor(E_tr*q / (P_i-P_s)))``
+      -- the break-even rule and the strict cost crossover, each a
+      strict bound on an integer, so flooring is exact;
+    * ``E_tr = P_i = P_s = 0``: ``t > floor(T_be*q)`` (the tie-break);
+    * otherwise never: sleeping costs at least as much as idling.
+
+    Computed once per (model, grid) in exact Fractions.
     """
-
-    model: PowerModel
-    shutdowns: List[Tuple[Fraction, Fraction]] = field(default_factory=list)
-    idles: List[Tuple[Fraction, Fraction]] = field(default_factory=list)
-
-    def observe_gap(self, start: Fraction, end: Fraction) -> bool:
-        """Record one idle gap; returns True when it becomes a shutdown."""
-        if shutdown_decision(end - start, self.model):
-            self.shutdowns.append((start, end))
-            return True
-        self.idles.append((start, end))
-        return False
-
-    @property
-    def shutdown_count(self) -> int:
-        return len(self.shutdowns)
-
-    @property
-    def sleep_time(self) -> Fraction:
-        return sum((end - start for start, end in self.shutdowns), Fraction(0))
-
-    @property
-    def idle_time(self) -> Fraction:
-        return sum((end - start for start, end in self.idles), Fraction(0))
+    break_even = (model.break_even * ticks_per_unit).__floor__()
+    idle = Fraction(model.idle_power)
+    sleep = Fraction(model.sleep_power)
+    if idle > sleep:
+        crossover = Fraction(model.transition_energy) * ticks_per_unit / (
+            idle - sleep
+        )
+        return max(break_even, crossover.__floor__())
+    if model.transition_energy == 0.0 and idle == sleep == 0:
+        return break_even
+    return None

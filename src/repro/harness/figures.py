@@ -124,7 +124,6 @@ def _run_panel(
     force_new: bool = False,
     job_timeout: Optional[float] = None,
     events=None,
-    collect_trace: bool = True,
     fold: bool = False,
     validate: int = 0,
     generation_store=None,
@@ -166,7 +165,6 @@ def _run_panel(
         force_new=force_new,
         job_timeout=job_timeout,
         events=events,
-        collect_trace=collect_trace,
         fold=fold,
         validate=validate,
         generation_store=generation_store,

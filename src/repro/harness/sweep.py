@@ -18,10 +18,10 @@ pickled.  The ``workers=1`` path runs the same jobs inline and is exactly
 the sequential protocol.
 
 Sweeps never consume execution traces -- each job reduces to (energy,
-violations) -- so ``collect_trace=False`` runs every job stats-only and
-``fold=True`` additionally enables the engine's cycle-folding fast path.
-Both modes are exact: payloads, journals, and aggregates are bitwise
-identical to trace-mode runs (per-job fold counts are reported on
+violations) -- so every job runs stats-only, and ``fold=True``
+additionally enables the engine's cycle-folding fast path.  Both modes
+are exact: payloads, journals, and aggregates are bitwise identical to
+trace-mode runs of the same jobs (per-job fold counts are reported on
 JOB_FINISH events, outside the checkpointed payload).
 
 Resilience (this module's execution layer, :func:`execute_jobs`):
@@ -266,13 +266,13 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
     """Module-level worker so ProcessPoolExecutor can pickle it.
 
     ``job`` is a descriptor tuple (every kind's tail is ``scheme,
-    scenario, horizon_cap_units, collect_trace, fold, power_model,
-    release_model, initial_history, dvfs``):
+    scenario, horizon_cap_units, fold, power_model, release_model,
+    initial_history, dvfs``):
 
-    * ``("set", taskset, scheme, scenario, horizon_cap_units,
-      collect_trace, fold, power_model, release_model,
-      initial_history)`` carries a pickled TaskSet (used for explicitly
-      supplied workloads and for the inline ``workers=1`` path);
+    * ``("set", taskset, scheme, scenario, horizon_cap_units, fold,
+      power_model, release_model, initial_history, dvfs)`` carries a
+      pickled TaskSet (used for explicitly supplied workloads and for
+      the inline ``workers=1`` path);
     * ``("genbin", bins, sets_per_bin, config, seed, bin_range,
       rng_state, index, scheme, ...)`` additionally carries the RNG
       state at the start of that bin's fill loop, so the worker
@@ -283,6 +283,8 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
       from the shared :class:`GenerationStore`
       (:func:`_store_bin_tasksets`), regenerating nothing at all on a
       warm store.
+
+    Every job runs stats-only: the payload needs no trace.
 
     Returns ``(total energy, mk violations, cycles folded)``.  The third
     element is observability-only: the sweep splits it off into the
@@ -296,13 +298,12 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
         scheme,
         scenario,
         horizon_cap_units,
-        collect_trace,
         fold,
         power_model,
         release_model,
         initial_history,
         dvfs,
-    ) = job[-9:]
+    ) = job[-8:]
     if kind == "set":
         taskset = job[1]
     elif kind == "genbin":
@@ -342,7 +343,7 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
         scenario=scenario,
         horizon_cap_units=horizon_cap_units,
         power_model=power_model,
-        collect_trace=collect_trace,
+        collect_trace=False,
         fold=fold,
         release_model=release_model,
         initial_history=initial_history,
@@ -1141,13 +1142,14 @@ def _sweep_fingerprint(
 ) -> Dict[str, Any]:
     """JSON-able identity of a sweep, for journal header validation.
 
-    Execution-mode knobs (``collect_trace``, ``fold``, ``workers``,
-    ``backend``, timeouts) are deliberately absent: the engine
-    guarantees identical metrics in every mode, so a journal written
-    stats-only, folded, or on the batch backend resumes a trace-mode
-    pool sweep -- and vice versa -- with bitwise-equal payloads.  A non-default ``power_model`` *is* part of the identity
-    (it changes every energy payload); the default (None) is omitted so
-    journals recorded before the knob existed still resume.  The same
+    Execution-mode knobs (``fold``, ``workers``, ``backend``,
+    timeouts) are deliberately absent: the engine guarantees identical
+    metrics in every mode, so a journal written folded or on the batch
+    backend resumes a plain pool sweep -- and vice versa -- with
+    bitwise-equal payloads.  A non-default ``power_model`` *is* part of
+    the identity (it changes every energy payload); the default (None)
+    is omitted so journals recorded before the knob existed still
+    resume.  The same
     conditional-inclusion rule covers ``release_model`` (None = the
     paper's periodic arrivals), ``initial_history`` (``"met"`` = the
     paper's boundary condition), and ``dvfs`` (None = fixed-frequency
@@ -1206,7 +1208,6 @@ def utilization_sweep(
     max_retries: int = 2,
     retry_backoff: float = 0.0,
     events: Optional[EventLog] = None,
-    collect_trace: bool = True,
     fold: bool = False,
     validate: int = 0,
     generation_store: "Optional[GenerationStore | str]" = None,
@@ -1268,14 +1269,10 @@ def utilization_sweep(
             that raised.
         events: :class:`EventLog` receiving the run's structured events
             (job lifecycle, respawns, progress); omitted = internal log.
-        collect_trace: False runs every job stats-only (no execution
-            trace is ever built); energies and violation counts are
-            identical, wall clock is lower.  Sweeps never consume
-            traces, so this is purely a speed knob.
-        fold: enable the engine's cycle-folding fast path in every job
-            (requires ``collect_trace=False``).  Fold counts surface as
-            ``cycles_folded`` on JOB_FINISH events; journal payloads are
-            unchanged.
+        fold: enable the engine's cycle-folding fast path in every job.
+            Jobs always run stats-only (a sweep reads no trace, so none
+            is built).  Fold counts surface as ``cycles_folded`` on
+            JOB_FINISH events; journal payloads are unchanged.
         validate: sample up to this many aggregated task sets (evenly
             across the sweep) and run the conformance auditor
             (:func:`~repro.harness.validate.audit_scheme`) on every
@@ -1329,11 +1326,6 @@ def utilization_sweep(
         workers = 1
     if resume and not journal_path:
         raise ConfigurationError("resume=True requires journal_path")
-    if fold and collect_trace:
-        raise ConfigurationError(
-            "fold=True requires collect_trace=False (folding is exact "
-            "for aggregate stats, not for traces)"
-        )
     if validate < 0:
         raise ConfigurationError(f"validate must be >= 0, got {validate}")
     release_model = resolve_release_model(release_model)
@@ -1469,9 +1461,8 @@ def utilization_sweep(
                         jobs.append(
                             ("store", gen_store.root, gen_digest,
                              *generated_spec, key, index, scheme, scenario,
-                             horizon_cap_units, collect_trace, fold,
-                             power_model, release_model, initial_history,
-                             dvfs)
+                             horizon_cap_units, fold, power_model,
+                             release_model, initial_history, dvfs)
                         )
                     else:
                         bin_state = (
@@ -1481,15 +1472,15 @@ def utilization_sweep(
                         )
                         jobs.append(
                             ("genbin", *generated_spec, key, bin_state, index,
-                             scheme, scenario, horizon_cap_units,
-                             collect_trace, fold, power_model, release_model,
-                             initial_history, dvfs)
+                             scheme, scenario, horizon_cap_units, fold,
+                             power_model, release_model, initial_history,
+                             dvfs)
                         )
                 else:
                     jobs.append(
                         ("set", taskset, scheme, scenario, horizon_cap_units,
-                         collect_trace, fold, power_model, release_model,
-                         initial_history, dvfs)
+                         fold, power_model, release_model, initial_history,
+                         dvfs)
                     )
 
     log.emit(

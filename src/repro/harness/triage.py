@@ -742,7 +742,6 @@ def _run_panel_sweep(
         resume=options.resume,
         job_timeout=options.job_timeout,
         events=events,
-        collect_trace=not options.fold,
         fold=options.fold,
         validate=options.validate,
     )

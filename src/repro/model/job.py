@@ -27,6 +27,10 @@ class JobRole(enum.Enum):
     BACKUP = "backup"      #: mandatory job's spare-processor copy
     OPTIONAL = "optional"  #: optional job (single copy, no backup)
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent with equality and skips the pure-Python Enum.__hash__.
+    __hash__ = object.__hash__
+
 
 class JobStatus(enum.Enum):
     """Lifecycle of one job copy inside the simulator."""
@@ -38,6 +42,10 @@ class JobStatus(enum.Enum):
     CANCELED = "canceled"      #: backup canceled because its main succeeded
     ABANDONED = "abandoned"    #: optional dropped (infeasible or policy skip)
     LOST = "lost"              #: copy destroyed by a permanent processor fault
+
+    # Identity hashing, as on JobRole: the engine tests membership in
+    # FINISHED_STATUSES for every dispatch decision.
+    __hash__ = object.__hash__
 
 
 #: Statuses after which a copy never executes again.  Hot paths (ready

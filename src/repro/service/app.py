@@ -28,6 +28,7 @@ exists purely for fair admission control, not auth.
 from __future__ import annotations
 
 import asyncio
+import sys
 from typing import Optional
 
 from ..errors import ConfigurationError
@@ -232,6 +233,8 @@ async def _serve(config: ServiceConfig) -> None:
     await app.start()
     manager = app.manager
     assert manager is not None
+    for entry in manager.skipped:
+        print(f"skipped unreadable job record {entry}", file=sys.stderr)
     if manager.recovered:
         print(
             f"recovered {len(manager.recovered)} interrupted job(s): "

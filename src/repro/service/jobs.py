@@ -36,6 +36,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..errors import ConfigurationError
 from ..harness.events import GENERATION, JOB_FINISH, EventLog
 from ..harness.genstore import GenerationStore
 from .config import ServiceConfig
@@ -118,6 +119,8 @@ class JobManager:
         self._subscribers: Dict[str, List["asyncio.Queue[Any]"]] = {}
         self._workers: List[asyncio.Task] = []
         self.recovered: List[str] = []
+        #: ``"<record file>: <reason>"`` per job record recovery skipped.
+        self.skipped: List[str] = []
         self._recover()
 
     # -- durable job records ------------------------------------------
@@ -156,23 +159,26 @@ class JobManager:
         point).  A record persisted as ``queued``/``running`` without a
         result is exactly the crash case the journal exists for: it goes
         back on the queue and its sweep resumes from the journal.
+
+        A record that cannot be read -- broken JSON, or a spec this
+        version rejects, such as one carrying a since-removed knob -- is
+        left on disk, listed in :attr:`skipped`, and otherwise ignored:
+        one bad file must not keep the server from starting.  Its stored
+        result is still served by digest, and resubmitting its spec
+        attaches to that result or resumes its journal.
         """
         jobs_dir = self.config.path("jobs")
         for name in sorted(os.listdir(jobs_dir)):
             if not name.endswith(".json"):
                 continue
-            with open(os.path.join(jobs_dir, name), encoding="utf-8") as handle:
-                record = json.load(handle)
-            spec = SweepSpec.from_dict(record["spec"])
-            job = Job(
-                digest=record["digest"],
-                spec=spec,
-                tenant=record.get("tenant", "anonymous"),
-                state=record.get("state", "queued"),
-                error=record.get("error"),
-                submitted_at=record.get("submitted_at", 0.0),
-                finished_at=record.get("finished_at"),
-            )
+            try:
+                job, persisted_state = self._load_record(
+                    os.path.join(jobs_dir, name)
+                )
+            except (OSError, ValueError, KeyError, TypeError,
+                    ConfigurationError) as exc:
+                self.skipped.append(f"{name}: {type(exc).__name__}: {exc}")
+                continue
             if job.digest in self.store:
                 job.state = "done"
             elif job.state in ("queued", "running"):
@@ -180,8 +186,26 @@ class JobManager:
                 self._queue.put_nowait(job.digest)
                 self.recovered.append(job.digest)
             self.jobs[job.digest] = job
-            if job.state != record.get("state"):
+            if job.state != persisted_state:
                 self._persist(job)
+
+    @staticmethod
+    def _load_record(path: str) -> Tuple[Job, Any]:
+        """One job record as ``(job, persisted state)``; raises if unreadable."""
+        with open(path, encoding="utf-8") as handle:
+            record = json.load(handle)
+        if not isinstance(record, dict):
+            raise TypeError(f"job record is a {type(record).__name__}")
+        job = Job(
+            digest=record["digest"],
+            spec=SweepSpec.from_dict(record["spec"]),
+            tenant=record.get("tenant", "anonymous"),
+            state=record.get("state", "queued"),
+            error=record.get("error"),
+            submitted_at=record.get("submitted_at", 0.0),
+            finished_at=record.get("finished_at"),
+        )
+        return job, record.get("state")
 
     # -- admission -----------------------------------------------------
 

@@ -11,9 +11,9 @@ because fault draws are deliberately *not* part of the journal
 fingerprint (they are rebuilt deterministically by the scenario factory)
 yet absolutely change the result a client gets back.  Two specs with
 equal :meth:`digest` are served the same stored result; execution-mode
-knobs (backend, collect_trace, fold, validate=0) are excluded from the
-identity exactly like the journal fingerprint excludes them -- the
-engine guarantees identical payloads in every mode, so a result computed
+knobs (backend, fold, validate=0) are excluded from the identity exactly
+like the journal fingerprint excludes them -- the engine guarantees
+identical payloads in every mode, so a result computed
 on the batch backend is a legitimate cache hit for a pool-backend
 submission.  A nonzero ``validate`` *is* part of the identity: it adds
 ``validation_issues`` to the served document.
@@ -61,7 +61,6 @@ class SweepSpec:
         default_factory=lambda: _default_scale().horizon_cap_units
     )
     backend: str = "pool"
-    collect_trace: bool = False
     fold: bool = False
     validate: int = 0
     release_model: Optional[ReleaseModel] = None
@@ -113,10 +112,6 @@ class SweepSpec:
             raise ConfigurationError(
                 f"validate must be >= 0, got {self.validate}"
             )
-        if self.fold and self.collect_trace:
-            raise ConfigurationError(
-                "fold=true requires collect_trace=false"
-            )
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SweepSpec":
@@ -153,14 +148,13 @@ class SweepSpec:
                     kwargs[key] = int(payload[key])
             if "backend" in payload:
                 kwargs["backend"] = str(payload["backend"])
-            for key in ("collect_trace", "fold"):
-                if key in payload:
-                    value = payload[key]
-                    if not isinstance(value, bool):
-                        raise ConfigurationError(
-                            f"{key} must be a JSON boolean, got {value!r}"
-                        )
-                    kwargs[key] = value
+            if "fold" in payload:
+                value = payload["fold"]
+                if not isinstance(value, bool):
+                    raise ConfigurationError(
+                        f"fold must be a JSON boolean, got {value!r}"
+                    )
+                kwargs["fold"] = value
             if "release_model" in payload:
                 # A preset name, a {"kind": ...} document, or null;
                 # resolve_release_model in __post_init__ validates it.
@@ -186,7 +180,6 @@ class SweepSpec:
             "seed": self.seed,
             "horizon_cap_units": self.horizon_cap_units,
             "backend": self.backend,
-            "collect_trace": self.collect_trace,
             "fold": self.fold,
             "validate": self.validate,
         }
@@ -265,7 +258,6 @@ class SweepSpec:
             resume=resume,
             force_new=force_new,
             events=events,
-            collect_trace=self.collect_trace,
             fold=self.fold,
             validate=self.validate,
             generation_store=generation_store,

@@ -115,7 +115,11 @@ class ReleasePlan:
 
     @classmethod
     def skip(cls) -> "ReleasePlan":
-        return cls(copies=(), classified_as="skipped")
+        """The verdict for a skipped job (one shared, immutable plan)."""
+        return _SKIP_PLAN
+
+
+_SKIP_PLAN = ReleasePlan(copies=(), classified_as="skipped")
 
 
 @dataclass
@@ -746,11 +750,21 @@ class StandbySparingEngine:
                 elif classified == "skipped":
                     stats.skipped += 1
                 stats.released += 1
-            logical[(task_index, job_index)] = entry
             released_jobs += 1
+            if not plan.copies:
+                # A skipped job has no copy to run, so its deadline can
+                # only record a miss -- record it now, stamped with the
+                # deadline.  The order is unchanged: with D <= P and
+                # inter-arrival times >= P, the task's next release comes
+                # at or after this deadline, deadlines precede releases
+                # at equal ticks, and no policy reads another task's
+                # history.
+                decide(entry, False, deadline)
+                return
+            logical[(task_index, job_index)] = entry
 
             actual_wcet = wcets[task_index]
-            if execution_time_fn is not None and plan.copies:
+            if execution_time_fn is not None:
                 actual_wcet = execution_time_fn(
                     task_index, job_index, wcets[task_index]
                 )

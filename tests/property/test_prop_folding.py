@@ -228,7 +228,7 @@ class TestFoldingFires:
 
 
 class TestSweepJournalIdentity:
-    """Folded sweeps checkpoint and resume identically to trace sweeps."""
+    """Folded sweeps checkpoint and resume identically to plain sweeps."""
 
     BINS = [(0.4, 0.5)]
     KW = dict(sets_per_bin=3, seed=77, horizon_cap_units=300)
@@ -247,17 +247,14 @@ class TestSweepJournalIdentity:
         return rows
 
     def test_journal_bytes_match_across_modes(self, tmp_path):
-        plain = self._journal_rows(tmp_path / "trace.jsonl")
-        folded = self._journal_rows(
-            tmp_path / "fold.jsonl", collect_trace=False, fold=True
-        )
+        plain = self._journal_rows(tmp_path / "plain.jsonl")
+        folded = self._journal_rows(tmp_path / "fold.jsonl", fold=True)
         assert plain == folded
 
     def test_cross_mode_resume(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         first = utilization_sweep(
-            self.BINS, journal_path=str(path),
-            collect_trace=False, fold=True, **self.KW
+            self.BINS, journal_path=str(path), fold=True, **self.KW
         )
         log = EventLog()
         resumed = utilization_sweep(
@@ -281,7 +278,3 @@ class TestSweepJournalIdentity:
         # Every job must come from the journal, none re-executed.
         assert any(event.kind == "job_skip" for event in log.events)
         assert not any(event.kind == "job_start" for event in log.events)
-
-    def test_fold_with_trace_rejected(self):
-        with pytest.raises(ConfigurationError):
-            utilization_sweep(self.BINS, fold=True, **self.KW)

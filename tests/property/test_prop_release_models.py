@@ -314,23 +314,22 @@ class TestSweepIntegration:
         ]
 
     def test_sweep_fold_self_disables_off_periodic(self, tmp_path):
-        """fold=True sporadic sweep: zero folds, trace-identical journal."""
+        """fold=True sporadic sweep: zero folds, plain-identical journal."""
         model = ReleaseModel.preset("bursty", seed=2)
-        trace_path = tmp_path / "trace.jsonl"
+        plain_path = tmp_path / "plain.jsonl"
         fold_path = tmp_path / "fold.jsonl"
         utilization_sweep(
-            journal_path=str(trace_path), release_model=model, **SWEEP_KW
+            journal_path=str(plain_path), release_model=model, **SWEEP_KW
         )
         log = EventLog()
         utilization_sweep(
             journal_path=str(fold_path),
             release_model=model,
-            collect_trace=False,
             fold=True,
             events=log,
             **SWEEP_KW,
         )
-        assert journal_rows(fold_path) == journal_rows(trace_path)
+        assert journal_rows(fold_path) == journal_rows(plain_path)
         folded = [
             event.data["cycles_folded"]
             for event in log.events

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.energy.dpd import DPDController, shutdown_decision
+from repro.energy.dpd import shutdown_decision
 from repro.energy.power import PowerModel
 
 
@@ -79,13 +79,3 @@ class TestShutdownDecision:
         )
         assert not shutdown_decision(Fraction(1, 3), model)  # 1 == 1: tie
         assert shutdown_decision(Fraction(1, 3) + Fraction(1, 10**18), model)
-
-
-class TestDPDController:
-    def test_tracks_shutdowns_and_idles(self):
-        controller = DPDController(PowerModel.paper_default())
-        assert controller.observe_gap(Fraction(0), Fraction(5))
-        assert not controller.observe_gap(Fraction(7), Fraction(15, 2))
-        assert controller.shutdown_count == 1
-        assert controller.sleep_time == 5
-        assert controller.idle_time == Fraction(1, 2)

@@ -42,6 +42,11 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError, match="unknown sweep-spec key"):
             SweepSpec.from_dict({**SMALL, "sets_per_bim": 3})
 
+    def test_removed_trace_knob_is_an_unknown_key(self):
+        # Sweeps always run stats-only; the old execution knob is gone.
+        with pytest.raises(ConfigurationError, match="collect_trace"):
+            SweepSpec.from_dict({**SMALL, "collect_trace": False})
+
     def test_unknown_faults_rejected(self):
         with pytest.raises(ConfigurationError, match="faults regime"):
             SweepSpec.from_dict({**SMALL, "faults": "cosmic"})
@@ -64,11 +69,10 @@ class TestSweepSpec:
 
     def test_execution_knobs_excluded_from_identity(self):
         # The engine guarantees identical results in every execution
-        # mode, so backend/trace/fold must not split the cache.
+        # mode, so backend/fold must not split the cache.
         base = SweepSpec.from_dict(SMALL)
         for knob in (
             {"backend": "serial"},
-            {"collect_trace": True},
             {"fold": True},
         ):
             assert SweepSpec.from_dict({**SMALL, **knob}).digest() == base.digest()

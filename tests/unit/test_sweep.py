@@ -485,7 +485,6 @@ class TestValidationSampling:
             seed=77,
             horizon_cap_units=300,
             events=log,
-            collect_trace=False,
             fold=True,
             validate=1,
         )

@@ -302,6 +302,52 @@ def test_bench_batch_sweep(benchmark, bench_tasksets):
     assert all(energy > 0 for energy, _, _ in payloads)
 
 
+def test_bench_batch_sweep_transient(benchmark, bench_tasksets):
+    """Batch-kernel sweep throughput at the smoke shape under Figure 6(c)'s
+    faults: one seeded permanent fault plus Poisson transients at the
+    paper's rate per task set.
+
+    The kernel takes each run's transient draws from its own oracle and
+    keeps only those that could fault; at the paper's rate almost none
+    survive, so this guards that the fault path costs the lockstep loop
+    next to nothing.  ReExecution_FP plans recovery copies after a
+    transient fault and stays on the scalar engine, so it is left out.
+    Items are built outside the measured callable, as in
+    :func:`test_bench_batch_sweep`.
+    """
+    pytest.importorskip("numpy")
+    from repro.faults.scenario import FaultScenario
+    from repro.harness.protocol import smoke_protocol
+    from repro.harness.runner import SCHEME_FACTORIES
+    from repro.sim.batch import build_batch_item, run_batch_payloads
+
+    protocol = smoke_protocol()
+    schemes = sorted(s for s in SCHEME_FACTORIES if s != "ReExecution_FP")
+    items = []
+    for index, taskset in enumerate(
+        taskset
+        for key in sorted(bench_tasksets)
+        for taskset in bench_tasksets[key]
+    ):
+        scenario = FaultScenario.permanent_and_transient(
+            seed=protocol.transient_seed_base + index
+        )
+        for scheme in schemes:
+            item = build_batch_item(
+                taskset,
+                scheme,
+                scenario,
+                horizon_cap_units=protocol.horizon_cap_units,
+            )
+            assert item is not None
+            items.append(item)
+
+    payloads = benchmark(lambda: run_batch_payloads(items))
+    benchmark.extra_info["sims"] = len(items)
+    assert len(payloads) == len(items)
+    assert all(energy > 0 for energy, _, _ in payloads)
+
+
 def test_workload_generation(benchmark):
     """One full generate() from a fixed seed.
 

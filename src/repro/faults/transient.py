@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import List, Optional
 
 from ..errors import ConfigurationError
 from ..model.job import Job
@@ -75,3 +75,14 @@ class PoissonTransientFaults(TransientFaultModel):
         if hit:
             self.faults += 1
         return hit
+
+    def uniforms(self, count: int) -> List[float]:
+        """Consume and return the stream's next ``count`` draws.
+
+        :meth:`job_faulted` compares its n-th draw with the n-th
+        completing copy's :meth:`fault_probability`; a simulator that
+        knows its completion order can take the draws up front and make
+        the same comparisons itself (the batch kernel does).
+        """
+        draw = self._rng.random
+        return [draw() for _ in range(count)]

@@ -405,9 +405,10 @@ def _execute_batch_jobs(
     Resolves every pending job into a :class:`~repro.sim.batch.BatchItem`
     where possible and advances all of them in lockstep -- inline at
     ``workers=1``, or split into one chunk per worker over the process
-    pool.  Jobs the kernel cannot take (transient faults possible, no
-    batch profile, window too deep) fall back to the scalar engine via
-    :func:`execute_jobs`, as does every batched job whose chunk failed.
+    pool.  Jobs the kernel cannot take (a re-execution policy under
+    transient faults, no batch profile, window too deep) fall back to
+    the scalar engine via :func:`execute_jobs`, as does every batched
+    job whose chunk failed.
     Journal rows carry the same keys and byte-identical payloads as the
     pool backend, so journals resume across backends in both directions.
 
@@ -893,7 +894,7 @@ class ExecutionRequest:
         power_model: energy model shared by every job (None = default).
         release_model: arrival process shared by every job (None = the
             paper's periodic releases); non-periodic models make jobs
-            non-batchable, like transient faults do.
+            non-batchable.
         initial_history: (m,k)-history boundary condition per job.
         dvfs: resolved :class:`~repro.energy.dvfs.DVFSConfig` shared by
             every job (None = fixed frequency); jobs of schemes it
@@ -1294,7 +1295,7 @@ def utilization_sweep(
             fingerprint).  Non-periodic models enter the journal
             fingerprint, disarm cycle folding per run, and make every
             job non-batchable (the batch backend falls back to the
-            scalar engine per job, like transient faults).
+            scalar engine per job).
         initial_history: (m,k)-history boundary condition for every job,
             one of :data:`repro.model.history.INITIAL_HISTORY_MODES`;
             non-default modes enter the journal fingerprint.
@@ -1306,7 +1307,7 @@ def utilization_sweep(
             fingerprint).  An effective config enters the journal
             fingerprint and makes the affected schemes' jobs
             non-batchable (the batch backend falls back to the scalar
-            engine per job, like transient faults).
+            engine per job).
     """
     if reference_scheme not in schemes:
         raise ConfigurationError(

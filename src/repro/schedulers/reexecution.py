@@ -99,9 +99,10 @@ class ReExecutionFP(SchedulingPolicy):
     def profile(self, ctx: PolicyContext) -> SchemeProfile:
         # FD classification, single copy, no backups; each logical job
         # may execute up to 1 + max_recoveries copies' worth of work.
-        # Recoveries only follow transient faults, which the batch kernel
-        # excludes up front.  With two processors ``_target`` is always
-        # the survivor in fault mode, the profile's post-fault rule.
+        # Recoveries only follow transient faults, and the batch kernel
+        # leaves this policy's transient-capable runs to the scalar
+        # engine.  With two processors ``_target`` is always the
+        # survivor in fault mode, the profile's post-fault rule.
         return SchemeProfile(
             scheme=self.name,
             tasks=tuple(

@@ -14,6 +14,7 @@ and removes keep-alive state machines from the attack/bug surface.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -22,6 +23,10 @@ from urllib.parse import parse_qsl, urlsplit
 #: Upper bounds keeping a misbehaving client from ballooning memory.
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
+#: Seconds a connection gets to deliver its whole request (head and
+#: body), so a client that connects and stalls cannot hold a handler
+#: forever.  Responses and event streams are not bounded.
+REQUEST_READ_TIMEOUT_S = 30.0
 
 STATUS_PHRASES = {
     200: "OK",
@@ -31,6 +36,7 @@ STATUS_PHRASES = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
@@ -73,7 +79,23 @@ class Request:
 
 
 async def read_request(reader) -> Optional[Request]:
-    """Parse one request off the wire; ``None`` on a clean early close."""
+    """Parse one request off the wire; ``None`` on a clean early close.
+
+    Every malformed request raises :class:`HttpError` (400, or 413 over
+    a size bound), and one not delivered within
+    :data:`REQUEST_READ_TIMEOUT_S` raises a 408.
+    """
+    try:
+        return await asyncio.wait_for(
+            _read_request(reader), REQUEST_READ_TIMEOUT_S
+        )
+    except asyncio.TimeoutError:
+        raise HttpError(
+            408, f"request not received within {REQUEST_READ_TIMEOUT_S:g} s"
+        ) from None
+
+
+async def _read_request(reader) -> Optional[Request]:
     head = b""
     while b"\r\n\r\n" not in head:
         chunk = await reader.read(4096)
@@ -96,10 +118,16 @@ async def read_request(reader) -> Optional[Request]:
         if not sep:
             raise HttpError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:
+        raise HttpError(400, f"malformed request target: {exc}") from None
     query = dict(parse_qsl(split.query))
     body = rest
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length", "0") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise HttpError(400, f"malformed Content-Length {declared!r}")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
     while len(body) < length:

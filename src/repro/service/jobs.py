@@ -51,6 +51,10 @@ JOB_STATES = ("queued", "running", "done", "failed")
 #: state: the event stream is complete, close the connection.
 STREAM_END = None
 
+#: Spec keys of removed execution knobs.  None ever entered a spec
+#: digest, so a stored record that still carries one is read without it.
+REMOVED_SPEC_KEYS = ("collect_trace",)
+
 
 class QueueFull(Exception):
     """Admission refused: the global or per-tenant bound is reached."""
@@ -160,12 +164,14 @@ class JobManager:
         result is exactly the crash case the journal exists for: it goes
         back on the queue and its sweep resumes from the journal.
 
-        A record that cannot be read -- broken JSON, or a spec this
-        version rejects, such as one carrying a since-removed knob -- is
-        left on disk, listed in :attr:`skipped`, and otherwise ignored:
-        one bad file must not keep the server from starting.  Its stored
-        result is still served by digest, and resubmitting its spec
-        attaches to that result or resumes its journal.
+        A record written before an execution knob was removed is read
+        without that knob (:data:`REMOVED_SPEC_KEYS`).  A record that
+        still cannot be read -- broken JSON, a spec this version
+        rejects, or one that no longer digests to the record's digest --
+        is left on disk, listed in :attr:`skipped`, and otherwise
+        ignored: one bad file must not keep the server from starting.
+        Its stored result is still served by digest, and resubmitting
+        its spec attaches to that result or resumes its journal.
         """
         jobs_dir = self.config.path("jobs")
         for name in sorted(os.listdir(jobs_dir)):
@@ -196,9 +202,22 @@ class JobManager:
             record = json.load(handle)
         if not isinstance(record, dict):
             raise TypeError(f"job record is a {type(record).__name__}")
+        payload = record["spec"]
+        if isinstance(payload, dict):
+            payload = {
+                key: value
+                for key, value in payload.items()
+                if key not in REMOVED_SPEC_KEYS
+            }
+        spec = SweepSpec.from_dict(payload)
+        if spec.digest() != record["digest"]:
+            raise ValueError(
+                f"spec digests to {spec.digest()}, not the record's "
+                f"{record['digest']}"
+            )
         job = Job(
             digest=record["digest"],
-            spec=SweepSpec.from_dict(record["spec"]),
+            spec=spec,
             tenant=record.get("tenant", "anonymous"),
             state=record.get("state", "queued"),
             error=record.get("error"),

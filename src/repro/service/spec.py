@@ -37,6 +37,12 @@ from ..workload.release import ReleaseModel, resolve_release_model
 #: Fault regimes, mapping onto the Figure 6 panels.
 FAULT_REGIMES = ("none", "permanent", "transient")
 
+#: Smallest upper-bound width (bins x sets_per_bin x schemes) at which a
+#: spec that omits ``backend`` runs on the batch kernel instead of the
+#: pool: below it, the kernel's per-iteration array overhead outweighs
+#: what lockstep saves (docs/performance.md, "The batch kernel").
+BATCH_MIN_WIDTH = 90
+
 
 def _default_scale() -> ExperimentProtocol:
     return ExperimentProtocol.smoke()
@@ -48,7 +54,9 @@ class SweepSpec:
 
     Scale defaults follow the smoke protocol (the ``repro-mk sweep``
     CLI's defaults), so a bare ``{"faults": "none"}`` submission is a
-    quick, well-defined sweep.
+    quick, well-defined sweep.  An omitted ``backend`` resolves to
+    ``batch`` when numpy imports, ``fold`` is off and the sweep is at
+    least :data:`BATCH_MIN_WIDTH` simulations wide, else to ``pool``.
     """
 
     faults: str = "none"
@@ -60,7 +68,7 @@ class SweepSpec:
     horizon_cap_units: int = field(
         default_factory=lambda: _default_scale().horizon_cap_units
     )
-    backend: str = "pool"
+    backend: Optional[str] = None
     fold: bool = False
     validate: int = 0
     release_model: Optional[ReleaseModel] = None
@@ -96,7 +104,6 @@ class SweepSpec:
                 f"reference scheme {self.reference_scheme!r} must be in "
                 f"{list(self.schemes)}"
             )
-        resolve_driver(self.backend)  # raises on unknown backend names
         for lo, hi in self.bins:
             if not lo < hi:
                 raise ConfigurationError(f"bad bin [{lo}, {hi}): need lo < hi")
@@ -104,6 +111,9 @@ class SweepSpec:
             raise ConfigurationError(
                 f"sets_per_bin must be >= 1, got {self.sets_per_bin}"
             )
+        if self.backend is None:
+            object.__setattr__(self, "backend", self._default_backend())
+        resolve_driver(self.backend)  # raises on unknown backend names
         if self.horizon_cap_units < 1:
             raise ConfigurationError(
                 f"horizon_cap_units must be >= 1, got {self.horizon_cap_units}"
@@ -112,6 +122,17 @@ class SweepSpec:
             raise ConfigurationError(
                 f"validate must be >= 0, got {self.validate}"
             )
+
+    def _default_backend(self) -> str:
+        # Imported here, not at module load, so the server starts
+        # without compiling the batch front; the kernel module itself
+        # compiles on its first run, in the thread that runs it.
+        from ..sim.batch import numpy_available
+
+        width = len(self.bins) * self.sets_per_bin * len(self.schemes)
+        if numpy_available() and not self.fold and width >= BATCH_MIN_WIDTH:
+            return "batch"
+        return "pool"
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SweepSpec":

@@ -31,11 +31,12 @@ Two layers:
   scheme's FD window -- Algorithm 1 line 6), optional placement (the
   per-task alternation of principle (iii), and no optionals after a
   permanent fault unless the scheme keeps them, then on the survivor),
-  backup postponement (no backup segment before r̃ = r + θ_i --
-  Definitions 2-5), post-fault release offsets, and fixed-priority
-  queue conformance (no copy runs while a strictly higher-priority
-  ready copy of the same queue class waits on that processor, and
-  never while a mandatory copy waits).
+  mandatory-copy placement (mains on the task's main processor, backups
+  on the other, post-fault mains on the survivor), backup postponement
+  (no backup segment before r̃ = r + θ_i -- Definitions 2-5), post-fault
+  release offsets, and fixed-priority queue conformance (no copy runs
+  while a strictly higher-priority ready copy of the same queue class
+  waits on that processor, and never while a mandatory copy waits).
 
 Separate entry points cover the remaining surfaces:
 
@@ -328,6 +329,7 @@ def audit_result(
             f"result has {len(result.taskset)}"
         )
     issues.extend(_audit_classification(result, spec, initial_history))
+    issues.extend(_audit_placement(result, spec))
     issues.extend(_audit_offsets(result, spec))
     issues.extend(_audit_priority(result, spec))
     return issues
@@ -471,6 +473,54 @@ def _fault_view(
         return None, None
     dead, tick = result.permanent_fault
     return tick, SPARE if dead == PRIMARY else PRIMARY
+
+
+def _audit_placement(
+    result: SimulationResult, spec: SchemeProfile
+) -> List[ValidationIssue]:
+    """Mandatory-copy placement (the profile's ``main_processor``).
+
+    Before the permanent-fault tick, a MAIN segment runs on its task's
+    ``main_processor`` and a BACKUP segment on the other processor; a
+    MAIN released at or after the fault runs on the survivor.  A main
+    released before the fault is left alone after it: a re-execution
+    policy legitimately recovers it on the survivor.  One issue per
+    misplaced copy.
+    """
+    issues: List[ValidationIssue] = []
+    trace = result.trace
+    fault_tick, survivor = _fault_view(result)
+    flagged: Set[Tuple[int, int, str]] = set()
+    for segment in trace.segments:
+        role = segment.role
+        if role == _OPTIONAL:
+            continue  # checked with the classification replay
+        key = (segment.task_index, segment.job_index, role)
+        record = trace.records.get(key[:2])
+        if record is None or key in flagged:
+            continue
+        if fault_tick is not None and record.release >= fault_tick:
+            if role != _MAIN:
+                continue
+            expected = survivor
+        elif fault_tick is None or segment.start < fault_tick:
+            main = spec.tasks[segment.task_index].main_processor
+            expected = main if role == _MAIN else (
+                SPARE if main == PRIMARY else PRIMARY
+            )
+        else:
+            continue
+        if segment.processor != expected:
+            flagged.add(key)
+            issues.append(
+                ValidationIssue(
+                    "main-processor",
+                    f"J{key[0] + 1},{key[1]}/{role} ran on processor "
+                    f"{segment.processor} at {segment.start}; "
+                    f"{spec.scheme} places it on processor {expected}",
+                )
+            )
+    return issues
 
 
 def _expected_enqueue(

@@ -40,6 +40,12 @@ SPEC = {
 }
 
 
+def test_spec_stays_on_the_pool():
+    # Too narrow for the batch default, so the kill/resume test below
+    # still journals the sweep one simulation at a time.
+    assert SweepSpec.from_dict(SPEC).backend == "pool"
+
+
 class Server:
     """One ``repro-mk serve`` subprocess on an ephemeral port."""
 

@@ -8,12 +8,17 @@ per-processor busy counts, released-job counts, the permanent-fault
 record, energies, violation counts) across four execution modes: batch,
 trace, stats-only, and folded.
 
+Transient faults get the same bit-identity bar at rates where they
+fire, plus one pinned run per fault rule the kernel copies from the
+engine (same-tick sibling draws, a faulted main's live backup, a
+faulted post-fault main or optional decided missed).
+
 They also pin the harness composition: a ``backend="batch"`` sweep must
 produce byte-identical journal rows to the pool backend, resume a
 pool-written journal (and vice versa), fall back to the scalar engine
-per job mid-batch when a job is not batchable (transient faults
-possible), and keep ``validate`` sampling coverage identical when every
-job was journal-resumed.
+per job mid-batch when a job is not batchable (a re-execution policy
+under transient faults), and keep ``validate`` sampling coverage
+identical when every job was journal-resumed.
 
 Finally, one profile that uses the ``SchemeProfile`` fields in
 combinations no shipped scheme does must be read alike by its three
@@ -24,17 +29,24 @@ the auditor.
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import pytest
 
 from repro.analysis.promotion import promotion_times
 from repro.errors import ConfigurationError
 from repro.faults.scenario import FaultScenario
+from repro.faults.transient import PoissonTransientFaults
 from repro.harness.events import EventLog
 from repro.harness.runner import SCHEME_FACTORIES, run_scheme
 from repro.harness.sweep import utilization_sweep
 from repro.harness.validate import audit_scheme
+from repro.model.job import JobOutcome
 from repro.model.patterns import EPattern
+from repro.model.task import Task
+from repro.model.taskset import TaskSet
 from repro.sim.batch import (
     build_batch_item,
     numpy_available,
@@ -75,6 +87,7 @@ def stats_view(result):
         stats.optional_executed,
         stats.skipped,
         stats.violations,
+        result.transient_fault_count,
     ) + result_view(result)
 
 
@@ -163,6 +176,221 @@ class TestBatchScalarAgreement:
             assert stats_view(batch_result) == stats_view(scalar.result), (
                 scheme
             )
+
+
+#: Every profiled scheme; ReExecution_FP plans recovery copies after a
+#: transient fault, which the kernel leaves to the scalar engine.
+TRANSIENT_SCHEMES = [s for s in SCHEMES if s != "ReExecution_FP"]
+
+
+class TestTransientAgreement:
+    """Kernel vs engine stats mode where transient faults really fire."""
+
+    @pytest.mark.parametrize("scheme", TRANSIENT_SCHEMES)
+    def test_kernel_matches_engine(self, scheme):
+        items, expected = [], []
+        for index, (rate, processor, history) in enumerate(
+            (rate, processor, history)
+            for rate in (0.02, 0.2)
+            for processor in (None, 0, 1)
+            for history in ("met", "miss", "rpattern")
+        ):
+            taskset = TaskSetGenerator(seed=6100 + index).generate(
+                0.3 + 0.05 * (index % 8)
+            )
+            scenario = FaultScenario(
+                transient_rate=rate,
+                with_permanent=processor is not None,
+                seed=40 + index,
+                permanent_processor=processor,
+            )
+            item = build_batch_item(
+                taskset,
+                scheme,
+                scenario,
+                horizon_cap_units=200,
+                initial_history=history,
+            )
+            assert item is not None, "Poisson transients must be batchable"
+            items.append(item)
+            outcome = run_scheme(
+                taskset,
+                scheme,
+                scenario=scenario,
+                horizon_cap_units=200,
+                collect_trace=False,
+                initial_history=history,
+            )
+            expected.append(
+                (
+                    stats_view(outcome.result),
+                    (outcome.total_energy, outcome.metrics.mk_violations, 0),
+                )
+            )
+        results = run_batch(items)
+        payloads = run_batch_payloads(items)
+        for result, payload, (view, scalar_payload) in zip(
+            results, payloads, expected
+        ):
+            assert stats_view(result) == view
+            assert payload == scalar_payload
+        # The comparison is only worth something if faults fired: at
+        # 0.2 per ms every run sees some.
+        assert all(result.transient_fault_count for result in results[9:])
+        assert sum(result.transient_fault_count for result in results) > 100
+
+
+class ScriptedRandom(random.Random):
+    """A stream whose draws replay a script, then never fault."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self._script = list(script)
+
+    def random(self):
+        return self._script.pop(0) if self._script else 0.999999
+
+
+@dataclass
+class ScriptedScenario:
+    """Poisson transients whose n-th draw is ``draws[n]``, plus an
+    optional ``(processor, tick)`` permanent fault.  Each materialize
+    replays the script from the start, so the engine and the kernel see
+    the same draws."""
+
+    draws: Tuple[float, ...]
+    permanent: Optional[Tuple[int, int]] = None
+
+    def materialize(self, horizon_ticks, timebase):
+        oracle = PoissonTransientFaults(
+            0.1, timebase, seed=ScriptedRandom(self.draws)
+        )
+        return oracle, self.permanent
+
+
+class PinnedPolicy(ProfiledPolicy):
+    """Every job mandatory-by-FD with a backup ``offset`` after its main
+    on the primary, or (``fd_max=1``) optionals on the primary."""
+
+    name = "pinned-transients"
+    offset = 0
+    fd_max = 0
+
+    def prepare(self, ctx):
+        self.adopt_rules(
+            TaskProfile("fd", fd_max=self.fd_max, backup_offset=self.offset)
+            for _ in ctx.taskset
+        )
+
+
+def _pinned_runs(monkeypatch, policy, taskset, scenario):
+    """(kernel result, engine stats result, engine trace result)."""
+    monkeypatch.setitem(SCHEME_FACTORIES, policy.name, policy)
+    item = build_batch_item(taskset, policy.name, scenario, horizon_cap_units=20)
+    assert item is not None
+    kernel = run_batch([item])[0]
+    runs = [
+        run_scheme(
+            taskset,
+            policy.name,
+            scenario=scenario,
+            horizon_cap_units=20,
+            collect_trace=collect,
+        ).result
+        for collect in (False, True)
+    ]
+    assert stats_view(kernel) == stats_view(runs[0])
+    return kernel, runs[0], runs[1]
+
+
+#: One task whose every job is mandatory (FD = 0 under (2,2)), C = 3.
+ALWAYS_MANDATORY = TaskSet([Task(10, 10, 3, 2, 2)])
+
+
+class TestPinnedTransientCases:
+    """One run per fault rule, checked against the engine's trace."""
+
+    def test_cancelled_same_tick_sibling_still_draws(self, monkeypatch):
+        # Main (processor 0) and backup (processor 1) both run [0, 3).
+        # The main's draw passes, which cancels the backup -- but the
+        # backup also finished at tick 3, so it takes the next draw and
+        # faults.  Job 2's copies then take draws 2 and 3 and both
+        # fault; a kernel that skipped the cancelled sibling's draw
+        # would count two faults, not three.
+        kernel, _, trace = _pinned_runs(
+            monkeypatch, PinnedPolicy, ALWAYS_MANDATORY,
+            ScriptedScenario(draws=(0.9, 0.0, 0.0, 0.0)),
+        )
+        assert kernel.transient_fault_count == 3
+        assert (kernel.stats.effective, kernel.stats.missed) == (1, 1)
+        record = trace.trace.records[(0, 1)]
+        assert (record.outcome, record.decided_at) == (JobOutcome.EFFECTIVE, 3)
+
+    def test_faulted_main_keeps_its_backup(self, monkeypatch):
+        class Postponed(PinnedPolicy):
+            offset = 5
+
+        # The main faults at tick 3; the backup released at 5 runs
+        # [5, 8) and decides the job effective.
+        kernel, _, trace = _pinned_runs(
+            monkeypatch, Postponed, ALWAYS_MANDATORY,
+            ScriptedScenario(draws=(0.0,)),
+        )
+        assert kernel.transient_fault_count == 1
+        assert kernel.stats.effective == 2
+        assert kernel.stats.busy[1] == 3  # only job 1's backup ran
+        record = trace.trace.records[(0, 1)]
+        assert (record.outcome, record.decided_at) == (JobOutcome.EFFECTIVE, 8)
+
+    def test_faulted_postfault_main_missed_at_deadline(self, monkeypatch):
+        # The spare dies at tick 0, so job 1 runs one main on the
+        # primary; it faults at tick 3 and nothing else can save it.
+        kernel, _, trace = _pinned_runs(
+            monkeypatch, PinnedPolicy, ALWAYS_MANDATORY,
+            ScriptedScenario(draws=(0.0,), permanent=(1, 0)),
+        )
+        assert kernel.transient_fault_count == 1
+        assert (kernel.stats.effective, kernel.stats.missed) == (1, 1)
+        record = trace.trace.records[(0, 1)]
+        assert (record.outcome, record.decided_at) == (JobOutcome.MISSED, 10)
+
+    def test_faulted_optional_missed_at_completion(self, monkeypatch):
+        class Optionals(PinnedPolicy):
+            fd_max = 1
+
+        # (1,2) from an all-met history: job 1 is an optional at FD 1;
+        # it faults at tick 3, which makes job 2 mandatory.
+        kernel, _, trace = _pinned_runs(
+            monkeypatch, Optionals, TaskSet([Task(10, 10, 3, 1, 2)]),
+            ScriptedScenario(draws=(0.0,)),
+        )
+        assert kernel.transient_fault_count == 1
+        assert (kernel.stats.optional_executed, kernel.stats.mandatory) == (
+            1, 1
+        )
+        record = trace.trace.records[(0, 1)]
+        assert record.classified_as == "optional"
+        assert (record.outcome, record.decided_at) == (JobOutcome.MISSED, 3)
+
+    def test_reexecution_under_transients_falls_back(self):
+        # Recovery copies follow a fault, and the kernel has none.
+        taskset = TaskSetGenerator(seed=3).generate(0.4)
+        scenario = FaultScenario.permanent_and_transient(seed=1, rate=0.02)
+        assert (
+            build_batch_item(
+                taskset, "ReExecution_FP", scenario, horizon_cap_units=100
+            )
+            is None
+        )
+        assert (
+            build_batch_item(
+                taskset,
+                "ReExecution_FP",
+                FaultScenario.permanent_only(seed=1),
+                horizon_cap_units=100,
+            )
+            is not None
+        )
 
 
 class VocabularyPolicy(ProfiledPolicy):
@@ -302,26 +530,34 @@ class TestSweepBackend:
             )
 
     def test_mid_batch_scalar_fallback_mix(self):
-        """Transient-capable jobs fall back to the scalar engine per job."""
+        """Jobs the kernel cannot take fall back to the scalar engine per
+        job: ReExecution_FP plans recovery copies after a transient
+        fault, so its transient-capable jobs run scalar while the other
+        schemes' transient jobs batch."""
 
         def factory(index):
             if index % 2:
                 return FaultScenario.permanent_and_transient(seed=index)
             return FaultScenario.permanent_only(seed=index)
 
-        pool = utilization_sweep(scenario_factory=factory, **SWEEP_KW)
+        kwargs = dict(
+            SWEEP_KW, schemes=["MKSS_ST", "MKSS_Selective", "ReExecution_FP"]
+        )
+        pool = utilization_sweep(scenario_factory=factory, **kwargs)
         log = EventLog()
         batch = utilization_sweep(
             scenario_factory=factory,
             backend="batch",
             events=log,
-            **SWEEP_KW,
+            **kwargs,
         )
         assert batch.job_payloads == pool.job_payloads
         # The mix really was mixed: some jobs batched, some ran scalar
-        # (scalar jobs are the ones that get JOB_START events).
+        # (scalar jobs are the ones that get JOB_START events), and only
+        # the re-execution jobs fell back.
         scalar_jobs = {e.data["job"] for e in log.of_kind("job_start")}
         assert scalar_jobs and len(scalar_jobs) < len(batch.job_payloads)
+        assert all(job.endswith("|ReExecution_FP") for job in scalar_jobs)
 
     def test_cross_backend_partial_resume(self, tmp_path):
         """A half-complete pool journal finishes on the batch backend."""

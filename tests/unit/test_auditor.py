@@ -96,6 +96,51 @@ class TestSeededMutations:
         )
         assert _kinds(audit_result(outcome.result, spec)) == ["postponement"]
 
+    def test_copies_on_swapped_processors_detected(self, fig1):
+        # MKSS_DP runs tau1's mains on the primary and its backups on the
+        # spare: J12's main [5, 8) on processor 0, its backup [6, 8) on
+        # processor 1.  Swapping the two copies' processors keeps every
+        # model-level check and the queue order intact; only the
+        # placement rule can see it, once per misplaced copy.
+        outcome, spec = self._dp_run(fig1)
+        trace = outcome.result.trace
+        for role, processor in (("main", 1), ("backup", 0)):
+            _replace_segment(
+                trace,
+                lambda s, role=role: s.role == role
+                and (s.task_index, s.job_index) == (0, 2),
+                processor=processor,
+            )
+        assert _kinds(audit_result(outcome.result, spec)) == [
+            "main-processor",
+            "main-processor",
+        ]
+
+    def test_main_on_wrong_processor_after_fault_detected(self, fig1):
+        # The primary dies at tick 4, so J12 (released at 5) runs one
+        # main on the survivor, processor 1.  Recording that main on the
+        # dead primary breaks the post-fault placement rule.
+        outcome = run_scheme(
+            fig1,
+            "MKSS_DP",
+            scenario=FaultScenario.permanent_only(processor=0, tick=4),
+            horizon_cap_units=20,
+        )
+        spec = conformance_spec(fig1, "MKSS_DP", 20)
+        assert not audit_result(outcome.result, spec)
+        segments = [
+            s for s in outcome.result.trace.segments
+            if (s.task_index, s.job_index, s.role) == (0, 2, "main")
+        ]
+        assert segments and {s.processor for s in segments} == {1}
+        _replace_segment(
+            outcome.result.trace,
+            lambda s: (s.task_index, s.job_index, s.role) == (0, 2, "main")
+            and s.start == segments[0].start,
+            processor=0,
+        )
+        assert "main-processor" in _kinds(audit_result(outcome.result, spec))
+
     def test_optional_executed_outside_fd_window(self, fig1):
         # Reclassify a legitimately skipped job (replayed FD = 2) as an
         # executed optional: MKSS_Selective only runs optionals at FD = 1.

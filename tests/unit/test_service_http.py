@@ -4,10 +4,14 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.service import http
 from repro.service.http import (
     HttpError,
     MAX_HEADER_BYTES,
+    Request,
     error_response,
     json_response,
     match_path,
@@ -73,6 +77,80 @@ class TestReadRequest:
             _parse(raw).json()
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("declared", [b"abc", b"-1", b"+3", b"1e3"])
+    def test_malformed_content_length_is_400(self, declared):
+        # A negative length must not shorten the body, and a
+        # non-numeric one must not escape as a ValueError (a 500).
+        raw = (
+            b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: " + declared
+            + b"\r\n\r\n{}"
+        )
+        with pytest.raises(HttpError) as excinfo:
+            _parse(raw)
+        assert excinfo.value.status == 400
+
+    def test_malformed_target_is_400(self):
+        with pytest.raises(HttpError) as excinfo:
+            _parse(b"GET http://[::1/ HTTP/1.1\r\n\r\n")
+        assert excinfo.value.status == 400
+
+    def test_stalled_client_is_408(self, monkeypatch):
+        class Stalled:
+            async def read(self, n: int) -> bytes:
+                await asyncio.sleep(3600)
+
+        monkeypatch.setattr(http, "REQUEST_READ_TIMEOUT_S", 0.05)
+        with pytest.raises(HttpError) as excinfo:
+            asyncio.run(read_request(Stalled()))
+        assert excinfo.value.status == 408
+
+
+#: Fragments that steer random requests into every parser branch.
+_TOKENS = [
+    b"GET", b"POST", b" ", b"/", b"/v1/sweeps", b"?a=1&b", b"%zz",
+    b"http://[::1", b"HTTP/1.1", b"\r\n", b"\r\n\r\n", b":",
+    b"Content-Length", b"content-length: ", b"0", b"3", b"-1", b"abc",
+    b"99999999999", b"\xff\xfe", b"\x00", b"{}",
+]
+_PIECE = st.one_of(st.sampled_from(_TOKENS), st.binary(max_size=8))
+_FIELD = st.lists(_PIECE, max_size=4).map(b"".join)
+#: Request-shaped bytes: a request line, header lines (often a
+#: Content-Length with a junk value) and a body.
+_REQUESTS = st.builds(
+    lambda line, headers, body: (
+        b" ".join(line) + b"\r\n"
+        + b"".join(name + b": " + value + b"\r\n" for name, value in headers)
+        + b"\r\n" + body
+    ),
+    st.tuples(_FIELD, _FIELD, _FIELD),
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(b"Content-Length"), _FIELD), _FIELD
+        ),
+        max_size=3,
+    ),
+    st.binary(max_size=16),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=256),
+        st.lists(_PIECE, max_size=24).map(b"".join),
+        _REQUESTS,
+    )
+)
+def test_any_bytes_parse_or_raise_http_error(raw):
+    """Whatever a client sends, the parser answers a request, a clean
+    close, or an HttpError -- never another exception (a 500)."""
+    try:
+        parsed = _parse(raw)
+    except HttpError as exc:
+        assert 400 <= exc.status < 500
+    else:
+        assert parsed is None or isinstance(parsed, Request)
+
 
 class TestResponses:
     def test_json_response_shape(self):
@@ -129,3 +207,41 @@ class TestMatchPath:
 
     def test_literal_mismatch_is_none(self):
         assert match_path("/v1/jobs", ("v1", "sweeps")) is None
+
+
+class TestServerAnswers:
+    """The running server maps parser failures to their status codes."""
+
+    @staticmethod
+    def _exchange(tmp_path, raw: bytes) -> bytes:
+        from repro.service.app import ServiceApp
+        from repro.service.config import ServiceConfig
+
+        async def go() -> bytes:
+            app = ServiceApp(ServiceConfig(data_dir=str(tmp_path), port=0))
+            await app.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", app.port
+                )
+                writer.write(raw)
+                await writer.drain()
+                answer = await asyncio.wait_for(reader.read(), 10)
+                writer.close()
+                return answer
+            finally:
+                await app.stop()
+
+        return asyncio.run(go())
+
+    def test_malformed_content_length_answers_400(self, tmp_path):
+        answer = self._exchange(
+            tmp_path,
+            b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+        )
+        assert answer.startswith(b"HTTP/1.1 400 ")
+
+    def test_silent_client_answers_408(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(http, "REQUEST_READ_TIMEOUT_S", 0.1)
+        answer = self._exchange(tmp_path, b"GET /healthz HTTP/1.1\r\n")
+        assert answer.startswith(b"HTTP/1.1 408 ")

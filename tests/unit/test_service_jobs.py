@@ -45,12 +45,17 @@ class TestRecovery:
         # whose sweep had finished: its result is in the store.
         old = SweepSpec.from_dict({**SMALL, "seed": 5})
         old_doc = dict(old.to_dict(), collect_trace=False)
+        # A record whose spec no longer digests to its recorded digest.
+        moved = SweepSpec.from_dict({**SMALL, "seed": 6})
         files = {
             f"{good.digest()}.json": json.dumps(
                 _record(good.to_dict(), good.digest(), "running")
             ),
             f"{old.digest()}.json": json.dumps(
                 _record(old_doc, old.digest(), "done")
+            ),
+            "moved.json": json.dumps(
+                _record(moved.to_dict(), "0" * 24, "done")
             ),
             "broken.json": '{"digest": "abc", "spec": {',
         }
@@ -61,20 +66,27 @@ class TestRecovery:
 
         manager = _manager(config)
 
-        # The good record recovers; the two unreadable ones are reported.
-        assert list(manager.jobs) == [good.digest()]
+        # The good record recovers, the pre-removal record is read
+        # without its removed knob, and the two unreadable ones are
+        # reported.
+        assert sorted(manager.jobs) == sorted([good.digest(), old.digest()])
         assert manager.recovered == [good.digest()]
         assert manager.jobs[good.digest()].state == "queued"
-        assert sorted(entry.split(":")[0] for entry in manager.skipped) == sorted(
-            ["broken.json", f"{old.digest()}.json"]
-        )
-        # Skipped records stay on disk untouched.
-        for name in ("broken.json", f"{old.digest()}.json"):
+        assert manager.jobs[old.digest()].state == "done"
+        assert manager.jobs[old.digest()].spec == old
+        assert sorted(entry.split(":")[0] for entry in manager.skipped) == [
+            "broken.json",
+            "moved.json",
+        ]
+        # Records are read, not rewritten: every file stays untouched.
+        for name in ("broken.json", "moved.json", f"{old.digest()}.json"):
             with open(os.path.join(jobs_dir, name), encoding="utf-8") as handle:
                 assert handle.read() == files[name]
-        # The old job's result is still served by digest, and resubmitting
-        # its spec (without the removed knob) is a cache hit that rewrites
-        # the record in the current format.
+        # The old job answers by id (status and events) and serves its
+        # stored result; resubmitting its spec is a cache hit.
+        assert manager.jobs[old.digest()].status()["job_id"] == old.digest()
+        history, live = manager.subscribe(old.digest())
+        assert live is None
         assert manager.store.get_bytes(old.digest()) is not None
         job, created = manager.submit(old)
         assert (created, job.cached, job.state) == (False, True, "done")

@@ -13,6 +13,7 @@ from repro.service import (
     SweepSpec,
     canonical_result_bytes,
 )
+from repro.service.spec import BATCH_MIN_WIDTH
 
 SMALL = {
     "faults": "none",
@@ -121,6 +122,69 @@ class TestSweepSpec:
             SweepSpec.from_dict({**SMALL, "release_model": "storm"})
         with pytest.raises(ConfigurationError):
             SweepSpec.from_dict({**SMALL, "initial_history": "reds"})
+
+
+class TestDefaultBackend:
+    """An omitted ``backend`` picks the batch kernel for wide sweeps."""
+
+    @pytest.fixture
+    def no_numpy(self, monkeypatch):
+        import repro.sim.batch as batch_mod
+
+        monkeypatch.setattr(batch_mod, "_np", None)
+
+    def test_smoke_scale_resolves_to_batch(self):
+        pytest.importorskip("numpy")
+        spec = SweepSpec.from_dict({"faults": "transient"})
+        width = len(spec.bins) * spec.sets_per_bin * len(spec.schemes)
+        assert width >= BATCH_MIN_WIDTH
+        assert spec.backend == "batch"
+
+    def test_narrow_spec_resolves_to_pool(self):
+        assert SweepSpec.from_dict(SMALL).backend == "pool"
+        # One simulation short of the crossover stays on the pool.
+        narrow = {"bins": [[0.2, 0.3]], "schemes": ["MKSS_ST"],
+                  "reference_scheme": "MKSS_ST",
+                  "sets_per_bin": BATCH_MIN_WIDTH - 1}
+        assert SweepSpec.from_dict(narrow).backend == "pool"
+        wide = dict(narrow, sets_per_bin=BATCH_MIN_WIDTH)
+        pytest.importorskip("numpy")
+        assert SweepSpec.from_dict(wide).backend == "batch"
+
+    def test_fold_resolves_to_pool(self):
+        assert SweepSpec.from_dict({"fold": True}).backend == "pool"
+
+    def test_without_numpy_resolves_to_pool(self, no_numpy):
+        assert SweepSpec.from_dict({"faults": "none"}).backend == "pool"
+
+    @pytest.mark.parametrize("backend", ["pool", "batch", "serial"])
+    def test_explicit_backend_is_kept(self, backend):
+        for payload in (SMALL, {"faults": "none"}, {"fold": True}):
+            spec = SweepSpec.from_dict({**payload, "backend": backend})
+            assert spec.backend == backend
+
+    def test_resolved_default_round_trips(self):
+        for payload in (SMALL, {"faults": "permanent"}):
+            spec = SweepSpec.from_dict(payload)
+            again = SweepSpec.from_dict(spec.to_dict())
+            assert again == spec
+            assert again.to_dict()["backend"] == spec.backend
+
+    def test_default_leaves_the_digest_alone(self):
+        # The backend is an execution knob: the resolved default must
+        # not move a digest (the golden spec digests pin the values).
+        for payload in (SMALL, {"faults": "transient"}):
+            spec = SweepSpec.from_dict(payload)
+            for backend in ("pool", "batch"):
+                explicit = SweepSpec.from_dict({**payload, "backend": backend})
+                assert explicit.digest() == spec.digest()
+
+    def test_default_without_numpy_leaves_the_digest_alone(self, no_numpy):
+        spec = SweepSpec.from_dict({"faults": "transient"})
+        assert spec.backend == "pool"
+        assert spec.digest() == SweepSpec(
+            faults="transient", backend="serial"
+        ).digest()
 
 
 class TestServiceConfig:

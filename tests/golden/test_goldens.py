@@ -16,7 +16,11 @@ all.  These tests compare against bytes committed in ``goldens.json``:
   tiny all-scheme sweep per fault regime (and per non-default initial
   history), which the pool and batch backends must both reproduce;
 * ``SweepSpec.digest()`` for the default spec, each fault regime and
-  each scenario knob.
+  each scenario knob;
+* the canonical result bytes of the Figure 6 headline: panels 6(a),
+  6(b) and 6(c) under :meth:`ExperimentProtocol.documented` on one
+  shared corpus (109 task sets, 327 simulations per panel), checked on
+  the batch backend -- wider and longer than any other batch test.
 
 Cycle-folding counts are deliberately not pinned: folding is an
 execution strategy whose hit rate may legitimately improve.
@@ -38,7 +42,9 @@ import pytest
 from repro.analysis.hyperperiod import analysis_horizon
 from repro.energy.dvfs import DVFSConfig
 from repro.faults.scenario import FaultScenario
+from repro.harness.figures import fig6a, fig6b, fig6c
 from repro.harness.journal import RunJournal
+from repro.harness.protocol import ExperimentProtocol
 from repro.harness.runner import SCHEME_FACTORIES, run_scheme
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
@@ -47,6 +53,7 @@ from repro.schedulers.base import run_policy
 from repro.service.spec import SweepSpec
 from repro.service.store import canonical_result_bytes
 from repro.sim.export import result_to_json
+from repro.workload.generator import generate_binned_tasksets
 from repro.workload.presets import fig1_taskset, fig3_taskset, fig5_taskset
 from repro.workload.release import ReleaseModel
 from repro.workload.serialization import load_taskset
@@ -125,6 +132,10 @@ SPECS = {
 }
 
 
+#: The Figure 6 headline panels, all run on one documented corpus.
+HEADLINE_PANELS = {"fig6a": fig6a, "fig6b": fig6b, "fig6c": fig6c}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -173,6 +184,23 @@ def sweep_golden(name: str, backend: str, workdir: str) -> dict:
     }
 
 
+def headline_digests(backend: str) -> dict:
+    """``{panel: sha256(canonical_result_bytes)}`` of the documented
+    Figure 6 panels over one shared corpus."""
+    proto = ExperimentProtocol.documented()
+    tasksets = generate_binned_tasksets(
+        list(proto.bins), proto.sets_per_bin, proto.generator, proto.seed
+    )
+    return {
+        panel: _sha256(
+            canonical_result_bytes(
+                run(protocol=proto, tasksets_by_bin=tasksets, backend=backend)
+            )
+        )
+        for panel, run in HEADLINE_PANELS.items()
+    }
+
+
 def spec_digests() -> dict:
     return {name: SweepSpec.from_dict(payload).digest() for name, payload in SPECS.items()}
 
@@ -188,6 +216,7 @@ def compute_goldens() -> dict:
         },
         "sweeps": sweeps,
         "spec_digests": spec_digests(),
+        "headline": headline_digests("pool"),
     }
 
 
@@ -213,6 +242,11 @@ def test_sweep_bytes_and_journal_match_goldens(goldens, tmp_path, name, backend)
 
 def test_spec_digests_match_goldens(goldens):
     assert spec_digests() == goldens["spec_digests"]
+
+
+def test_figure6_headline_matches_goldens(goldens):
+    pytest.importorskip("numpy")
+    assert headline_digests("batch") == goldens["headline"]
 
 
 if __name__ == "__main__":

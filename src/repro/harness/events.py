@@ -23,7 +23,10 @@ kind                      payload keys
 :data:`JOB_DROP`          ``job``, ``attempt``, ``reason``, ``progress``
 :data:`JOB_SKIP`          ``job``, ``progress`` (already in the journal)
 :data:`POOL_RESPAWN`      ``pending`` (jobs resubmitted to the new pool)
-:data:`BATCH_PROGRESS`    ``done``, ``total``, ``sims_per_s``
+:data:`BATCH_PROGRESS`    ``done``, ``total``, ``sims_per_s``; the final
+                          one adds ``fallback`` (jobs sent to the scalar
+                          engine) and, on the inline ``workers=1`` path,
+                          ``iterations`` (lockstep kernel iterations)
 :data:`BACKEND_FALLBACK`  ``requested``, ``used``, ``reason``
 :data:`VALIDATE`          ``job``, ``scheme``, ``modes``, ``issues``
 :data:`VALIDATION_ISSUE`  ``job``, ``scheme``, ``mode``, ``issue_kind``,

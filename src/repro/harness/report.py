@@ -6,6 +6,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from .events import (
+    BATCH_PROGRESS,
     JOB_DROP,
     JOB_FINISH,
     JOB_RETRY,
@@ -77,7 +78,9 @@ def format_event_summary(log: EventLog) -> str:
 
     One row per resilience metric: finished / skipped (journal resume) /
     retried / dropped job counts, pool respawns, and wall-time stats of
-    the finished jobs.
+    the finished jobs.  A batch-backend run adds one row from its final
+    progress event: simulations run on the kernel, jobs sent to the
+    scalar engine, and lockstep iterations ("-" where not counted).
     """
     counts = log.counts()
     walls = log.job_wall_seconds()
@@ -94,6 +97,20 @@ def format_event_summary(log: EventLog) -> str:
             [
                 "job wall time (mean/max s)",
                 f"{sum(walls) / len(walls):.3f}/{max(walls):.3f}",
+            ]
+        )
+    finals = [
+        event.data
+        for event in log.of_kind(BATCH_PROGRESS)
+        if "fallback" in event.data
+    ]
+    if finals:
+        batch = finals[-1]
+        rows.append(
+            [
+                "batch sims/fallback/iterations",
+                f"{batch['done']}/{batch['fallback']}/"
+                f"{batch.get('iterations', '-')}",
             ]
         )
     return format_table(["metric", "value"], rows)

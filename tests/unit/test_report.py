@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness.events import (
+    BATCH_PROGRESS,
     JOB_DROP,
     JOB_FINISH,
     JOB_RETRY,
@@ -106,6 +107,25 @@ class TestFormatEventSummary:
         text = format_event_summary(EventLog(run_id="empty"))
         assert "jobs finished" in text
         assert "wall time" not in text
+        assert "batch" not in text
+
+    def test_batch_row_reads_the_final_progress_event(self):
+        log = EventLog(run_id="batched")
+        log.emit(BATCH_PROGRESS, done=40, total=327, sims_per_s=80.0)
+        log.emit(
+            BATCH_PROGRESS,
+            done=327,
+            total=327,
+            sims_per_s=90.0,
+            fallback=3,
+            iterations=1714,
+        )
+        assert "327/3/1714" in format_event_summary(log)
+        pooled = EventLog(run_id="chunks")
+        pooled.emit(
+            BATCH_PROGRESS, done=327, total=327, sims_per_s=90.0, fallback=0
+        )
+        assert "327/0/-" in format_event_summary(pooled)
 
 
 class TestStats:

@@ -305,10 +305,11 @@ def cmd_sweep(args) -> int:
                 BACKEND_FALLBACK,
                 requested="batch",
                 used="pool",
-                reason="numpy is not installed (pip install repro[batch])",
+                reason="numpy >= 2.0 is not installed "
+                "(pip install repro[batch])",
             )
             print(
-                "warning: --backend batch needs numpy "
+                "warning: --backend batch needs numpy >= 2.0 "
                 "(pip install repro[batch]); falling back to pool",
                 file=sys.stderr,
             )

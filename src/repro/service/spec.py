@@ -41,7 +41,7 @@ FAULT_REGIMES = ("none", "permanent", "transient")
 #: spec that omits ``backend`` runs on the batch kernel instead of the
 #: pool: below it, the kernel's per-iteration array overhead outweighs
 #: what lockstep saves (docs/performance.md, "The batch kernel").
-BATCH_MIN_WIDTH = 90
+BATCH_MIN_WIDTH = 30
 
 
 def _default_scale() -> ExperimentProtocol:

@@ -28,7 +28,7 @@ def _workload(seed=4242, target=0.5):
 
 
 def _aligned_taskset():
-    """Harmonic periods, k_i * P_i | lcm(P): folds at every 20ms cycle."""
+    """Harmonic periods with k_i * P_i | lcm(P): a 20ms schedule cycle."""
     return TaskSet(
         [
             Task(5, 5, 1, 1, 2),
@@ -104,11 +104,8 @@ def test_energy_accounting(benchmark):
 
 
 def test_engine_aligned_long_horizon(benchmark):
-    """Stats-only 2000ms run of the phase-aligned set, cycle by cycle.
-
-    The exact-simulation comparator for ``test_engine_folded_long_horizon``
-    (same workload, same mode, folding off).
-    """
+    """Stats-only 2000ms run of the phase-aligned set, cycle by cycle:
+    ~100 repetitions of one short schedule cycle."""
     taskset = _aligned_taskset()
     base = taskset.timebase()
     horizon = 2000 * base.ticks_per_unit
@@ -120,48 +117,6 @@ def test_engine_aligned_long_horizon(benchmark):
 
     result = benchmark(run)
     benchmark.extra_info["released_jobs"] = result.released_jobs
-    assert result.cycles_folded == 0
-
-
-def test_engine_folded_long_horizon(benchmark):
-    """The same 2000ms aligned run with cycle folding on: ~100 cycles of
-    schedule collapse into one simulated cycle plus arithmetic."""
-    taskset = _aligned_taskset()
-    base = taskset.timebase()
-    horizon = 2000 * base.ticks_per_unit
-
-    def run():
-        return run_policy(
-            taskset, MKSSSelective(), horizon, base,
-            collect_trace=False, fold=True,
-        )
-
-    result = benchmark(run)
-    benchmark.extra_info["cycles_folded"] = result.cycles_folded
-    benchmark.extra_info["fold_cycle_ticks"] = result.fold_cycle_ticks
-    assert result.cycles_folded > 90
-
-
-def test_engine_folded_self_disable_sporadic(benchmark):
-    """fold=True on a sporadic timeline: the fold arm must bail out and
-    run the exact stats-mode simulation, costing no more than a plain
-    stats run of the same workload (the self-disable regression bench)."""
-    from repro.workload.release import ReleaseModel
-
-    taskset = _aligned_taskset()
-    base = taskset.timebase()
-    horizon = 2000 * base.ticks_per_unit
-    model = ReleaseModel.preset("light", seed=1)
-
-    def run():
-        return run_policy(
-            taskset, MKSSSelective(), horizon, base,
-            collect_trace=False, fold=True, release_model=model,
-        )
-
-    result = benchmark(run)
-    benchmark.extra_info["released_jobs"] = result.released_jobs
-    assert result.cycles_folded == 0
 
 
 def test_engine_dvfs_speed_scaled(benchmark):
@@ -205,7 +160,7 @@ def test_sporadic_release_timeline(benchmark):
         lambda: ReleaseTimeline(taskset, horizon, base, model)
     )
     benchmark.extra_info["releases"] = len(timeline)
-    assert not timeline.periodic
+    assert timeline.ticks != ReleaseTimeline(taskset, horizon, base).ticks
 
 
 def test_shared_release_timeline(benchmark):

@@ -5,21 +5,23 @@ Runs, in order:
 
 1. the worked examples (Figures 1-5) with exact-value checks;
 2. the three Figure 6 panels (shared task-set pool);
-3. the ablations and extension studies;
 
-and writes everything under ``results/`` (tables as .txt, sweeps as .json
-via the results store), ending with a PASS/FAIL summary per artifact.
+and writes the panels under ``results/`` (tables and ASCII charts as
+.txt, whose first line names the protocol and this command; sweeps as
+.json via the results store), ending with a PASS/FAIL summary per
+artifact.  Ablations live in ``repro triage``, not here.
 
 Usage:
-    python scripts/reproduce_all.py [--sets-per-bin N] [--horizon MS]
-                                    [--out DIR]
+    PYTHONPATH=src python scripts/reproduce_all.py [--sets-per-bin N]
+                                                   [--horizon MS] [--out DIR]
 
 Defaults come from the repository's single experiment-protocol object
-(:mod:`repro.harness.protocol`): the smoke scale (5 sets/bin, 1000 ms,
-~2 minutes), env-overridable via ``REPRO_BENCH_SETS`` /
-``REPRO_BENCH_HORIZON``.  The documented EXPERIMENTS.md scale is
-``--sets-per-bin 15 --horizon 1500``; the paper's own protocol uses at
-least 20 sets per bin.
+(:mod:`repro.harness.protocol`): the smoke scale (5 sets/bin, 1000 ms),
+env-overridable via ``REPRO_BENCH_SETS`` / ``REPRO_BENCH_HORIZON``.  The
+committed ``results/`` are the documented EXPERIMENTS.md scale,
+``--sets-per-bin 15 --horizon 1500`` (about 20 s), and
+``tests/golden/test_goldens.py`` pins them to the Figure 6 headline
+digests; the paper's own protocol uses at least 20 sets per bin.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 from repro.analysis.postponement import task_postponement_intervals
 from repro.energy.accounting import energy_of
 from repro.energy.power import PowerModel
 from repro.harness.ascii_chart import render_sweep_chart
-from repro.harness.figures import DEFAULT_BINS, fig6a, fig6b, fig6c
-from repro.harness.protocol import smoke_protocol
+from repro.harness.figures import fig6a, fig6b, fig6c
+from repro.harness.protocol import ExperimentProtocol, smoke_protocol
 from repro.harness.report import format_series_table
 from repro.harness.store import save_sweep
 from repro.schedulers import (
@@ -97,6 +98,17 @@ def run_figure6(args, out_dir, report):
         tasksets_by_bin=tasksets,
         protocol=proto,
     )
+    scale = (
+        "documented protocol"
+        if proto == ExperimentProtocol.documented()
+        else "protocol"
+    )
+    header = (
+        f"{scale}: {proto.sets_per_bin} sets/bin, horizon "
+        f"{proto.horizon_cap_units} ms, seed {proto.seed}; made by "
+        f"PYTHONPATH=src python scripts/reproduce_all.py --sets-per-bin "
+        f"{proto.sets_per_bin} --horizon {proto.horizon_cap_units}"
+    )
     for panel_id, panel in (("fig6a", fig6a), ("fig6b", fig6b), ("fig6c", fig6c)):
         started = time.time()
         sweep = panel(**shared)
@@ -106,6 +118,7 @@ def run_figure6(args, out_dir, report):
         with open(
             os.path.join(out_dir, f"{panel_id}.txt"), "w", encoding="utf-8"
         ) as handle:
+            handle.write(f"{panel_id} -- {header}\n\n")
             handle.write(table + "\n\n" + chart + "\n")
         save_sweep(sweep, os.path.join(out_dir, f"{panel_id}.json"))
         violations = sum(

@@ -10,7 +10,6 @@ from .hyperperiod import (
     analysis_horizon,
     lcm_ticks,
     mk_hyperperiod_ticks,
-    period_hyperperiod_ticks,
 )
 from .rta import response_time, response_times, response_time_mandatory
 from .promotion import promotion_time, promotion_times
@@ -45,7 +44,6 @@ __all__ = [
     "analysis_cache",
     "analysis_horizon",
     "mk_hyperperiod_ticks",
-    "period_hyperperiod_ticks",
     "lcm_ticks",
     "response_time",
     "response_times",

@@ -12,7 +12,7 @@ Commands:
   gap-decomposition report, and outlier trace drill-down.
 * ``validate`` -- run the conformance auditor on a task set: model-level
   schedule invariants, each scheme's declared invariant suite, DPD
-  legality, and the cross-mode (trace vs stats vs folded) differential.
+  legality, and the cross-mode (trace vs stats) differential.
 * ``examples`` -- list the paper's preset task sets.
 
 Task sets are given inline as semicolon-separated five-tuples, e.g.::
@@ -200,12 +200,12 @@ def cmd_simulate(args) -> int:
         raise ReproError(
             f"unknown scheme {args.scheme!r}; known: {sorted(SCHEME_FACTORIES)}"
         )
-    collect_trace = args.collect_trace and not args.fold
+    collect_trace = args.collect_trace
     if not collect_trace:
         for flag, name in ((args.timeline, "--timeline"), (args.export, "--export")):
             if flag:
                 raise ReproError(
-                    f"{name} needs an execution trace; drop --no-trace/--fold"
+                    f"{name} needs an execution trace; drop --no-trace"
                 )
     if args.horizon:
         horizon = args.horizon * base.ticks_per_unit
@@ -230,7 +230,6 @@ def cmd_simulate(args) -> int:
         horizon,
         base,
         collect_trace=collect_trace,
-        fold=args.fold,
         release_model=_release_model_from_args(args),
         initial_history=args.initial_history,
         speed_plan=speed_plan,
@@ -242,13 +241,6 @@ def cmd_simulate(args) -> int:
     energy = energy_of_result(result, PowerModel.paper_default())
     active = energy_of_result(result, PowerModel.active_only())
     print(f"scheme: {args.scheme}  horizon: {base.from_ticks(horizon)}")
-    if args.fold:
-        cycle = (
-            base.from_ticks(result.fold_cycle_ticks)
-            if result.fold_cycle_ticks
-            else "-"
-        )
-        print(f"cycles folded: {result.cycles_folded} (cycle: {cycle})")
     print(f"active energy: {float(active.active_units):g}")
     print(f"total energy (paper model): {energy.total_energy:.3f}")
     for key, value in metrics.as_dict().items():
@@ -326,7 +318,6 @@ def cmd_sweep(args) -> int:
         force_new=args.force_new,
         job_timeout=args.job_timeout or None,
         events=log,
-        fold=args.fold,
         validate=args.validate,
         generation_store=args.gen_cache or None,
         release_model=_release_model_from_args(args),
@@ -367,16 +358,6 @@ def cmd_sweep(args) -> int:
                 f"  {item.job} {item.scheme} [{item.mode}] "
                 f"{item.issue.kind}: {item.issue.detail}"
             )
-    if args.fold:
-        folded = [
-            event.data["cycles_folded"]
-            for event in log.events
-            if event.kind == "job_finish" and "cycles_folded" in event.data
-        ]
-        print(
-            f"cycles folded: {sum(folded)} across "
-            f"{sum(1 for count in folded if count)}/{len(folded)} fresh jobs"
-        )
     if args.chart:
         from .harness.ascii_chart import render_sweep_chart
 
@@ -435,7 +416,6 @@ def cmd_triage(args) -> int:
         panels=panels,
         knobs=knobs,
         workers=args.workers,
-        fold=not args.no_fold,
         validate=args.validate,
         resume=args.resume,
         outliers=args.outliers,
@@ -584,12 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stats-only run: same energy and metrics, no trace "
         "(disables the chart, --timeline, and --export)",
     )
-    simulate.add_argument(
-        "--fold",
-        action="store_true",
-        help="fold repeated hyperperiod cycles analytically (implies "
-        "--no-trace; exact for fault-free and permanent-fault runs)",
-    )
     _add_release_args(simulate)
     _add_dvfs_args(simulate)
     simulate.set_defaults(func=cmd_simulate)
@@ -663,19 +637,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run's structured events to this JSONL file",
     )
     sweep.add_argument(
-        "--fold",
-        action="store_true",
-        help="enable the cycle-folding fast path in every job (jobs "
-        "always run stats-only); per-job fold counts land on job_finish "
-        "events",
-    )
-    sweep.add_argument(
         "--validate",
         type=int,
         default=0,
         metavar="N",
         help="run the conformance auditor on N sampled task sets (every "
-        "scheme, trace + stats modes, + fold when folding); issues are "
+        "scheme, trace + stats modes); issues are "
         "printed, recorded as events, and make the command exit nonzero",
     )
     sweep.add_argument(
@@ -764,18 +731,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="conformance-auditor samples per sweep (0 disables the "
-        "trace/stats/fold agreement check)",
+        "trace/stats agreement check)",
     )
     triage.add_argument(
         "--outliers",
         type=int,
         default=2,
         help="per panel, extreme task sets to replay and export traces for",
-    )
-    triage.add_argument(
-        "--no-fold",
-        action="store_true",
-        help="disable the cycle-folding fast path (plain stats-only runs)",
     )
     triage.add_argument(
         "--events",
@@ -807,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--modes",
-        default="trace,stats,fold",
-        help="comma-separated audit modes (trace, stats, fold)",
+        default="trace,stats",
+        help="comma-separated audit modes (trace, stats)",
     )
     validate.add_argument(
         "--faults",

@@ -227,7 +227,7 @@ def energy_from_counts(
     making the result bit-identical to the trace-based account of the
     same run.  On a DVFS run,
     ``speed_busy[p]`` (speed -> ticks, the engine's
-    :attr:`~repro.sim.folding.RunStats.speed_busy` ledger) carries the
+    :attr:`~repro.sim.stats.RunStats.speed_busy` ledger) carries the
     scaled part of the busy time the same way.
     """
     power = model or PowerModel.paper_default()

@@ -49,9 +49,9 @@ class TransientFaultModel:
     sanity check at the end of its execution flags a transient fault.
 
     ``never_faults`` marks an oracle that is *statically known* to always
-    answer False; the simulator's cycle-folding fast path requires this
-    guarantee (a fold skips the completion checks of every folded cycle,
-    which is only sound when those checks provably change nothing).
+    answer False; the batch kernel (:mod:`repro.sim.batch`) then does no
+    fault bookkeeping at all, which is only sound when the completion
+    checks provably change nothing.
     """
 
     never_faults = False

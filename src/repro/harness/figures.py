@@ -124,7 +124,6 @@ def _run_panel(
     force_new: bool = False,
     job_timeout: Optional[float] = None,
     events=None,
-    fold: bool = False,
     validate: int = 0,
     generation_store=None,
     release_model=None,
@@ -165,7 +164,6 @@ def _run_panel(
         force_new=force_new,
         job_timeout=job_timeout,
         events=events,
-        fold=fold,
         validate=validate,
         generation_store=generation_store,
         release_model=release_model,

@@ -73,7 +73,6 @@ def run_scheme(
     power_model: Optional[PowerModel] = None,
     execution_time_fn=None,
     collect_trace: bool = True,
-    fold: bool = False,
     release_model=None,
     initial_history: str = "met",
     dvfs=None,
@@ -90,9 +89,7 @@ def run_scheme(
         execution_time_fn: optional actual-execution-time model
             (see :mod:`repro.workload.acet`); None charges full WCETs.
         collect_trace: False runs stats-only -- same energy and metrics,
-            no trace; required by ``fold``.
-        fold: enable the engine's cycle-folding fast path (self-disables
-            when ``release_model`` makes the timeline non-periodic).
+            no trace.
         release_model: arrival process
             (:class:`~repro.workload.release.ReleaseModel`); None keeps
             the paper's periodic releases.
@@ -140,7 +137,6 @@ def run_scheme(
         scenario,
         execution_time_fn,
         collect_trace=collect_trace,
-        fold=fold,
         release_timeline=timeline,
         initial_history=initial_history,
         speed_plan=speed_plan,

@@ -18,11 +18,9 @@ pickled.  The ``workers=1`` path runs the same jobs inline and is exactly
 the sequential protocol.
 
 Sweeps never consume execution traces -- each job reduces to (energy,
-violations) -- so every job runs stats-only, and ``fold=True``
-additionally enables the engine's cycle-folding fast path.  Both modes
-are exact: payloads, journals, and aggregates are bitwise identical to
-trace-mode runs of the same jobs (per-job fold counts are reported on
-JOB_FINISH events, outside the checkpointed payload).
+violations) -- so every job runs stats-only.  That is exact: payloads,
+journals, and aggregates are bitwise identical to trace-mode runs of the
+same jobs.
 
 Resilience (this module's execution layer, :func:`execute_jobs`):
 
@@ -88,7 +86,7 @@ from .genstore import (
 from .journal import RunJournal
 from .runner import PAPER_SCHEMES, SCHEME_FACTORIES, run_scheme
 from .stats import confidence_interval95, mean
-from .validate import audit_scheme
+from .validate import AUDIT_MODES, audit_scheme
 
 ScenarioFactory = Callable[[int], FaultScenario]
 """Builds the fault scenario for the task set with the given global index
@@ -262,14 +260,14 @@ def _maybe_crash_for_tests() -> None:
     os._exit(17)
 
 
-def _run_one(job: tuple) -> Tuple[float, int, int]:
+def _run_one(job: tuple) -> Tuple[float, int]:
     """Module-level worker so ProcessPoolExecutor can pickle it.
 
     ``job`` is a descriptor tuple (every kind's tail is ``scheme,
-    scenario, horizon_cap_units, fold, power_model, release_model,
+    scenario, horizon_cap_units, power_model, release_model,
     initial_history, dvfs``):
 
-    * ``("set", taskset, scheme, scenario, horizon_cap_units, fold,
+    * ``("set", taskset, scheme, scenario, horizon_cap_units,
       power_model, release_model, initial_history, dvfs)`` carries a
       pickled TaskSet (used for explicitly supplied workloads and for
       the inline ``workers=1`` path);
@@ -286,11 +284,7 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
 
     Every job runs stats-only: the payload needs no trace.
 
-    Returns ``(total energy, mk violations, cycles folded)``.  The third
-    element is observability-only: the sweep splits it off into the
-    event log before journaling/aggregating, so the checkpointed payload
-    is identical whatever the execution mode (the engine guarantees the
-    metrics themselves are).
+    Returns ``(total energy, mk violations)``.
     """
     _maybe_crash_for_tests()
     kind = job[0]
@@ -298,12 +292,11 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
         scheme,
         scenario,
         horizon_cap_units,
-        fold,
         power_model,
         release_model,
         initial_history,
         dvfs,
-    ) = job[-8:]
+    ) = job[-7:]
     if kind == "set":
         taskset = job[1]
     elif kind == "genbin":
@@ -344,29 +337,11 @@ def _run_one(job: tuple) -> Tuple[float, int, int]:
         horizon_cap_units=horizon_cap_units,
         power_model=power_model,
         collect_trace=False,
-        fold=fold,
         release_model=release_model,
         initial_history=initial_history,
         dvfs=dvfs,
     )
-    return (
-        outcome.total_energy,
-        outcome.metrics.mk_violations,
-        outcome.result.cycles_folded,
-    )
-
-
-def _split_fold_count(value):
-    """Separate a sweep worker value into (payload, event extras).
-
-    The journaled/aggregated payload is always ``(energy, violations)``;
-    a third element (cycles folded) becomes a JOB_FINISH event field.
-    Two-element values (pre-folding journals, resumed rows) pass through
-    unchanged.
-    """
-    if isinstance(value, (tuple, list)) and len(value) > 2:
-        return tuple(value[:2]), {"cycles_folded": value[2]}
-    return value, {}
+    return outcome.total_energy, outcome.metrics.mk_violations
 
 
 def _run_batch_chunk(items: list) -> list:
@@ -374,9 +349,9 @@ def _run_batch_chunk(items: list) -> list:
 
     ``items`` is a list of :class:`repro.sim.batch.BatchItem`; the whole
     chunk advances in lockstep on one vectorized kernel.  Returns one
-    ``(energy, violations, cycles_folded)`` payload per item, aligned
-    with ``items`` -- exactly what :func:`_run_one` returns for the same
-    job on the scalar engine.
+    ``(energy, violations)`` payload per item, aligned with ``items``
+    -- exactly what :func:`_run_one` returns for the same job on the
+    scalar engine.
     """
     _maybe_crash_for_tests()
     from ..sim.batch import run_batch_payloads
@@ -448,9 +423,8 @@ def _execute_batch_jobs(
         else:
             items[index] = item
 
-    def finish(index: int, value: Any, wall_s: float) -> None:
+    def finish(index: int, payload: Any, wall_s: float) -> None:
         nonlocal done
-        payload, extras = _split_fold_count(value)
         results[index] = (OK, payload)
         done += 1
         if journal is not None:
@@ -466,7 +440,6 @@ def _execute_batch_jobs(
             attempt=1,
             wall_s=round(wall_s, 6),
             progress=f"{done}/{total}",
-            **extras,
         )
 
     batch_order = sorted(items)
@@ -571,7 +544,6 @@ def _execute_batch_jobs(
             policy=policy,
             journal=journal,
             events=log,
-            annotate=_split_fold_count,
         )
         for index, outcome in zip(scalar, outcomes):
             results[index] = outcome
@@ -655,7 +627,6 @@ def execute_jobs(
     journal: Optional[RunJournal] = None,
     completed: Optional[Dict[str, Any]] = None,
     events: Optional[EventLog] = None,
-    annotate: Optional[Callable[[Any], Tuple[Any, Dict[str, Any]]]] = None,
 ) -> List[Tuple[str, Any]]:
     """Run independent jobs with fault isolation, retries, checkpointing.
 
@@ -679,13 +650,6 @@ def execute_jobs(
         completed: ``{key: value}`` of jobs already done (from a journal
             resume); matching jobs are skipped and reported as ok.
         events: event log to emit into (a throwaway one when omitted).
-        annotate: optional ``value -> (payload, extras)`` splitter applied
-            to each fresh worker value before it is journaled, reported,
-            and returned; ``extras`` become additional JOB_FINISH event
-            fields.  Lets a worker return observability data (e.g. cycles
-            folded) without it entering the checkpointed payload.  Not
-            applied to resumed (``completed``) values, which are already
-            payloads.
 
     Failure semantics in the pool path: an exception raised *by the job*
     charges that job an attempt and retries after backoff; a pool break
@@ -717,9 +681,6 @@ def execute_jobs(
 
     def finish(index: int, value: Any, wall_s: float) -> None:
         nonlocal done
-        extras: Dict[str, Any] = {}
-        if annotate is not None:
-            value, extras = annotate(value)
         results[index] = (OK, value)
         done += 1
         if journal is not None:
@@ -735,7 +696,6 @@ def execute_jobs(
             attempt=attempts[index] + 1,
             wall_s=round(wall_s, 6),
             progress=f"{done}/{total}",
-            **extras,
         )
 
     def drop(index: int, reason: str) -> None:
@@ -972,7 +932,6 @@ class PoolDriver(ExecutionDriver):
             journal=request.journal,
             completed=request.completed,
             events=request.events,
-            annotate=_split_fold_count,
         )
 
 
@@ -1154,12 +1113,12 @@ def _sweep_fingerprint(
 ) -> Dict[str, Any]:
     """JSON-able identity of a sweep, for journal header validation.
 
-    Execution-mode knobs (``fold``, ``workers``, ``backend``,
-    timeouts) are deliberately absent: the engine guarantees identical
-    metrics in every mode, so a journal written folded or on the batch
-    backend resumes a plain pool sweep -- and vice versa -- with
-    bitwise-equal payloads.  A non-default ``power_model`` *is* part of
-    the identity (it changes every energy payload); the default (None)
+    Execution-mode knobs (``workers``, ``backend``, timeouts) are
+    deliberately absent: the engine guarantees identical metrics in
+    every mode, so a journal written on the batch backend resumes a
+    plain pool sweep -- and vice versa -- with bitwise-equal payloads.
+    A non-default ``power_model`` *is* part of the identity (it changes
+    every energy payload); the default (None)
     is omitted so journals recorded before the knob existed still
     resume.  The same
     conditional-inclusion rule covers ``release_model`` (None = the
@@ -1220,7 +1179,6 @@ def utilization_sweep(
     max_retries: int = 2,
     retry_backoff: float = 0.0,
     events: Optional[EventLog] = None,
-    fold: bool = False,
     validate: int = 0,
     generation_store: "Optional[GenerationStore | str]" = None,
     release_model=None,
@@ -1281,15 +1239,10 @@ def utilization_sweep(
             that raised.
         events: :class:`EventLog` receiving the run's structured events
             (job lifecycle, respawns, progress); omitted = internal log.
-        fold: enable the engine's cycle-folding fast path in every job.
-            Jobs always run stats-only (a sweep reads no trace, so none
-            is built).  Fold counts surface as ``cycles_folded`` on
-            JOB_FINISH events; journal payloads are unchanged.
         validate: sample up to this many aggregated task sets (evenly
             across the sweep) and run the conformance auditor
             (:func:`~repro.harness.validate.audit_scheme`) on every
-            scheme for each -- trace and stats modes, plus fold when the
-            sweep folds.  Findings land in
+            scheme for each, in trace and stats modes.  Findings land in
             :attr:`SweepResult.validation_issues` and are emitted as
             VALIDATE / VALIDATION_ISSUE events.  0 (default) disables
             sampling.
@@ -1304,9 +1257,8 @@ def utilization_sweep(
             name, or a model dict); None or a periodic model keeps the
             paper's strictly periodic releases (and the historical
             fingerprint).  Non-periodic models enter the journal
-            fingerprint, disarm cycle folding per run, and make every
-            job non-batchable (the batch backend falls back to the
-            scalar engine per job).
+            fingerprint and make every job non-batchable (the batch
+            backend falls back to the scalar engine per job).
         initial_history: (m,k)-history boundary condition for every job,
             one of :data:`repro.model.history.INITIAL_HISTORY_MODES`;
             non-default modes enter the journal fingerprint.
@@ -1473,8 +1425,8 @@ def utilization_sweep(
                         jobs.append(
                             ("store", gen_store.root, gen_digest,
                              *generated_spec, key, index, scheme, scenario,
-                             horizon_cap_units, fold, power_model,
-                             release_model, initial_history, dvfs)
+                             horizon_cap_units, power_model, release_model,
+                             initial_history, dvfs)
                         )
                     else:
                         bin_state = (
@@ -1484,15 +1436,14 @@ def utilization_sweep(
                         )
                         jobs.append(
                             ("genbin", *generated_spec, key, bin_state, index,
-                             scheme, scenario, horizon_cap_units, fold,
+                             scheme, scenario, horizon_cap_units,
                              power_model, release_model, initial_history,
                              dvfs)
                         )
                 else:
                     jobs.append(
                         ("set", taskset, scheme, scenario, horizon_cap_units,
-                         fold, power_model, release_model, initial_history,
-                         dvfs)
+                         power_model, release_model, initial_history, dvfs)
                     )
 
     log.emit(
@@ -1609,7 +1560,6 @@ def utilization_sweep(
         # auditor needs traces and performs its own differential
         # re-runs); dropped pairs are excluded -- their runs never
         # entered the aggregates.
-        audit_modes = ("trace", "stats") + (("fold",) if fold else ())
         candidates: List[Tuple[Tuple[float, float], int, int, TaskSet]] = []
         audit_counter = 0
         for bin_range in bins:
@@ -1630,7 +1580,6 @@ def utilization_sweep(
                     scheme,
                     scenario=scenario,
                     horizon_cap_units=horizon_cap_units,
-                    modes=audit_modes,
                     power_model=power_model,
                     release_model=release_model,
                     initial_history=initial_history,
@@ -1640,7 +1589,7 @@ def utilization_sweep(
                     VALIDATE,
                     job=label,
                     scheme=scheme,
-                    modes=list(audit_modes),
+                    modes=list(AUDIT_MODES),
                     issues=len(report.issues),
                 )
                 for audit in report.modes:

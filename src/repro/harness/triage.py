@@ -23,7 +23,7 @@ machine-readable **gap decomposition report**:
   can explain;
 * a per-bin drill-down naming the task sets that drive the
   Selective-vs-DP divergence, each replayed through the conformance
-  auditor (trace / stats / fold differential) and exported as a full
+  auditor (trace / stats differential) and exported as a full
   trace for inspection.
 
 Every ablation sweep checkpoints into its own
@@ -31,7 +31,7 @@ Every ablation sweep checkpoints into its own
 so an interrupted campaign resumes job-by-job (``resume=True``); all
 sweeps of a campaign share one :class:`~repro.harness.events.EventLog`
 run id.  Correctness is enforced throughout: every sweep samples the
-conformance auditor (``validate``), so trace/stats/folded agreement is
+conformance auditor (``validate``), so trace/stats agreement is
 asserted in every ablation run, and the 0-violation invariant in every
 run whose variant keeps the guarantee's hypothesis intact (see
 :class:`Variant` -- a deliberately broken hypothesis reports its
@@ -98,7 +98,7 @@ class Variant:
     whose coverage is only probabilistic.  Such variants still report
     their (m,k) violation counts (that *is* the finding), but
     :func:`check_report` does not treat those violations as a CI
-    regression; mode agreement (trace/stats/fold) stays gated for every
+    regression; mode agreement (trace/stats) stays gated for every
     run regardless.
     """
 
@@ -428,9 +428,8 @@ class TriageOptions:
         panels: Figure 6 panels to triage.
         knobs: knob-name subset (None = every default knob).
         workers: worker processes per sweep (1 = inline).
-        fold: run sweeps on the cycle-folding fast path (stats-only).
         validate: conformance-auditor samples per sweep (>= 1 keeps the
-            trace/stats/fold agreement assertion on every ablation run).
+            trace/stats agreement assertion on every ablation run).
         resume: resume each sweep from its journal when present.
         outliers: per panel, how many extreme task sets to replay
             through the auditor and export traces for.
@@ -441,7 +440,6 @@ class TriageOptions:
     panels: Tuple[str, ...] = PANELS
     knobs: Optional[Tuple[str, ...]] = None
     workers: int = 1
-    fold: bool = True
     validate: int = 1
     resume: bool = False
     outliers: int = 2
@@ -742,7 +740,6 @@ def _run_panel_sweep(
         resume=options.resume,
         job_timeout=options.job_timeout,
         events=events,
-        fold=options.fold,
         validate=options.validate,
     )
 
@@ -958,7 +955,7 @@ def check_report(report: TriageReport) -> List[str]:
     hold in every *gated* run (a variant is allowed to flip the ordering
     -- that is a finding -- and a hypothesis-breaking variant, see
     :class:`Variant`, is allowed to violate (m,k): those counts are the
-    measurement itself).  Trace/stats/fold agreement is gated in every
+    measurement itself).  Trace/stats agreement is gated in every
     run without exception -- even a deliberately broken hypothesis must
     diverge *identically* across execution modes.
     """
@@ -981,7 +978,7 @@ def check_report(report: TriageReport) -> List[str]:
             if summary.validation_issues:
                 problems.append(
                     f"{panel} {name}: {summary.validation_issues} "
-                    "conformance issue(s) (trace/stats/fold divergence?)"
+                    "conformance issue(s) (trace/stats divergence?)"
                 )
         for outlier in triage.outliers:
             if outlier.audit_issues:

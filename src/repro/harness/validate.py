@@ -12,11 +12,10 @@ hook of :func:`repro.harness.sweep.utilization_sweep`.  For one
    profile (:func:`~repro.sim.validation.audit_result`) and the energy
    report against the DPD rule
    (:func:`~repro.sim.validation.audit_energy`), and
-3. re-runs the *same* descriptor in any requested trace-less modes
-   (stats-only, cycle-folded) and requires their
-   :func:`~repro.sim.validation.result_ledger` to match the trace
-   run's exactly (cross-mode differential check) -- the trace-less
-   fast paths are thereby held to the fully audited reference.
+3. re-runs the *same* descriptor stats-only when requested and
+   requires its :func:`~repro.sim.validation.result_ledger` to match
+   the trace run's exactly (cross-mode differential check) -- the
+   trace-less fast path is thereby held to the fully audited reference.
 
 Determinism caveat: the differential check re-materializes the fault
 scenario once per mode, so the scenario must be reproducible from its
@@ -49,7 +48,7 @@ from .runner import SCHEME_FACTORIES, run_scheme
 
 #: The execution modes the auditor can cover, in audit order.  Trace is
 #: always run (it is the differential reference) even when absent here.
-AUDIT_MODES = ("trace", "stats", "fold")
+AUDIT_MODES = ("trace", "stats")
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class ModeAudit:
 
     mode: str
     issues: Tuple[ValidationIssue, ...]
-    cycles_folded: int = 0
 
     @property
     def ok(self) -> bool:
@@ -147,10 +145,7 @@ def audit_scheme(
             additionally audits it against the scheme's profile.
         power_model: energy model (default: the paper's).
         release_model: arrival process shared by every mode's run (None
-            = the paper's periodic releases).  Under a non-periodic
-            model the ``"fold"`` mode still runs -- folding self-disables
-            in the engine, so the audit doubles as a regression check
-            that the fallback matches the trace reference exactly.
+            = the paper's periodic releases).
         initial_history: (m,k)-history boundary condition shared by
             every mode's run (and by the FD replay of the trace audit).
         dvfs: deadline-safe frequency scaling
@@ -181,18 +176,14 @@ def audit_scheme(
         initial_history=initial_history,
         dvfs=dvfs,
     )
-    reference_ledger = result_ledger(reference.result)
     audits = []
-    for mode in AUDIT_MODES:
-        if mode not in modes:
-            continue
-        if mode == "trace":
-            issues = audit_result(
-                reference.result, spec, initial_history=initial_history
-            )
-            issues += audit_energy(reference.result, reference.energy)
-            audits.append(ModeAudit(mode="trace", issues=tuple(issues)))
-            continue
+    if "trace" in modes:
+        issues = audit_result(
+            reference.result, spec, initial_history=initial_history
+        )
+        issues += audit_energy(reference.result, reference.energy)
+        audits.append(ModeAudit(mode="trace", issues=tuple(issues)))
+    if "stats" in modes:
         outcome = run_scheme(
             taskset,
             scheme,
@@ -200,20 +191,15 @@ def audit_scheme(
             horizon_cap_units=horizon_cap_units,
             power_model=model,
             collect_trace=False,
-            fold=(mode == "fold"),
             release_model=release_model,
             initial_history=initial_history,
             dvfs=dvfs,
         )
         issues = compare_ledgers(
-            reference_ledger, result_ledger(outcome.result), label=mode
+            result_ledger(reference.result),
+            result_ledger(outcome.result),
+            label="stats",
         )
         issues += audit_energy(outcome.result, outcome.energy)
-        audits.append(
-            ModeAudit(
-                mode=mode,
-                issues=tuple(issues),
-                cycles_folded=outcome.result.cycles_folded,
-            )
-        )
+        audits.append(ModeAudit(mode="stats", issues=tuple(issues)))
     return AuditReport(scheme=scheme, modes=tuple(audits))

@@ -168,10 +168,10 @@ def is_window_periodic(pattern: Pattern) -> bool:
 
     Every pattern shipped here (R, E, rotated) is periodic in the window
     length; a user-supplied pattern of unknown provenance is not assumed
-    to be.  The cycle-folding fast path needs this distinction: a
-    window-periodic pattern's entire future is determined by the current
-    job-index phase, so two hyperperiod boundaries with equal phases see
-    identical classifications forever after.
+    to be.  The batch kernel (:mod:`repro.sim.batch`) needs this
+    distinction: it tabulates a pattern over one window of k jobs and
+    reads the table by job phase, which reproduces ``is_mandatory`` only
+    for a window-periodic pattern.
     """
     return isinstance(pattern, _PeriodicPattern)
 

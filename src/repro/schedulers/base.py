@@ -23,7 +23,6 @@ def run_policy(
     scenario: Optional[FaultScenario] = None,
     execution_time_fn=None,
     collect_trace: bool = True,
-    fold: bool = False,
     release_timeline=None,
     release_model=None,
     initial_history: str = "met",
@@ -44,9 +43,6 @@ def run_policy(
         scenario: fault scenario; defaults to fault-free.
         collect_trace: False runs in stats-only mode (aggregate counters,
             no trace -- what sweeps consume).
-        fold: enable the engine's cycle-folding fast path (requires
-            ``collect_trace=False``; self-disables on a non-periodic
-            release timeline).
         release_timeline: precomputed
             :class:`~repro.sim.timeline.ReleaseTimeline` to reuse.
         release_model: arrival process
@@ -76,7 +72,6 @@ def run_policy(
         initial_history=initial_history,
         execution_time_fn=execution_time_fn,
         collect_trace=collect_trace,
-        fold=fold,
         release_timeline=release_timeline,
         speed_plan=speed_plan,
     )

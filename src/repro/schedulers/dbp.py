@@ -22,18 +22,11 @@ mirroring DBP's intent on one processor.
 
 from __future__ import annotations
 
-from ..model.job import JobRole
-from ..sim.engine import (
-    PRIMARY,
-    CopySpec,
-    PolicyContext,
-    ReleasePlan,
-    SchedulingPolicy,
-)
-from ..sim.profile import SchemeProfile, TaskProfile
+from ..sim.engine import PRIMARY, PolicyContext
+from ..sim.profile import ProfiledPolicy, TaskProfile
 
 
-class DistanceBasedPriority(SchedulingPolicy):
+class DistanceBasedPriority(ProfiledPolicy):
     """Single-processor DBP over the engine's two-queue structure."""
 
     name = "DBP"
@@ -49,39 +42,14 @@ class DistanceBasedPriority(SchedulingPolicy):
         self._processor = processor
         self._run_all = run_all
 
-    def plan_release(
-        self,
-        ctx: PolicyContext,
-        task_index: int,
-        job_index: int,
-        release: int,
-        deadline: int,
-        fd: int,
-    ) -> ReleasePlan:
-        processor = self._processor
-        if ctx.fault_mode and ctx.dead_processor == processor:
-            processor = ctx.surviving_processor()
-        if fd == 0:
-            return ReleasePlan(
-                copies=(CopySpec(JobRole.MAIN, processor, release),),
-                classified_as="mandatory",
-            )
-        if not self._run_all and fd > 2:
-            return ReleasePlan.skip()
-        # The OJQ orders by (fd, task, job): exactly DBP's smaller
-        # distance-to-failure = higher priority, FP tie-break.
-        return ReleasePlan(
-            copies=(CopySpec(JobRole.OPTIONAL, processor, release),),
-            classified_as="optional",
-        )
-
-    def profile(self, ctx: PolicyContext) -> SchemeProfile:
+    def prepare(self, ctx: PolicyContext) -> None:
         # FD classification, single copy, no backups; the energy-aware
-        # variant only runs optionals within two misses of failure.
+        # variant only runs optionals within two misses of failure.  The
+        # OJQ orders by (fd, task, job): exactly DBP's smaller
+        # distance-to-failure = higher priority, FP tie-break.
         # Everything runs on the survivor after a fault.
-        return SchemeProfile(
-            scheme=self.name,
-            tasks=tuple(
+        self.adopt_rules(
+            (
                 TaskProfile(
                     "fd",
                     fd_max=None if self._run_all else 2,
@@ -93,8 +61,3 @@ class DistanceBasedPriority(SchedulingPolicy):
             ),
             max_copies=1,
         )
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # Decisions derive from the flexibility degree (part of the
-        # engine's canonical state) and constructor constants.
-        return ()

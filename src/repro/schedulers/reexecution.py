@@ -25,18 +25,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..model.job import Job, JobRole
-from ..sim.engine import (
-    PRIMARY,
-    CopySpec,
-    PolicyContext,
-    ReleasePlan,
-    SchedulingPolicy,
-)
-from ..sim.profile import SchemeProfile, TaskProfile
+from ..model.job import Job
+from ..sim.engine import PRIMARY, CopySpec, PolicyContext
+from ..sim.profile import ProfiledPolicy, TaskProfile
 
 
-class ReExecutionFP(SchedulingPolicy):
+class ReExecutionFP(ProfiledPolicy):
     """Single-processor FP with (m,k) classification and re-execution."""
 
     name = "ReExecution_FP"
@@ -62,50 +56,14 @@ class ReExecutionFP(SchedulingPolicy):
             return ctx.surviving_processor()
         return self._processor
 
-    def plan_release(
-        self,
-        ctx: PolicyContext,
-        task_index: int,
-        job_index: int,
-        release: int,
-        deadline: int,
-        fd: int,
-    ) -> ReleasePlan:
-        processor = self._target(ctx)
-        if fd == 0:
-            return ReleasePlan(
-                copies=(CopySpec(JobRole.MAIN, processor, release),),
-                classified_as="mandatory",
-            )
-        if 1 <= fd <= self.fd_threshold:
-            return ReleasePlan(
-                copies=(CopySpec(JobRole.OPTIONAL, processor, release),),
-                classified_as="optional",
-            )
-        return ReleasePlan.skip()
-
-    def plan_recovery(
-        self, ctx: PolicyContext, job: Job, now: int
-    ) -> Optional[CopySpec]:
-        key = job.key()
-        used = self._recovery_counts.get(key, 0)
-        if used >= self.max_recoveries:
-            return None
-        if now + job.wcet > job.deadline:
-            return None  # the recovery could never finish in time
-        self._recovery_counts[key] = used + 1
-        return CopySpec(job.role, self._target(ctx), now)
-
-    def profile(self, ctx: PolicyContext) -> SchemeProfile:
+    def prepare(self, ctx: PolicyContext) -> None:
         # FD classification, single copy, no backups; each logical job
         # may execute up to 1 + max_recoveries copies' worth of work.
         # Recoveries only follow transient faults, and the batch kernel
         # leaves this policy's transient-capable runs to the scalar
-        # engine.  With two processors ``_target`` is always the
-        # survivor in fault mode, the profile's post-fault rule.
-        return SchemeProfile(
-            scheme=self.name,
-            tasks=tuple(
+        # engine.  Everything runs on the survivor after a fault.
+        self.adopt_rules(
+            (
                 TaskProfile(
                     "fd",
                     fd_max=self.fd_threshold,
@@ -118,9 +76,14 @@ class ReExecutionFP(SchedulingPolicy):
             max_copies=1 + self.max_recoveries,
         )
 
-    def fold_state(self, ctx: PolicyContext, pattern_phases):
-        # Recovery budgets only accrue after transient faults, and the
-        # engine arms folding only when transients are impossible -- so
-        # a non-empty ledger means something unexpected happened and
-        # folding must stay off.
-        return () if not self._recovery_counts else None
+    def plan_recovery(
+        self, ctx: PolicyContext, job: Job, now: int
+    ) -> Optional[CopySpec]:
+        key = job.key()
+        used = self._recovery_counts.get(key, 0)
+        if used >= self.max_recoveries:
+            return None
+        if now + job.wcet > job.deadline:
+            return None  # the recovery could never finish in time
+        self._recovery_counts[key] = used + 1
+        return CopySpec(job.role, self._target(ctx), now)

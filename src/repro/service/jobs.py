@@ -53,7 +53,7 @@ STREAM_END = None
 
 #: Spec keys of removed execution knobs.  None ever entered a spec
 #: digest, so a stored record that still carries one is read without it.
-REMOVED_SPEC_KEYS = ("collect_trace",)
+REMOVED_SPEC_KEYS = ("collect_trace", "fold")
 
 
 class QueueFull(Exception):

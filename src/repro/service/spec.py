@@ -11,7 +11,7 @@ because fault draws are deliberately *not* part of the journal
 fingerprint (they are rebuilt deterministically by the scenario factory)
 yet absolutely change the result a client gets back.  Two specs with
 equal :meth:`digest` are served the same stored result; execution-mode
-knobs (backend, fold, validate=0) are excluded from the identity exactly
+knobs (backend, validate=0) are excluded from the identity exactly
 like the journal fingerprint excludes them -- the engine guarantees
 identical payloads in every mode, so a result computed
 on the batch backend is a legitimate cache hit for a pool-backend
@@ -48,6 +48,24 @@ def _default_scale() -> ExperimentProtocol:
     return ExperimentProtocol.smoke()
 
 
+def _integer(key: str, value: Any) -> int:
+    """A JSON integer; booleans, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(
+            f"{key} must be a JSON integer, got {value!r}"
+        )
+    return value
+
+
+def _number(key: str, value: Any) -> float:
+    """A JSON number as a float; booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(
+            f"{key} must be a JSON number, got {value!r}"
+        )
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One validated sweep request.
@@ -55,8 +73,8 @@ class SweepSpec:
     Scale defaults follow the smoke protocol (the ``repro-mk sweep``
     CLI's defaults), so a bare ``{"faults": "none"}`` submission is a
     quick, well-defined sweep.  An omitted ``backend`` resolves to
-    ``batch`` when numpy imports, ``fold`` is off and the sweep is at
-    least :data:`BATCH_MIN_WIDTH` simulations wide, else to ``pool``.
+    ``batch`` when numpy imports and the sweep is at least
+    :data:`BATCH_MIN_WIDTH` simulations wide, else to ``pool``.
     """
 
     faults: str = "none"
@@ -69,7 +87,6 @@ class SweepSpec:
         default_factory=lambda: _default_scale().horizon_cap_units
     )
     backend: Optional[str] = None
-    fold: bool = False
     validate: int = 0
     release_model: Optional[ReleaseModel] = None
     initial_history: str = "met"
@@ -130,7 +147,7 @@ class SweepSpec:
         from ..sim.batch import numpy_available
 
         width = len(self.bins) * self.sets_per_bin * len(self.schemes)
-        if numpy_available() and not self.fold and width >= BATCH_MIN_WIDTH:
+        if numpy_available() and width >= BATCH_MIN_WIDTH:
             return "batch"
         return "pool"
 
@@ -140,7 +157,10 @@ class SweepSpec:
 
         Unknown keys are rejected -- a typoed knob silently falling back
         to its default would hand the client a sweep it did not ask for
-        (and a cache key it did not expect).
+        (and a cache key it did not expect).  For the same reason the
+        integer fields must be JSON integers and bin edges JSON numbers:
+        coercing ``2.7`` to 2 or ``"12"`` to 12 would serve the client
+        another spec's result under a digest it did not ask for.
         """
         if not isinstance(payload, dict):
             raise ConfigurationError(
@@ -158,7 +178,8 @@ class SweepSpec:
                 kwargs["faults"] = str(payload["faults"])
             if "bins" in payload:
                 kwargs["bins"] = tuple(
-                    (float(lo), float(hi)) for lo, hi in payload["bins"]
+                    (_number("bin edge", lo), _number("bin edge", hi))
+                    for lo, hi in payload["bins"]
                 )
             if "schemes" in payload:
                 kwargs["schemes"] = tuple(str(s) for s in payload["schemes"])
@@ -166,16 +187,9 @@ class SweepSpec:
                 kwargs["reference_scheme"] = str(payload["reference_scheme"])
             for key in ("sets_per_bin", "seed", "horizon_cap_units", "validate"):
                 if key in payload:
-                    kwargs[key] = int(payload[key])
+                    kwargs[key] = _integer(key, payload[key])
             if "backend" in payload:
                 kwargs["backend"] = str(payload["backend"])
-            if "fold" in payload:
-                value = payload["fold"]
-                if not isinstance(value, bool):
-                    raise ConfigurationError(
-                        f"fold must be a JSON boolean, got {value!r}"
-                    )
-                kwargs["fold"] = value
             if "release_model" in payload:
                 # A preset name, a {"kind": ...} document, or null;
                 # resolve_release_model in __post_init__ validates it.
@@ -201,7 +215,6 @@ class SweepSpec:
             "seed": self.seed,
             "horizon_cap_units": self.horizon_cap_units,
             "backend": self.backend,
-            "fold": self.fold,
             "validate": self.validate,
         }
         # Conditional keys keep pre-knob job documents byte-identical.
@@ -279,7 +292,6 @@ class SweepSpec:
             resume=resume,
             force_new=force_new,
             events=events,
-            fold=self.fold,
             validate=self.validate,
             generation_store=generation_store,
             release_model=self.release_model,

@@ -248,13 +248,12 @@ def run_batch(
 def run_batch_payloads(
     items: List[BatchItem],
     progress: Optional[Callable[[int, int, int], None]] = None,
-) -> List[Tuple[float, int, int]]:
-    """Sweep-worker payloads ``(energy, violations, cycles_folded)``.
+) -> List[Tuple[float, int]]:
+    """Sweep-worker payloads ``(energy, violations)``.
 
     Identical to what :func:`repro.harness.sweep._run_one` produces for
     the same jobs -- energy accounted through the Fraction-exact
     counters path, violations through the shared counting definition.
-    The batch kernel never folds, so the third element is always 0.
     Results are accounted one at a time as the kernel hands them over,
     so at most one of them is alive at once.
     """
@@ -265,7 +264,7 @@ def run_batch_payloads(
     for item, result in zip(items, _iter_results(items, progress)):
         report = energy_of_result(result, model=item.power_model)
         metrics = collect_metrics(result)
-        payloads.append((report.total_energy, metrics.mk_violations, 0))
+        payloads.append((report.total_energy, metrics.mk_violations))
     return payloads
 
 

@@ -117,7 +117,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..model.history import packed_initial_window
 from .engine import SimulationError, SimulationResult
-from .folding import RunStats
+from .stats import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from .batch import BatchItem
@@ -212,7 +212,7 @@ class Ledger:
         self.gap_chunks = kernel.closed_gaps()
 
     def count_gaps(self, np) -> None:
-        """Fold the gap chunks into sorted distinct keys and counts."""
+        """Merge the gap chunks into sorted distinct keys and counts."""
         chunks, self.gap_chunks = self.gap_chunks, None
         keys = np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
         del chunks
@@ -266,8 +266,6 @@ class Ledger:
             released_jobs=self.released[s],
             stats=stats,
             busy_by_processor=tuple(busy),
-            cycles_folded=0,
-            fold_cycle_ticks=0,
         )
 
 

@@ -7,8 +7,7 @@ which processor.  A :class:`SchemeProfile` states those rules as data,
 and three readers consume the same object:
 
 * :class:`ProfiledPolicy` executes it one release at a time for the
-  scalar engine (:meth:`ProfiledPolicy.plan_release`) and derives the
-  cycle-folding signature from it;
+  scalar engine (:meth:`ProfiledPolicy.plan_release`);
 * the batch kernel (:mod:`repro.sim.batch`) fills its per-task tables
   from it and evaluates the same rules over whole arrays of runs;
 * the conformance auditor (:func:`repro.sim.validation.audit_result`)
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from ..model.job import JobRole
-from ..model.patterns import Pattern, is_window_periodic
+from ..model.patterns import Pattern
 from .engine import (
     PRIMARY,
     SPARE,
@@ -115,31 +114,22 @@ class ProfiledPolicy(SchedulingPolicy):
     """A policy whose every release decision follows its profile.
 
     Subclasses run their offline analysis in :meth:`prepare` and end it
-    with :meth:`adopt_rules`.  The only mutable state is the per-task
-    optional alternation toggle, so the fold signature is derived: the
-    toggles plus the pattern phases of the pattern-classified tasks.
+    with :meth:`adopt_rules`.  The class's own mutable state is only the
+    per-task optional alternation toggle.
     """
 
-    def adopt_rules(self, tasks: Iterable[TaskProfile]) -> None:
+    def adopt_rules(
+        self, tasks: Iterable[TaskProfile], max_copies: int = 2
+    ) -> None:
         """Install the per-task rules and reset the alternation toggles."""
         rules = tuple(tasks)
         self._profile = SchemeProfile(
             scheme=self.name,
             tasks=rules,
             optional_preemption=self.optional_preemption,
+            max_copies=max_copies,
         )
         self._next_optional = [task.optional_processor for task in rules]
-        self._pattern_tasks = tuple(
-            index
-            for index, task in enumerate(rules)
-            if task.classification == "pattern"
-        )
-        # A pattern that is not periodic in its window gives the phase no
-        # meaning at the next hyperperiod boundary, so folding stays off.
-        self._foldable = all(
-            is_window_periodic(rules[index].pattern)
-            for index in self._pattern_tasks
-        )
 
     def profile(self, ctx: PolicyContext) -> SchemeProfile:
         return self._profile
@@ -201,12 +191,4 @@ class ProfiledPolicy(SchedulingPolicy):
         return ReleasePlan(
             copies=(CopySpec(JobRole.OPTIONAL, processor, release),),
             classified_as="optional",
-        )
-
-    def fold_state(self, ctx: PolicyContext, pattern_phases: Tuple[int, ...]):
-        if not self._foldable:
-            return None
-        return (
-            tuple(self._next_optional),
-            tuple(pattern_phases[index] for index in self._pattern_tasks),
         )

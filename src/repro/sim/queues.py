@@ -70,37 +70,6 @@ class ReadyQueue:
         """Snapshot of not-yet-finished jobs currently queued."""
         return [job for _, _, job in self._heap if not job.is_finished]
 
-    def ordered_live(self) -> List[Tuple[tuple, int, Job]]:
-        """Live ``(key, seq, job)`` entries in exact dispatch order.
-
-        Does not mutate the queue; used by the cycle-folding snapshot to
-        canonicalize queue contents.  Sorting by ``(key, seq)`` is the
-        order :meth:`pop` would drain them in (``seq`` is unique, so the
-        sort never compares jobs).
-        """
-        return sorted(
-            entry
-            for entry in self._heap
-            if entry[2].status not in FINISHED_STATUSES
-        )
-
-    def rekey_live(self) -> None:
-        """Rebuild the queue from each live job's current ``queue_key``.
-
-        Cycle folding rewrites job indices (and hence queue keys) of
-        every live copy; the new keys are order-isomorphic to the old
-        ones, so re-pushing the live jobs in their previous dispatch
-        order preserves tie-breaks exactly.  Finished jobs pending lazy
-        removal are purged as a side effect.
-        """
-        live = self.ordered_live()
-        self._heap = []
-        self._seq = 0
-        for _key, _seq, job in live:
-            self._heap.append((job.queue_key, self._seq, job))
-            self._seq += 1
-        heapq.heapify(self._heap)
-
     def __len__(self) -> int:
         return sum(1 for _, _, job in self._heap if not job.is_finished)
 

@@ -44,8 +44,6 @@ class ReleaseTimeline:
         ticks / tasks / jobs: parallel tuples, one entry per release, in
             engine drain order; ``jobs`` holds 1-based job indices.
         period_ticks: per-task periods in ticks.
-        periodic: True when every release sits at ``(j - 1) * P_i`` --
-            the precondition for cycle folding's hyperperiod recurrence.
 
     Instances are immutable and safe to share across engines and threads;
     each engine keeps its own cursor into the tuples.
@@ -57,7 +55,6 @@ class ReleaseTimeline:
         "tasks",
         "jobs",
         "period_ticks",
-        "periodic",
     )
 
     def __init__(
@@ -71,10 +68,9 @@ class ReleaseTimeline:
             raise ConfigurationError(
                 f"horizon must be positive, got {horizon_ticks}"
             )
-        periodic = release_model is None or release_model.is_periodic()
         periods = tuple(timebase.to_ticks(task.period) for task in taskset)
         entries: List[Tuple[int, int, int, int]] = []
-        if periodic:
+        if release_model is None or release_model.is_periodic():
             for index, period in enumerate(periods):
                 tick, job = 0, 1
                 while tick < horizon_ticks:
@@ -92,18 +88,12 @@ class ReleaseTimeline:
         entries.sort()
         self.horizon_ticks = horizon_ticks
         self.period_ticks = periods
-        self.periodic = periodic
         self.ticks = tuple(entry[0] for entry in entries)
         self.tasks = tuple(entry[2] for entry in entries)
         self.jobs = tuple(entry[3] for entry in entries)
 
     def __len__(self) -> int:
         return len(self.ticks)
-
-    def releases_per_span(self, span_ticks: int) -> int:
-        """Releases inside any window of ``span_ticks`` ticks aligned to a
-        common period multiple (the cycle-folding cursor advance)."""
-        return sum(span_ticks // period for period in self.period_ticks)
 
     def __repr__(self) -> str:
         return (

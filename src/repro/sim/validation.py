@@ -48,8 +48,8 @@ Separate entry points cover the remaining surfaces:
   the run itself and recomputes the active energy from it, bit-exactly.
 * :func:`result_ledger` / :func:`compare_ledgers` -- a canonical,
   mode-independent summary of a run, used by the cross-mode differential
-  check (trace vs stats-only vs folded runs of the same descriptor must
-  agree bit-for-bit).
+  check (trace and stats-only runs of the same descriptor must agree
+  bit-for-bit).
 """
 
 from __future__ import annotations
@@ -890,7 +890,7 @@ def result_ledger(result: SimulationResult) -> Dict[str, object]:
     """Canonical mode-independent summary of a run.
 
     Computable from a trace run (re-derived from segments and records)
-    or a stats-only/folded run (the engine's ledger); two runs of the
+    or a stats-only run (the engine's ledger); two runs of the
     same descriptor must produce equal ledgers in every mode.
     """
     if result.trace is None:

@@ -20,10 +20,9 @@ all.  These tests compare against bytes committed in ``goldens.json``:
 * the canonical result bytes of the Figure 6 headline: panels 6(a),
   6(b) and 6(c) under :meth:`ExperimentProtocol.documented` on one
   shared corpus (109 task sets, 327 simulations per panel), checked on
-  the batch backend -- wider and longer than any other batch test.
-
-Cycle-folding counts are deliberately not pinned: folding is an
-execution strategy whose hit rate may legitimately improve.
+  the batch backend -- wider and longer than any other batch test --
+  and against the committed ``results/fig6{a,b,c}.json``, which
+  ``scripts/reproduce_all.py`` writes at that scale (no simulation).
 
 Regenerate the fixture only for an intended behaviour change::
 
@@ -45,6 +44,7 @@ from repro.faults.scenario import FaultScenario
 from repro.harness.figures import fig6a, fig6b, fig6c
 from repro.harness.journal import RunJournal
 from repro.harness.protocol import ExperimentProtocol
+from repro.harness.store import load_sweep
 from repro.harness.runner import SCHEME_FACTORIES, run_scheme
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
@@ -61,6 +61,7 @@ from repro.workload.serialization import load_taskset
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "goldens.json")
 WORKLOADS = os.path.join(HERE, os.pardir, os.pardir, "examples", "workloads")
+RESULTS = os.path.join(HERE, os.pardir, os.pardir, "results")
 
 #: Single-processor baselines outside the sweep registry.
 EXTRA_SCHEMES = {"FP": SingleProcessorFP, "DBP": DistanceBasedPriority}
@@ -247,6 +248,13 @@ def test_spec_digests_match_goldens(goldens):
 def test_figure6_headline_matches_goldens(goldens):
     pytest.importorskip("numpy")
     assert headline_digests("batch") == goldens["headline"]
+
+
+@pytest.mark.parametrize("panel", sorted(HEADLINE_PANELS))
+def test_committed_results_match_headline(goldens, panel):
+    """The committed ``results/`` are the documented headline run."""
+    sweep = load_sweep(os.path.join(RESULTS, f"{panel}.json"))
+    assert _sha256(canonical_result_bytes(sweep)) == goldens["headline"][panel]
 
 
 if __name__ == "__main__":

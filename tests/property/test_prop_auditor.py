@@ -2,10 +2,10 @@
 
 Every registered scheme, run on generated workloads across fault-free,
 permanent-fault, and permanent+transient scenarios, must audit clean in
-every execution mode (trace, stats-only, folded): the model-level
-schedule invariants hold, each scheme obeys its own declared invariant
-suite, the energy report decomposes exactly per the DPD rule, and the
-trace-less modes' ledgers match the trace reference bit-for-bit.
+every execution mode (trace, stats-only): the model-level schedule
+invariants hold, each scheme obeys its own declared invariant suite,
+the energy report decomposes exactly per the DPD rule, and the
+stats-only ledger matches the trace reference bit-for-bit.
 
 A failure here means either an engine/policy bug or an auditor check
 that is stricter than the actual scheduling semantics -- both are worth

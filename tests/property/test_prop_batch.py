@@ -5,8 +5,8 @@ simulations in lockstep over numpy arrays.  Its contract is *bit
 identity* with the scalar trace engine -- not statistical agreement --
 so these tests compare the full observable state (the RunStats ledger,
 per-processor busy counts, released-job counts, the permanent-fault
-record, energies, violation counts) across four execution modes: batch,
-trace, stats-only, and folded.
+record, energies, violation counts) across three execution modes:
+batch, trace, and stats-only.
 
 Transient faults get the same bit-identity bar at rates where they
 fire, plus one pinned run per fault rule the kernel copies from the
@@ -121,14 +121,12 @@ class TestBatchScalarAgreement:
         )
         assert item is not None, "permanent-only jobs must be batchable"
         batch_result = run_batch([item])[0]
-        batch_energy, batch_violations, folded = run_batch_payloads([item])[0]
-        assert folded == 0  # the kernel never folds
+        batch_energy, batch_violations = run_batch_payloads([item])[0]
 
         views = {"batch": stats_view(batch_result)}
         for mode, kwargs in (
             ("trace", dict(collect_trace=True)),
             ("stats", dict(collect_trace=False)),
-            ("fold", dict(collect_trace=False, fold=True)),
         ):
             outcome = run_scheme(
                 taskset,
@@ -145,7 +143,7 @@ class TestBatchScalarAgreement:
                 views[mode] = stats_view(outcome.result)
             assert outcome.total_energy == batch_energy, mode
             assert outcome.metrics.mk_violations == batch_violations, mode
-        assert views["batch"] == views["stats"] == views["fold"], scheme
+        assert views["batch"] == views["stats"], scheme
 
     def test_mixed_lockstep_batch(self):
         """Many sims with different schemes/scenarios in ONE kernel run."""
@@ -280,7 +278,7 @@ class TestTransientAgreement:
             expected.append(
                 (
                     stats_view(outcome.result),
-                    (outcome.total_energy, outcome.metrics.mk_violations, 0),
+                    (outcome.total_energy, outcome.metrics.mk_violations),
                 )
             )
         results = run_batch(items)

@@ -6,9 +6,8 @@ Pins the semantic contract of the deadline-safe frequency-scaling knob:
   simply never stretches anything) produces byte-identical journals,
   fingerprints, and energy reports to a run without the knob;
 * **cross-mode identity** -- a DVFS run's result ledger and energy are
-  bit-identical across trace, stats-only, cycle-folded, and
-  batch-backend execution (the batch kernel falls back to the scalar
-  engine per DVFS job);
+  bit-identical across trace, stats-only, and batch-backend execution
+  (the batch kernel falls back to the scalar engine per DVFS job);
 * **conformance** -- the auditor passes a zero-issue corpus over the
   three DVFS-enabled schemes under every fault regime, and the
   per-segment frequency rules (``dvfs-speed``, ``dvfs-underspeed``,
@@ -134,11 +133,11 @@ class TestNoOpIdentity:
 
 
 class TestCrossModeIdentity:
-    """Trace, stats, fold, and batch agree bit-for-bit under DVFS."""
+    """Trace, stats, and batch agree bit-for-bit under DVFS."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("regime", ["none", "permanent", "transient"])
-    def test_trace_stats_fold_ledgers_identical(self, scheme, regime):
+    def test_trace_stats_ledgers_identical(self, scheme, regime):
         taskset = slack_taskset()
         config = DVFSConfig()
         kw = dict(
@@ -148,41 +147,9 @@ class TestCrossModeIdentity:
         )
         trace = run_scheme(taskset, scheme, collect_trace=True, **kw)
         stats = run_scheme(taskset, scheme, collect_trace=False, **kw)
-        fold = run_scheme(
-            taskset, scheme, collect_trace=False, fold=True, **kw
-        )
         assert trace.result.speed_plan is not None
-        reference = result_ledger(trace.result)
-        assert result_ledger(stats.result) == reference
-        assert result_ledger(fold.result) == reference
+        assert result_ledger(stats.result) == result_ledger(trace.result)
         assert stats.energy == trace.energy
-        assert fold.energy == trace.energy
-
-    def test_folded_run_actually_folds(self):
-        """The identity above must not hold vacuously: DVFS runs still
-        take the cycle-folding fast path, and the folded run matches
-        the unfolded trace bit-for-bit (speed_busy folds like gaps)."""
-        taskset = TaskSet([Task(5, 5, 1, 1, 2), Task(10, 10, 1, 1, 2)])
-        base = taskset.timebase()
-        plan = speed_plan_for(taskset, base, DVFSConfig())
-        assert plan is not None
-        horizon = 1200 * base.ticks_per_unit
-        trace = run_policy(
-            taskset, MKSSStatic(), horizon, base,
-            collect_trace=True, speed_plan=plan,
-        )
-        folded = run_policy(
-            taskset, MKSSStatic(), horizon, base,
-            collect_trace=False, fold=True, speed_plan=plan,
-        )
-        assert folded.cycles_folded > 0
-        assert result_ledger(folded) == result_ledger(trace)
-        model = PowerModel.paper_default()
-        from repro.energy.accounting import energy_of_result
-
-        assert energy_of_result(folded, model) == energy_of_result(
-            trace, model
-        )
 
     def test_batch_backend_journal_identical_to_pool(self, tmp_path):
         """DVFS jobs fall back to the scalar engine inside the batch

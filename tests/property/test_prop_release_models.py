@@ -11,9 +11,8 @@ and its timeline plumbing:
   to the historical no-model timeline (including the shared-timeline memo,
   which must also never conflate two different models -- the cache-key
   regression);
-* the engine's cycle-folding fast path self-disables on non-periodic
-  timelines and still reproduces the trace-mode reference exactly, while
-  periodic runs keep folding.
+* stats-only runs on non-periodic timelines reproduce the trace-mode
+  reference exactly.
 """
 
 from __future__ import annotations
@@ -23,16 +22,13 @@ import json
 import pytest
 
 from repro.analysis.cache import analysis_cache
-from repro.harness.events import EventLog
 from repro.harness.sweep import utilization_sweep
-from repro.model.task import Task
-from repro.model.taskset import TaskSet
 from repro.schedulers import MKSSDualPriority, MKSSSelective, MKSSStatic
 from repro.schedulers.base import run_policy
 from repro.sim.timeline import ReleaseTimeline, shared_release_timeline
 from repro.workload.generator import TaskSetGenerator
 from repro.workload.release import ReleaseModel
-from tests.property.test_prop_folding import metric_view
+from tests.property.test_prop_stats_mode import aligned_taskset, metric_view
 
 POLICIES = (MKSSStatic, MKSSDualPriority, MKSSSelective)
 
@@ -47,6 +43,18 @@ def per_task_arrivals(timeline: ReleaseTimeline):
 
 def build(taskset, horizon, model):
     return ReleaseTimeline(taskset, horizon, taskset.timebase(), model)
+
+
+def periodic_arrivals(taskset, horizon):
+    """The paper's releases per task: job j at ``(j - 1) * P_i``."""
+    base = taskset.timebase()
+    streams = {}
+    for index, task in enumerate(taskset):
+        period = base.to_ticks(task.period)
+        streams[index] = [
+            (tick, tick // period + 1) for tick in range(0, horizon, period)
+        ]
+    return streams
 
 
 class TestArrivalBounds:
@@ -128,7 +136,7 @@ class TestDeterminismAndIdentity:
         taskset = TaskSetGenerator(seed=8500).generate(0.5)
         bare = build(taskset, 1500, None)
         explicit = build(taskset, 1500, ReleaseModel())
-        assert bare.periodic and explicit.periodic
+        assert per_task_arrivals(bare) == periodic_arrivals(taskset, 1500)
         assert explicit.ticks == bare.ticks
         assert explicit.tasks == bare.tasks
         assert explicit.jobs == bare.jobs
@@ -158,7 +166,8 @@ class TestSharedTimelineMemo:
             taskset, 1000, base, ReleaseModel.preset("heavy", seed=2)
         )
         assert periodic is not light and light is not heavy
-        assert periodic.periodic and not light.periodic
+        assert per_task_arrivals(periodic) == periodic_arrivals(taskset, 1000)
+        assert light.ticks != periodic.ticks
         assert light.ticks != heavy.ticks
         # Warm hits return the memoized instance per model...
         assert (
@@ -192,22 +201,12 @@ class TestSharedTimelineMemo:
         assert seeded is not reseeded
 
 
-def aligned_taskset() -> TaskSet:
-    return TaskSet(
-        [
-            Task(5, 5, 1, 1, 2),
-            Task(10, 10, 2, 1, 2),
-            Task(20, 20, 5, 1, 1),
-        ]
-    )
-
-
-class TestFoldSelfDisable:
-    """Satellite: fold=True on a non-periodic timeline is exact, not folded."""
+class TestStatsModeOffPeriodic:
+    """Stats-only runs on a non-periodic timeline are exact."""
 
     @pytest.mark.parametrize("policy_cls", POLICIES)
     @pytest.mark.parametrize("preset", ["light", "bursty"])
-    def test_folded_sporadic_equals_trace(self, policy_cls, preset):
+    def test_stats_sporadic_equals_trace(self, policy_cls, preset):
         taskset = aligned_taskset()
         model = ReleaseModel.preset(preset, seed=5)
         base = taskset.timebase()
@@ -215,21 +214,11 @@ class TestFoldSelfDisable:
             taskset, policy_cls(), 40 * 20, base,
             collect_trace=True, release_model=model,
         )
-        folded = run_policy(
+        stats = run_policy(
             taskset, policy_cls(), 40 * 20, base,
-            collect_trace=False, fold=True, release_model=model,
+            collect_trace=False, release_model=model,
         )
-        assert folded.cycles_folded == 0  # never armed off-periodic
-        assert metric_view(folded) == metric_view(trace)
-
-    def test_periodic_still_folds(self):
-        taskset = aligned_taskset()
-        base = taskset.timebase()
-        folded = run_policy(
-            taskset, MKSSSelective(), 40 * 20, base,
-            collect_trace=False, fold=True,
-        )
-        assert folded.cycles_folded > 30
+        assert metric_view(stats) == metric_view(trace)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_trace_equals_stats_off_periodic(self, seed):
@@ -274,7 +263,7 @@ def journal_rows(path):
 
 
 class TestSweepIntegration:
-    """Release models composed with backends, folding, and journals."""
+    """Release models composed with backends and journals."""
 
     def test_periodic_sweep_byte_identical_to_default(self, tmp_path):
         """Explicit periodic model: same journal bytes as no model."""
@@ -312,30 +301,6 @@ class TestSweepIntegration:
         assert [b.mean_energy for b in batch.bins] == [
             b.mean_energy for b in pool.bins
         ]
-
-    def test_sweep_fold_self_disables_off_periodic(self, tmp_path):
-        """fold=True sporadic sweep: zero folds, plain-identical journal."""
-        model = ReleaseModel.preset("bursty", seed=2)
-        plain_path = tmp_path / "plain.jsonl"
-        fold_path = tmp_path / "fold.jsonl"
-        utilization_sweep(
-            journal_path=str(plain_path), release_model=model, **SWEEP_KW
-        )
-        log = EventLog()
-        utilization_sweep(
-            journal_path=str(fold_path),
-            release_model=model,
-            fold=True,
-            events=log,
-            **SWEEP_KW,
-        )
-        assert journal_rows(fold_path) == journal_rows(plain_path)
-        folded = [
-            event.data["cycles_folded"]
-            for event in log.events
-            if event.kind == "job_finish" and "cycles_folded" in event.data
-        ]
-        assert folded and sum(folded) == 0
 
     def test_validate_sampling_passes_off_periodic(self):
         """The conformance auditor holds on sporadic sweeps too."""

@@ -280,9 +280,10 @@ class TestFaultyRunsAudit:
 
 
 class TestHandWrittenPolicies:
-    """FP and DBP keep a hand-written ``plan_release`` beside their
-    ``profile()``.  Auditing their runs against that profile checks that
-    the two statements agree on every rule the auditor replays:
+    """FP and DBP run from their profiles but sit outside the scheme
+    registry, so the registry-wide audits never run them.  Auditing
+    their runs here, across processor and FD-window variants, checks
+    that the engine and the auditor read their rules alike:
     classification, the FD window, optional placement before and after
     a fault, and the absence of backups."""
 

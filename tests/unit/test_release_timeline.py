@@ -61,13 +61,6 @@ class TestReleaseTimeline:
         timeline = ReleaseTimeline(mixed_periods, 50, base)
         assert list(timeline.ticks) == sorted(timeline.ticks)
 
-    def test_releases_per_span(self, mixed_periods):
-        base = mixed_periods.timebase()
-        timeline = ReleaseTimeline(mixed_periods, 24, base)
-        # One hyperperiod (12 ticks): 3 + 2 + 1 releases.
-        assert timeline.releases_per_span(12) == 6
-        assert timeline.releases_per_span(24) == 12
-
     def test_bad_horizon_rejected(self, mixed_periods):
         with pytest.raises(ConfigurationError):
             ReleaseTimeline(mixed_periods, 0, mixed_periods.timebase())

@@ -241,6 +241,30 @@ class TestServerAnswers:
         )
         assert answer.startswith(b"HTTP/1.1 400 ")
 
+    @staticmethod
+    def _post_spec(tmp_path, spec: dict) -> bytes:
+        body = json.dumps(spec).encode()
+        return TestServerAnswers._exchange(
+            tmp_path,
+            b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: "
+            + str(len(body)).encode()
+            + b"\r\nConnection: close\r\n\r\n"
+            + body,
+        )
+
+    def test_fractional_integer_field_answers_400(self, tmp_path):
+        answer = self._post_spec(
+            tmp_path,
+            {"faults": "none", "bins": [[0.2, 0.3]], "sets_per_bin": 2.7},
+        )
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"must be a JSON integer" in answer
+
+    def test_removed_fold_knob_answers_400(self, tmp_path):
+        answer = self._post_spec(tmp_path, {"faults": "none", "fold": True})
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"unknown sweep-spec key" in answer
+
     def test_silent_client_answers_408(self, tmp_path, monkeypatch):
         monkeypatch.setattr(http, "REQUEST_READ_TIMEOUT_S", 0.1)
         answer = self._exchange(tmp_path, b"GET /healthz HTTP/1.1\r\n")

@@ -103,7 +103,7 @@ class TestRoundTrip:
             SweepValidation(
                 job="u0.1-0.2|set0",
                 scheme="MKSS_DP",
-                mode="fold",
+                mode="stats",
                 issue=ValidationIssue(kind="ledger", detail="busy mismatch"),
             )
         )

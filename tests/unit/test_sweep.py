@@ -475,26 +475,6 @@ class TestValidationSampling:
         finish_seq = log.of_kind(RUN_FINISH)[0].seq
         assert all(event.seq < finish_seq for event in audits)
 
-    def test_folded_sweep_audits_fold_mode_too(self):
-        from repro.harness.events import VALIDATE
-
-        log = EventLog()
-        utilization_sweep(
-            bins=[(0.3, 0.4)],
-            sets_per_bin=1,
-            seed=77,
-            horizon_cap_units=300,
-            events=log,
-            fold=True,
-            validate=1,
-        )
-        audits = log.of_kind(VALIDATE)
-        assert audits
-        assert all(
-            event.data["modes"] == ["trace", "stats", "fold"]
-            for event in audits
-        )
-
     def test_negative_validate_rejected(self):
         with pytest.raises(ConfigurationError):
             utilization_sweep([(0.3, 0.4)], validate=-1, tasksets_by_bin={})

@@ -46,7 +46,7 @@ def _generated(stats=None):
 def _genbin_job(spec_bins, bin_range, state, index, scheme="MKSS_ST"):
     return (
         "genbin", spec_bins, 2, None, 11, bin_range, state, index, scheme,
-        None, 300, False, None, None, "met", None,
+        None, 300, None, None, "met", None,
     )
 
 
@@ -101,7 +101,7 @@ class TestShardedWorkerRegeneration:
         for index in range(2):
             job = (
                 "store", root, digest, spec_bins, 2, None, 11, BINS[0],
-                index, "MKSS_ST", None, 300, False, None, None, "met", None,
+                index, "MKSS_ST", None, 300, None, None, "met", None,
             )
             _run_one(job)
         assert _WORKER_GEN_COUNTS == {
@@ -117,7 +117,7 @@ class TestShardedWorkerRegeneration:
         spec_bins = tuple(tuple(b) for b in BINS)
         job = (
             "store", root, digest, spec_bins, 2, None, 11, BINS[0],
-            0, "MKSS_ST", None, 300, False, None, None, "met", None,
+            0, "MKSS_ST", None, 300, None, None, "met", None,
         )
         _run_one(job)  # absent entry: silent fallback, still correct
         assert _WORKER_GEN_COUNTS["full"] == 1

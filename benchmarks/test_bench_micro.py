@@ -316,9 +316,9 @@ def test_workload_generation(benchmark):
 
 
 def test_generation_phase(benchmark):
-    """Cold binned generation: draws, vectorized screen, admission.
+    """Cold binned generation: draws, integer screen, admission.
 
-    Three bins x three sets through the staged pipeline -- the per-sweep
+    Three bins x three sets through the per-draw loop -- the per-sweep
     generation cost the digest-keyed store amortizes away on repeats.
     The top bin stops at 0.8 so every bin fills within its draw budget
     and rounds stay identical."""

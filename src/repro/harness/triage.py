@@ -58,9 +58,9 @@ from ..workload.generator import GeneratorConfig
 from ..workload.release import ReleaseModel
 from .events import EventLog
 from .figures import fig6a, fig6b, fig6c
+from .genstore import GenerationStore, generation_digest
 from .protocol import PAPER_TARGETS, ExperimentProtocol
 from .report import format_table
-from .runner import PAPER_SCHEMES
 from .sweep import SweepResult
 from .validate import audit_scheme
 
@@ -423,8 +423,9 @@ class TriageOptions:
 
     Attributes:
         out_dir: campaign directory; journals land in ``journals/``,
-            outlier traces in ``traces/``, and the JSON report is the
-            caller's to place (see :meth:`TriageReport.write`).
+            generated corpora in ``genstore/``, outlier traces in
+            ``traces/``, and the JSON report is the caller's to place
+            (see :meth:`TriageReport.write`).
         panels: Figure 6 panels to triage.
         knobs: knob-name subset (None = every default knob).
         workers: worker processes per sweep (1 = inline).
@@ -729,6 +730,7 @@ def _run_panel_sweep(
     options: TriageOptions,
     journal_name: str,
     events: EventLog,
+    store: GenerationStore,
 ) -> SweepResult:
     journal_dir = os.path.join(options.out_dir, "journals")
     os.makedirs(journal_dir, exist_ok=True)
@@ -741,6 +743,7 @@ def _run_panel_sweep(
         job_timeout=options.job_timeout,
         events=events,
         validate=options.validate,
+        generation_store=store,
     )
 
 
@@ -750,6 +753,7 @@ def _panel_outliers(
     sweep: SweepResult,
     options: TriageOptions,
     events: EventLog,
+    store: GenerationStore,
 ) -> List[OutlierFinding]:
     """Replay the task sets with the worst Selective-vs-DP ratios.
 
@@ -776,12 +780,17 @@ def _panel_outliers(
     from .figures import panel_scenario_factory
     from .runner import run_scheme
 
-    pool = generate_binned_tasksets(
+    spec = (
         list(protocol.bins),
         protocol.sets_per_bin,
         protocol.generator,
         protocol.seed,
     )
+    digest = generation_digest(*spec)
+    pool = store.get(digest)
+    if pool is None:
+        pool = generate_binned_tasksets(*spec)
+        store.put(digest, pool)
     # Global set counter ordering matches the sweep's scenario indexing.
     counters: Dict[Tuple[str, int], int] = {}
     counter = 0
@@ -886,11 +895,14 @@ def run_triage(
             )
         all_knobs = tuple(k for k in all_knobs if k.name in options.knobs)
     os.makedirs(options.out_dir, exist_ok=True)
+    # The three panels of a variant, and the outlier replay, share one
+    # generator config and seed, so they share one corpus.
+    store = GenerationStore(os.path.join(options.out_dir, "genstore"))
     report = TriageReport(protocol=protocol, run_id=log.run_id)
     for panel in options.panels:
         log.emit("triage_panel", panel=panel, knobs=len(all_knobs))
         baseline_sweep = _run_panel_sweep(
-            panel, protocol, options, f"{panel}--baseline", log
+            panel, protocol, options, f"{panel}--baseline", log, store
         )
         baseline = summarize_sweep(baseline_sweep)
         triage = PanelTriage(
@@ -916,6 +928,7 @@ def run_triage(
                         options,
                         f"{panel}--{knob.name}--{variant.label}",
                         log,
+                        store,
                     )
                     summary = summarize_sweep(sweep)
                 delta = summary.headline - baseline.headline
@@ -940,7 +953,7 @@ def run_triage(
                     validation_issues=summary.validation_issues,
                 )
         triage.outliers = _panel_outliers(
-            panel, protocol, baseline_sweep, options, log
+            panel, protocol, baseline_sweep, options, log, store
         )
         report.panels[panel] = triage
     return report

@@ -61,11 +61,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..energy.accounting import active_energy_of
 from ..energy.dpd import shutdown_decision
-from ..model.history import (
-    MKHistory,
-    make_initial_history,
-    normalize_initial_history,
-)
+from ..model.history import make_initial_history, normalize_initial_history
 from ..model.job import JobOutcome, JobRole
 from ..qos.monitor import verify_mk
 from ..sim.engine import PRIMARY, SPARE, SimulationResult

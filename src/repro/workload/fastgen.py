@@ -1,45 +1,44 @@
-"""Staged task-set generation: blocked draws, exact screening, late build.
+"""Staged task-set generation: integer draws, exact screening, late build.
 
 The sequential :class:`~repro.workload.generator.TaskSetGenerator` spends
 almost all of its time *rejecting*: at high utilization bins, thousands
 of raw draws funnel through Fraction arithmetic, ``Task``/``TaskSet``
 construction and the exact admission simulation only to be thrown away.
-This module restructures that loop into a pipeline that produces
+This module restructures that loop into one pass per draw that produces
 **byte-identical output** (same task sets, same order, same RNG stream)
 while doing almost no work per rejected candidate:
 
-1. **Blocked cheap draws** -- candidates are drawn in blocks, consuming
-   the ``random.Random`` stream exactly like ``draw_raw`` (same calls in
-   the same order, including the early stop at the first infeasible
-   task) but recording only plain integers: periods, (m, k) pairs and
-   WCETs in grid units.  The exact WCET quantization floors the float
-   share's own ratio in integers (:func:`quantized_wcet_units`) and
-   calls :func:`limit_denominator_int`, a Fraction-free transcription
-   of ``Fraction.limit_denominator``, only for the ~1% of shares close
-   enough to a grid boundary for the denominator limit to matter.  Each
-   feasible candidate's (m,k)-utilization is computed once, in integers
-   (:func:`candidate_mk_utilization`).  No ``Task`` objects, no
-   Fractions.
-2. **Vectorized necessary-condition screen** -- feasible, in-bin
-   candidates first meet the synchronous-demand stage on plain ints;
-   its survivors are packed into numpy int64 blocks and screened with
-   iterated *lower bounds* on the first-job response times under the
-   deeply-red pattern.  The screen only ever rejects candidates that are
-   provably unschedulable (the bound is exact integer arithmetic and
-   always a lower bound on what the exact simulation computes, see
-   :func:`_screen_rejects_python`), so skipping the expensive RTA +
-   simulation for them cannot change any admission decision.  Without
-   numpy the identical integer arithmetic runs in pure Python -- same
-   decisions, just slower.
-3. **Late construction + staged admission** -- ``Task``/``TaskSet``
-   objects are built only for candidates that survive the screen, and
-   the exact admission test runs only on those survivors.
+1. **Integer draws at the RNG's speed** -- :func:`make_drawer` builds,
+   once per bin, a drawer that consumes the ``random.Random`` stream
+   exactly like ``draw_raw`` (same calls in the same order, including
+   the early stop at the first infeasible task).  Its integer choices
+   call ``getrandbits`` directly under the rule of CPython's
+   ``Random._randbelow_with_getrandbits``, with every range and bit
+   width computed once per drawer, and it records only plain integers:
+   periods, (m, k) pairs and WCETs in grid units.  The WCET quantization
+   (:func:`quantized_wcet_units`) floors a float product wherever its
+   error bound allows, else the float share's own ratio in integers,
+   and calls :func:`limit_denominator_int`, a Fraction-free
+   transcription of ``Fraction.limit_denominator``, only for the ~1% of
+   shares close enough to a grid boundary for the denominator limit to
+   matter.
+2. **Exact in-bin check** -- each feasible candidate's (m,k)-utilization
+   is computed once, in integers (:func:`candidate_mk_utilization`).
+3. **Necessary-condition screen** -- an in-bin candidate first meets the
+   synchronous-demand stage, then iterated *lower bounds* on the
+   first-job response times under the deeply-red pattern
+   (:func:`screen_rejects`).  The screen only ever rejects candidates
+   that are provably unschedulable (the bound is exact integer
+   arithmetic and always a lower bound on what the exact simulation
+   computes, see :func:`_screen_rounds`), so skipping the expensive RTA
+   + simulation for them cannot change any admission decision.
+4. **Late construction + admission** -- ``Task``/``TaskSet`` objects are
+   built only for candidates that survive the screen, and the exact
+   admission test runs only on those survivors.
 
-Because a block may overshoot the draws the sequential loop would have
-made (the bin can fill mid-block), the RNG state is snapshotted at each
-block start and, on early exit, rewound and replayed for exactly the
-consumed draws -- so the stream position after every bin matches the
-sequential generator tick for tick.
+Every draw passes through all four stages before the next one is drawn,
+so the loop stops on the draw that fills the bin and the RNG stream
+position after every bin matches the sequential generator's.
 """
 
 from __future__ import annotations
@@ -49,7 +48,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import itemgetter, mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.hyperperiod import analysis_horizon
 from ..analysis.schedulability import is_rpattern_schedulable
@@ -57,24 +58,11 @@ from ..model.task import Task
 from ..model.taskset import TaskSet
 from .uunifast import uunifast
 
-try:  # numpy is the optional repro[batch] extra; the screen degrades
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-#: Candidates drawn per RNG snapshot.  Large enough to amortize the
-#: numpy screen's per-call overhead, small enough that the rewind+replay
-#: when a bin fills mid-block stays negligible.
-BLOCK_SIZE = 64
-
 #: A draw reduced to integers: per task (priority order) the period in
 #: model units, the (m, k) parameters, and the WCET in grid units.
-RawCandidate = Tuple[List[int], List[int], List[int], List[int]]
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized screen path can run."""
-    return _np is not None
+RawCandidate = Tuple[
+    Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]
+]
 
 
 @dataclass
@@ -147,6 +135,10 @@ def limit_denominator_int(
 #: ``draw_raw`` limits each share's denominator to this before scaling.
 SHARE_MAX_DENOMINATOR = 10**6
 
+#: The float-first floor's margin, in units of ``A / B`` (see
+#: :func:`quantized_wcet_units`): twice the denominator limit's reach.
+_FLOAT_MARGIN = 2 / SHARE_MAX_DENOMINATOR
+
 
 def quantized_wcet_units(
     share: float, k: int, period: int, m: int, grid_num: int, grid_den: int
@@ -154,17 +146,40 @@ def quantized_wcet_units(
     """``draw_raw``'s quantized WCET ``C = share * k * P / m``, in grid units.
 
     That is ``w = floor(S * A / B)`` with ``S`` the share after
-    ``limit_denominator(10**6)``, ``A = k * P * grid_den`` and
+    ``limit_denominator(N)``, ``N = 10**6``, ``A = k * P * grid_den`` and
     ``B = m * grid_num``.  The closest fraction with denominator at most
-    ``N`` lies within ``1 / (N + 1)`` of the share (Dirichlet), so it
-    moves ``share * A / B`` by less than ``A / (B * N)``: unless the
-    float share's own ``share * A / B`` lies that close to an integer,
-    both have the same floor, and :func:`limit_denominator_int` runs only
-    in that rare case.
+    ``N`` lies within ``1 / N`` of the share (Dirichlet), so ``S * A / B``
+    lies within ``A / (B * N)`` of ``share * A / B``.
+
+    Float first: ``x = share * (A / B)`` takes two correctly rounded
+    operations, so it lies within ``2**-52 * x`` of ``share * A / B``.
+    When ``x`` is more than ``2 * A / (B * N)`` from every integer, that
+    margin exceeds both errors together (and the rounding of the margin
+    itself) for every share below ``2**51 / N``, about 2.2e9 and far
+    above any feasible share (about ``m / k`` at most), so ``floor(x)``
+    is ``w``.  About 97% of the documented bins' tasks end there; the
+    rest take the exact integer floor of :func:`_exact_wcet_units`.
     """
-    numerator, denominator = share.as_integer_ratio()
     scale = k * period * grid_den
     divisor = m * grid_num
+    ratio = scale / divisor
+    x = share * ratio
+    w = int(x)
+    margin = _FLOAT_MARGIN * ratio
+    if margin < x - w < 1.0 - margin:
+        return w
+    return _exact_wcet_units(share, scale, divisor)
+
+
+def _exact_wcet_units(share: float, scale: int, divisor: int) -> int:
+    """``floor(S * scale / divisor)`` in integers, ``S`` as above.
+
+    Floors the float share's exact ratio times ``scale / divisor``
+    directly; unless that value lies within ``scale / (divisor * N)`` of
+    an integer, ``S`` has the same floor, so :func:`limit_denominator_int`
+    runs only in that rare case.
+    """
+    numerator, denominator = share.as_integer_ratio()
     total = denominator * divisor
     w, rest = divmod(numerator * scale, total)
     # |S*A/B - share*A/B| < A/(B*N) and the fractional part of share*A/B
@@ -175,54 +190,77 @@ def quantized_wcet_units(
     return w
 
 
-def draw_candidate(
-    rng: random.Random,
-    cfg,
-    target_mk_utilization: float,
-    grid_num: int,
-    grid_den: int,
-) -> Optional[RawCandidate]:
-    """One cheap draw, consuming the RNG exactly like ``draw_raw``.
+_period_of = itemgetter(0)
 
-    Returns ``None`` for an infeasible draw (a WCET that quantizes to
-    zero or exceeds its deadline) -- crucially *stopping at the same
-    task* the sequential path stops at, so no further RNG values are
-    consumed.  Feasibility is decided in exact integer arithmetic: the
-    quantized WCET is ``w * grid`` with ``w`` from
-    :func:`quantized_wcet_units`, infeasible iff ``w <= 0`` or
+
+def make_drawer(
+    rng: random.Random, cfg, target_mk_utilization: float
+) -> Callable[[], Optional[RawCandidate]]:
+    """A drawer of raw candidates that consumes ``rng`` like ``draw_raw``.
+
+    Each call makes one draw and returns ``None`` for an infeasible one
+    (a WCET that quantizes to zero or exceeds its deadline) -- crucially
+    *stopping at the same task* the sequential path stops at, so no
+    further RNG values are consumed.  Feasibility is decided in exact
+    integer arithmetic: the quantized WCET is ``w * grid`` with ``w``
+    from :func:`quantized_wcet_units`, infeasible iff ``w <= 0`` or
     ``w * grid_num > period * grid_den``.
+
+    ``draw_raw``'s integer choices -- ``randint`` for the task count, k
+    and m, ``choice`` or ``randint`` for the period -- all reduce to
+    ``Random._randbelow_with_getrandbits(n)``: draw ``n.bit_length()``
+    bits and redraw while the value is ``>= n``.  The drawer applies that
+    rule to ``rng.getrandbits`` itself, so ``rng`` must be a plain
+    :class:`random.Random` (whose ``_randbelow`` is that method); the
+    shares still come from :func:`~repro.workload.uunifast.uunifast`.
     """
-    n = rng.randint(cfg.min_tasks, cfg.max_tasks)
-    shares = uunifast(n, target_mk_utilization, rng)
-    choices = cfg.period_choices
-    if choices is not None and not isinstance(choices, (list, tuple)):
-        choices = list(choices)
-    lo_k, hi_k = cfg.k_range
-    periods: List[int] = []
-    ks: List[int] = []
-    ms: List[int] = []
-    wunits: List[int] = []
-    for share in shares:
-        if choices is not None:
-            period = rng.choice(choices)
-        else:
-            period = rng.randint(*cfg.period_range)
-        k = rng.randint(lo_k, hi_k)
-        m = rng.randint(1, k - 1)
-        w = quantized_wcet_units(share, k, period, m, grid_num, grid_den)
-        if w <= 0 or w * grid_num > period * grid_den:
-            return None
-        periods.append(period)
-        ks.append(k)
-        ms.append(m)
-        wunits.append(w)
-    order = sorted(range(n), key=periods.__getitem__)
-    return (
-        [periods[i] for i in order],
-        [ks[i] for i in order],
-        [ms[i] for i in order],
-        [wunits[i] for i in order],
-    )
+    getrandbits = rng.getrandbits
+    grid_num = cfg.wcet_grid.numerator
+    grid_den = cfg.wcet_grid.denominator
+    n_low = cfg.min_tasks
+    n_span = cfg.max_tasks - n_low + 1
+    n_bits = n_span.bit_length()
+    if cfg.period_choices is not None:
+        period_values: Sequence[int] = tuple(cfg.period_choices)
+    else:
+        low, high = cfg.period_range
+        period_values = range(low, high + 1)
+    p_span = len(period_values)
+    p_bits = p_span.bit_length()
+    k_low, k_high = cfg.k_range
+    k_span = k_high - k_low + 1
+    k_bits = k_span.bit_length()
+    # m = randint(1, k - 1) draws below k - 1.
+    m_bits = [(k - 1).bit_length() for k in range(k_high + 1)]
+
+    def draw() -> Optional[RawCandidate]:
+        r = getrandbits(n_bits)
+        while r >= n_span:
+            r = getrandbits(n_bits)
+        tasks = []
+        for share in uunifast(n_low + r, target_mk_utilization, rng):
+            r = getrandbits(p_bits)
+            while r >= p_span:
+                r = getrandbits(p_bits)
+            period = period_values[r]
+            r = getrandbits(k_bits)
+            while r >= k_span:
+                r = getrandbits(k_bits)
+            k = k_low + r
+            bits = m_bits[k]
+            r = getrandbits(bits)
+            while r >= k - 1:
+                r = getrandbits(bits)
+            m = r + 1
+            w = quantized_wcet_units(share, k, period, m, grid_num, grid_den)
+            if w <= 0 or w * grid_num > period * grid_den:
+                return None
+            tasks.append((period, k, m, w))
+        # draw_raw's stable (period, deadline) sort; deadlines are implicit.
+        tasks.sort(key=_period_of)
+        return tuple(zip(*tasks))
+
+    return draw
 
 
 def candidate_mk_utilization(
@@ -236,11 +274,11 @@ def candidate_mk_utilization(
     division rounds it correctly, as ``Fraction.__float__`` does.
     """
     periods, ks, ms, wunits = candidate
-    windows = [k * period for k, period in zip(ks, periods)]
+    windows = list(map(mul, ks, periods))
     common = math.lcm(*windows)
-    numerator = sum(
-        m * w * (common // window) for m, w, window in zip(ms, wunits, windows)
-    )
+    numerator = 0
+    for m, w, window in zip(ms, wunits, windows):
+        numerator += m * w * (common // window)
     return (numerator * grid_num) / (common * grid_den)
 
 
@@ -280,151 +318,9 @@ def screen_applicable(cfg) -> bool:
     )
 
 
-def _screen_arrays(
-    candidates: Sequence[RawCandidate], cfg
-) -> Tuple[List[List[int]], List[List[int]], List[List[int]], List[List[int]], List[List[int]]]:
-    """Per-candidate integer rows (grid ticks) for the screen.
-
-    Returns (periods_ticks, wcets_ticks, ms, ks, max_jobs) where
-    ``max_jobs[i][t]`` caps interference counting at the releases the
-    exact simulation would actually simulate (strictly before the
-    analysis horizon ``min((m,k)-hyperperiod, cap)``).
-    """
-    grid_den = cfg.wcet_grid.denominator
-    cap = cfg.horizon_cap_units
-    rows_p: List[List[int]] = []
-    rows_c: List[List[int]] = []
-    rows_m: List[List[int]] = []
-    rows_k: List[List[int]] = []
-    rows_j: List[List[int]] = []
-    for periods, ks, ms, wunits in candidates:
-        hyper = math.lcm(*(k * p for k, p in zip(ks, periods)))
-        horizon_units = hyper if cap is None else min(hyper, cap)
-        p_ticks = [p * grid_den for p in periods]
-        horizon_ticks = horizon_units * grid_den
-        rows_p.append(p_ticks)
-        rows_c.append(list(wunits))
-        rows_m.append(list(ms))
-        rows_k.append(list(ks))
-        # The cap only ever *lowers* interference counts, so clamping a
-        # gigantic uncapped hyperperiod keeps the bound sound while
-        # staying inside int64 for the numpy path.
-        rows_j.append(
-            [min(-(-horizon_ticks // p), 10**9) for p in p_ticks]
-        )
-    return rows_p, rows_c, rows_m, rows_k, rows_j
-
-
 #: Lower-bound refinement rounds; each round is independently sound, so
 #: the count only trades screen power against screen cost.
 _SCREEN_ROUNDS = 3
-
-
-def _screen_rejects_python(
-    candidates: Sequence[RawCandidate], cfg
-) -> List[bool]:
-    """Reject flags via iterated first-job response-time lower bounds.
-
-    For each candidate (tasks in priority order, implicit deadlines,
-    integer grid ticks) the bound starts at the synchronous cumulative
-    demand ``t_i = sum_{j<=i} C_j`` -- a lower bound on the completion
-    of task i's first (always mandatory) job, since all those first jobs
-    release together at t=0 -- and is refined by
-    ``t_i' = C_i + sum_{j<i} N_j(t_i) * C_j`` where ``N_j(t)`` counts
-    deeply-red mandatory releases of task j in ``[0, t)``, capped at the
-    horizon the exact simulation uses.  ``N_j`` is monotone, so each
-    refinement stays a lower bound; the candidate is rejected only when
-    a bound exceeds the deadline, which guarantees the exact simulation
-    would find that same first-job miss.  All arithmetic is integer, so
-    the numpy variant is bit-identical.
-    """
-    rows_p, rows_c, rows_m, rows_k, rows_j = _screen_arrays(candidates, cfg)
-    rejects: List[bool] = []
-    for periods, wcets, ms, ks, jmax in zip(
-        rows_p, rows_c, rows_m, rows_k, rows_j
-    ):
-        n = len(periods)
-        bounds: List[int] = []
-        total = 0
-        reject = False
-        for i in range(n):
-            total += wcets[i]
-            if total > periods[i]:  # D_i == P_i
-                reject = True
-                break
-            bounds.append(total)
-        if not reject:
-            for _ in range(_SCREEN_ROUNDS):
-                improved = False
-                for i in range(1, n):
-                    t = bounds[i]
-                    demand = wcets[i]
-                    for j in range(i):
-                        released = -(-t // periods[j])
-                        if released > jmax[j]:
-                            released = jmax[j]
-                        full, rest = divmod(released, ks[j])
-                        mand = full * ms[j] + (
-                            rest if rest < ms[j] else ms[j]
-                        )
-                        demand += mand * wcets[j]
-                    if demand > periods[i]:
-                        reject = True
-                        break
-                    if demand > bounds[i]:
-                        bounds[i] = demand
-                        improved = True
-                if reject or not improved:
-                    break
-        rejects.append(reject)
-    return rejects
-
-
-def _screen_rejects_numpy(
-    candidates: Sequence[RawCandidate], cfg
-) -> List[bool]:
-    """The same integer screen over padded [B, n] int64 blocks."""
-    np = _np
-    rows_p, rows_c, rows_m, rows_k, rows_j = _screen_arrays(candidates, cfg)
-    count = len(rows_p)
-    width = max(len(row) for row in rows_p)
-
-    def pad(rows: List[List[int]], fill: int) -> "_np.ndarray":
-        out = np.full((count, width), fill, dtype=np.int64)
-        for index, row in enumerate(rows):
-            out[index, : len(row)] = row
-        return out
-
-    # Padding keeps every slot mathematically inert: zero WCET slots add
-    # no demand, and a huge period keeps the padded deadline unreachable.
-    big = np.int64(1) << 50
-    periods = pad(rows_p, int(big))
-    wcets = pad(rows_c, 0)
-    ms = pad(rows_m, 1)
-    ks = pad(rows_k, 2)
-    jmax = pad(rows_j, 1)
-    valid = pad([[1] * len(row) for row in rows_p], 0).astype(bool)
-
-    bounds = np.cumsum(wcets, axis=1)
-    reject = np.any((bounds > periods) & valid, axis=1)
-    lower = np.tril(np.ones((width, width), dtype=bool), k=-1)
-    for _ in range(_SCREEN_ROUNDS):
-        if bool(np.all(reject)):
-            break
-        released = -(-bounds[:, :, None] // periods[:, None, :])
-        released = np.minimum(released, jmax[:, None, :])
-        full = released // ks[:, None, :]
-        rest = released - full * ks[:, None, :]
-        mand = full * ms[:, None, :] + np.minimum(rest, ms[:, None, :])
-        demand = wcets + np.where(
-            lower[None, :, :], mand * wcets[:, None, :], 0
-        ).sum(axis=2)
-        reject |= np.any((demand > periods) & valid, axis=1)
-        new_bounds = np.maximum(bounds, np.where(valid, demand, bounds))
-        if bool(np.array_equal(new_bounds, bounds)):
-            break
-        bounds = new_bounds
-    return [bool(flag) for flag in reject]
 
 
 def _synchronous_overload(candidate: RawCandidate, grid_den: int) -> bool:
@@ -438,26 +334,75 @@ def _synchronous_overload(candidate: RawCandidate, grid_den: int) -> bool:
     return False
 
 
-def screen_rejects(candidates: Sequence[RawCandidate], cfg) -> List[bool]:
-    """Provable-unschedulability flags for a block of raw candidates.
+def _screen_rounds(candidate: RawCandidate, cfg) -> bool:
+    """The whole screen: iterated first-job response-time lower bounds.
+
+    With tasks in priority order, implicit deadlines and integer grid
+    ticks, the bound starts at the synchronous cumulative demand
+    ``t_i = sum_{j<=i} C_j`` -- a lower bound on the completion of task
+    i's first (always mandatory) job, since all those first jobs release
+    together at t=0 -- and is refined by
+    ``t_i' = C_i + sum_{j<i} N_j(t_i) * C_j`` where ``N_j(t)`` counts
+    deeply-red mandatory releases of task j in ``[0, t)``, capped at the
+    releases the exact simulation makes before its horizon
+    ``min((m,k)-hyperperiod, cap)``.  ``N_j`` is monotone, so each
+    refinement stays a lower bound; the candidate is rejected only when
+    a bound exceeds the deadline, which guarantees the exact simulation
+    would find that same first-job miss.
+
+    A bound never exceeds the longest period, and the hyperperiod is at
+    least twice that (every k is at least 2), so the horizon caps a count
+    only through a cap below the longest period.
+    """
+    periods, ks, ms, wcets = candidate
+    grid_den = cfg.wcet_grid.denominator
+    ticks = [period * grid_den for period in periods]
+    bounds = list(accumulate(wcets))
+    for bound, deadline in zip(bounds, ticks):
+        if bound > deadline:
+            return True
+    cap = cfg.horizon_cap_units
+    if cap is not None and cap < periods[-1]:
+        cap_ticks = cap * grid_den
+        jmax = [-(-cap_ticks // p) for p in ticks]
+    else:
+        jmax = None
+    for _ in range(_SCREEN_ROUNDS):
+        improved = False
+        for i in range(1, len(ticks)):
+            t = bounds[i]
+            demand = wcets[i]
+            for j in range(i):
+                released = -(-t // ticks[j])
+                if jmax is not None and released > jmax[j]:
+                    released = jmax[j]
+                full, rest = divmod(released, ks[j])
+                m = ms[j]
+                demand += (full * m + (rest if rest < m else m)) * wcets[j]
+            if demand > ticks[i]:
+                return True
+            if demand > t:
+                bounds[i] = demand
+                improved = True
+        if not improved:
+            return False
+    return False
+
+
+def screen_rejects(candidate: RawCandidate, cfg) -> bool:
+    """Whether a raw candidate is provably unschedulable.
 
     The synchronous-demand stage runs first, on plain ints; it alone
     rejects most in-bin candidates of the top bins.  Only its survivors
-    pay for the screen arrays and the refinement rounds (numpy or pure
-    python), whose per-candidate verdicts do not depend on the rest of
-    the block.
+    pay for the refinement rounds of :func:`_screen_rounds`, whose
+    verdict the first stage never changes.
     """
-    grid_den = cfg.wcet_grid.denominator
-    flags = [_synchronous_overload(c, grid_den) for c in candidates]
-    survivors = [c for c, overloaded in zip(candidates, flags) if not overloaded]
-    if not survivors:
-        return flags
-    screen = _screen_rejects_numpy if _np is not None else _screen_rejects_python
-    verdicts = iter(screen(survivors, cfg))
-    return [overloaded or next(verdicts) for overloaded in flags]
+    return _synchronous_overload(
+        candidate, cfg.wcet_grid.denominator
+    ) or _screen_rounds(candidate, cfg)
 
 
-# -- the staged per-bin fill loop ------------------------------------
+# -- the per-bin fill loop -------------------------------------------
 
 
 def _admit_survivor(cfg, taskset: TaskSet, screened_out: bool) -> bool:
@@ -499,85 +444,47 @@ def fill_bin(
     max_draws: int,
     stats: Optional[GenerationStats] = None,
 ) -> List[TaskSet]:
-    """Fill one utilization bin through the staged pipeline.
+    """Fill one utilization bin, one draw at a time.
 
     Draw-for-draw equivalent to the sequential loop in
     ``generate_binned_tasksets``: the same candidates are admitted in
-    the same order and the RNG leaves in the same state (blocks that
-    overshoot a filled bin are rewound and replayed).
+    the same order and the RNG leaves in the same state.
     """
-    target = (bin_lo + bin_hi) / 2
+    draw = make_drawer(rng, cfg, (bin_lo + bin_hi) / 2)
     grid_num = cfg.wcet_grid.numerator
     grid_den = cfg.wcet_grid.denominator
     use_screen = screen_applicable(cfg)
-    reject_on_screen = use_screen and cfg.admission == "rpattern"
+    # A screen-rejected candidate still meets the rotation search.
+    rotated = cfg.admission == "rotated"
     result: List[TaskSet] = []
-    draws = 0
+    draws = feasible = in_bin = screened_out = admission_tests = 0
     while len(result) < sets_per_bin and draws < max_draws:
-        block = min(BLOCK_SIZE, max_draws - draws)
-        state = rng.getstate()
-        candidates = [
-            draw_candidate(rng, cfg, target, grid_num, grid_den)
-            for _ in range(block)
-        ]
-        utilizations = [
-            None
-            if candidate is None
-            else candidate_mk_utilization(candidate, grid_num, grid_den)
-            for candidate in candidates
-        ]
-        # Screen only the candidates that can reach the admission test.
-        screened: Dict[int, bool] = {}
-        if use_screen:
-            eligible = [
-                position
-                for position, achieved in enumerate(utilizations)
-                if achieved is not None and bin_lo <= achieved < bin_hi
-            ]
-            flags = screen_rejects(
-                [candidates[position] for position in eligible], cfg
-            )
-            screened = dict(zip(eligible, flags))
-        consumed = block
-        for position, (candidate, achieved) in enumerate(
-            zip(candidates, utilizations)
-        ):
-            draws += 1
-            if stats is not None:
-                stats.draws += 1
-            if candidate is None:
+        draws += 1
+        candidate = draw()
+        if candidate is None:
+            continue
+        feasible += 1
+        achieved = candidate_mk_utilization(candidate, grid_num, grid_den)
+        if not bin_lo <= achieved < bin_hi:
+            continue
+        in_bin += 1
+        rejected = use_screen and screen_rejects(candidate, cfg)
+        if rejected:
+            screened_out += 1
+            if not rotated:
                 continue
-            if stats is not None:
-                stats.feasible += 1
-            if not bin_lo <= achieved < bin_hi:
-                continue
-            if stats is not None:
-                stats.in_bin += 1
-            screened_out = screened.get(position, False)
-            if screened_out and stats is not None:
-                stats.screened_out += 1
-            if screened_out and reject_on_screen:
-                continue
-            taskset = build_taskset(candidate, cfg.wcet_grid)
-            if stats is not None and not (
-                screened_out and cfg.admission == "rotated"
-            ):
-                stats.admission_tests += 1
-            if not _admit_survivor(cfg, taskset, screened_out):
-                continue
-            if stats is not None:
-                stats.admitted += 1
+        else:
+            admission_tests += 1
+        taskset = build_taskset(candidate, cfg.wcet_grid)
+        if _admit_survivor(cfg, taskset, rejected):
             result.append(taskset)
-            if len(result) >= sets_per_bin:
-                consumed = position + 1
-                break
-        if consumed < block:
-            # Rewind the overshoot: replay exactly the consumed draws so
-            # the stream position matches the sequential generator.
-            rng.setstate(state)
-            for _ in range(consumed):
-                draw_candidate(rng, cfg, target, grid_num, grid_den)
     if stats is not None:
+        stats.draws += draws
+        stats.feasible += feasible
+        stats.in_bin += in_bin
+        stats.screened_out += screened_out
+        stats.admission_tests += admission_tests
+        stats.admitted += len(result)
         stats.bin_draws[(bin_lo, bin_hi)] = draws
     return result
 

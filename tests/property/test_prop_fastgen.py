@@ -5,12 +5,12 @@ because it is *byte-identical* to the sequential ``TaskSetGenerator``
 loop (kept in ``tests/reference_generator.py``): same task sets, same order, same fingerprints, same RNG stream
 position after every bin.  These tests enforce that over a multi-config
 corpus, plus the exactness obligations of the individual stages (the
-integer ``limit_denominator`` transcription and the guarded quantization
-that calls it only near a grid boundary, the integer (m,k)-utilization,
-the numpy/pure-python screen agreement and its synchronous-demand first
-stage, the screen's reject-only-provably-unschedulable soundness, and
-the early-exit admission simulation's agreement with the full heap
-simulation).
+drawer's draw-for-draw agreement with ``draw_raw``, the integer
+``limit_denominator`` transcription, the float-first quantization and
+the integer floor that calls it only near a grid boundary, the integer
+(m,k)-utilization, the screen's synchronous-demand first stage and its
+reject-only-provably-unschedulable soundness, and the early-exit
+admission simulation's agreement with the full heap simulation).
 """
 
 import random
@@ -25,14 +25,15 @@ from repro.analysis.schedulability import (
     rta_mandatory_schedulable,
     simulate_mandatory_fp,
 )
+from repro.harness.protocol import DEFAULT_BINS
 from repro.workload.fastgen import (
     GenerationStats,
     build_taskset,
     candidate_mk_utilization,
-    draw_candidate,
     fill_bin,
     generate_single_bin,
     limit_denominator_int,
+    make_drawer,
     quantized_wcet_units,
     screen_rejects,
 )
@@ -56,6 +57,8 @@ CONFIGS = {
     "shallow-k": GeneratorConfig(k_range=(2, 6)),
     "small-sets": GeneratorConfig(min_tasks=2, max_tasks=4),
     "uncapped-horizon": GeneratorConfig(horizon_cap_units=None, k_range=(2, 5)),
+    # Below the longest period the cap bounds the screen's release counts.
+    "short-cap": GeneratorConfig(horizon_cap_units=30),
 }
 
 
@@ -96,8 +99,7 @@ class TestByteIdentity:
 
     def test_rng_stream_position_matches_sequential(self):
         # After filling bins, both pipelines must leave the shared RNG at
-        # the same position -- the next draw is identical.  This is what
-        # makes mid-block rewind correct, and it must hold even when a
+        # the same position -- the next draw is identical -- even when a
         # bin exhausts its draw budget.
         for name, cfg in CONFIGS.items():
             rng_seq, rng_fast = random.Random(7), random.Random(7)
@@ -126,6 +128,38 @@ class TestByteIdentity:
         seq = _sequential(BINS, 2, None, 3, 100)
         default = generate_binned_tasksets(BINS, 2, None, 3, max_draws_per_bin=100)
         _identical(seq, default)
+
+
+def _integer_rows(taskset, grid):
+    """A ``draw_raw`` task set as the drawer's integer rows."""
+    rows = []
+    for task in taskset:
+        units = task.wcet / grid
+        assert task.period.denominator == 1 and units.denominator == 1
+        rows.append((int(task.period), task.mk.k, task.mk.m, int(units)))
+    return tuple(zip(*rows))
+
+
+class TestDrawer:
+    @pytest.mark.parametrize("bin_range", DEFAULT_BINS, ids=str)
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_draws_match_draw_raw(self, name, bin_range):
+        # Draw for draw, the drawer returns draw_raw's set as integer
+        # rows (None where draw_raw returns None) and leaves the RNG
+        # exactly where draw_raw leaves it.
+        cfg = CONFIGS[name]
+        target = (bin_range[0] + bin_range[1]) / 2
+        reference, fast = random.Random(17), random.Random(17)
+        generator = TaskSetGenerator(cfg, reference)
+        draw = make_drawer(fast, cfg, target)
+        for _ in range(2000):
+            expected = generator.draw_raw(target)
+            candidate = draw()
+            if expected is None:
+                assert candidate is None
+            else:
+                assert candidate == _integer_rows(expected, cfg.wcet_grid)
+            assert fast.getstate() == reference.getstate()
 
 
 class TestSingleBinShard:
@@ -190,24 +224,10 @@ class TestScreen:
         rng = random.Random(seed)
         out = []
         while len(out) < count:
-            cand = draw_candidate(
-                rng,
-                cfg,
-                rng.uniform(0.15, 0.95),
-                cfg.wcet_grid.numerator,
-                cfg.wcet_grid.denominator,
-            )
+            cand = make_drawer(rng, cfg, rng.uniform(0.15, 0.95))()
             if cand is not None:
                 out.append(cand)
         return out
-
-    def test_numpy_and_python_screens_agree(self):
-        cfg = GeneratorConfig()
-        cands = self._candidates(300)
-        if fastgen.numpy_available():
-            assert fastgen._screen_rejects_numpy(
-                cands, cfg
-            ) == fastgen._screen_rejects_python(cands, cfg)
 
     def test_screen_rejects_only_provably_unschedulable(self):
         # Soundness: every screen-rejected candidate must fail BOTH
@@ -218,8 +238,7 @@ class TestScreen:
 
         cfg = GeneratorConfig()
         cands = self._candidates(200)
-        flags = screen_rejects(cands, cfg)
-        rejected = [c for c, flag in zip(cands, flags) if flag]
+        rejected = [c for c in cands if screen_rejects(c, cfg)]
         assert rejected, "corpus should contain screen rejects"
         for cand in rejected:
             taskset = build_taskset(cand, cfg.wcet_grid)
@@ -230,14 +249,6 @@ class TestScreen:
                 taskset, base, horizon_ticks=horizon
             )
 
-    def test_pipeline_identical_without_numpy(self, monkeypatch):
-        seq = _sequential(BINS, 2, None, 99, 100)
-        monkeypatch.setattr(fastgen, "_np", None)
-        fast = generate_binned_tasksets(
-            BINS, 2, None, 99, max_draws_per_bin=100
-        )
-        _identical(seq, fast)
-
     def test_candidate_mk_utilization_matches_built_set(self):
         for name, cfg in sorted(CONFIGS.items()):
             grid = cfg.wcet_grid
@@ -246,10 +257,10 @@ class TestScreen:
                     cand, grid.numerator, grid.denominator
                 ) == float(build_taskset(cand, grid).mk_utilization), name
 
-    def test_demand_stage_then_rounds_match_full_screen(self, monkeypatch):
+    def test_demand_stage_then_rounds_match_full_screen(self):
         cfg = GeneratorConfig()
         cands = self._candidates(400, seed=4)
-        expected = fastgen._screen_rejects_python(cands, cfg)
+        expected = [fastgen._screen_rounds(c, cfg) for c in cands]
         overloaded = [
             fastgen._synchronous_overload(c, cfg.wcet_grid.denominator)
             for c in cands
@@ -259,9 +270,7 @@ class TestScreen:
         assert any(
             flag and not first for flag, first in zip(expected, overloaded)
         )
-        assert screen_rejects(cands, cfg) == expected
-        monkeypatch.setattr(fastgen, "_np", None)
-        assert screen_rejects(cands, cfg) == expected
+        assert [screen_rejects(c, cfg) for c in cands] == expected
 
 
 class TestFastAdmissionSim:
@@ -310,16 +319,28 @@ class TestQuantizedWcet:
 
     def test_boundary_shares_take_the_fallback(self, monkeypatch):
         # Shares within 1e-9 of a w boundary: the float share's own floor
-        # can differ from the denominator-limited one, so the guarded
-        # path must hand every one of them to limit_denominator_int.
-        calls = []
-        original = fastgen.limit_denominator_int
+        # can differ from the denominator-limited one, so the float-first
+        # floor must pass every one of them to the integer floor, and that
+        # must hand every one of them to limit_denominator_int.
+        calls = {"exact": 0, "limit": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
 
-        monkeypatch.setattr(fastgen, "limit_denominator_int", counting)
+            return wrapper
+
+        monkeypatch.setattr(
+            fastgen,
+            "_exact_wcet_units",
+            counting("exact", fastgen._exact_wcet_units),
+        )
+        monkeypatch.setattr(
+            fastgen,
+            "limit_denominator_int",
+            counting("limit", fastgen.limit_denominator_int),
+        )
         rng = random.Random(9)
         unguarded_wrong = 0
         for trial in range(3000):
@@ -336,5 +357,28 @@ class TestQuantizedWcet:
             assert quantized_wcet_units(
                 share, k, period, m, grid.numerator, grid.denominator
             ) == expected
-            assert len(calls) == trial + 1
+            assert calls == {"exact": trial + 1, "limit": trial + 1}
         assert unguarded_wrong, "corpus should need the fallback's answer"
+
+        # The denominator limit moves share*A/B by less than its reach
+        # A/(B*N); the float-first margin is twice that.  Shares 1.2-1.8
+        # reaches from a boundary take the integer floor without the
+        # limit, shares 2.2-3 reaches away the float floor alone, and
+        # both answer exactly.
+        for low, high, exact_path in ((1.2, 1.8, 1), (2.2, 3.0, 0)):
+            for _ in range(3000):
+                k, period, m, grid = _random_task(rng)
+                scale = k * period * grid.denominator
+                divisor = m * grid.numerator
+                reach = scale / (divisor * fastgen.SHARE_MAX_DENOMINATOR)
+                boundary = rng.randint(1, 3 * period * grid.denominator)
+                offset = rng.choice((-1, 1)) * rng.uniform(low, high) * reach
+                share = (boundary + offset) * divisor / scale
+                before = dict(calls)
+                assert quantized_wcet_units(
+                    share, k, period, m, grid.numerator, grid.denominator
+                ) == _fraction_wcet_units(share, k, period, m, grid)
+                assert calls == {
+                    "exact": before["exact"] + exact_path,
+                    "limit": before["limit"],
+                }

@@ -4,9 +4,8 @@ This is the generation protocol as it shipped before the staged pipeline
 of :mod:`repro.workload.fastgen`: one
 :meth:`~repro.workload.generator.TaskSetGenerator.draw_raw` per
 candidate, binned by achieved (m,k)-utilization, then admitted.  It
-shares none of the fast path's block draws, RNG rewinds, integer
-utilizations or vectorized screen, which is what makes it a useful
-reference.
+shares none of the fast path's integer draws, integer utilizations or
+screen, which is what makes it a useful reference.
 
 Used only by tests (``tests/property/test_prop_fastgen.py``); never
 import this from package code.

@@ -107,6 +107,14 @@ class TestReportStructure:
         assert "fig6a--horizon--short.jsonl" in journals
         assert not any("normalization" in name for name in journals)
 
+    def test_sweeps_share_one_stored_corpus(self, campaign):
+        # The horizon variant keeps the baseline's generator config and
+        # seed, so it loads the baseline's corpus from the campaign store.
+        _, log, out = campaign
+        sources = [event.data["source"] for event in log.of_kind("generation")]
+        assert sources == ["generated", "cache"]
+        assert len(os.listdir(out / "genstore")) == 1
+
     def test_outlier_traces_exported_and_clean(self, campaign):
         report, _, _ = campaign
         outliers = report.panels["fig6a"].outliers

@@ -146,6 +146,56 @@ def test_engine_dvfs_speed_scaled(benchmark):
     assert result.all_mk_satisfied()
 
 
+def _fig6c_job():
+    """One generated set and one seeded Figure 6(c) fault scenario: a
+    permanent fault plus Poisson transients at the paper's rate."""
+    from repro.faults.scenario import FaultScenario
+
+    return _workload(), FaultScenario.permanent_and_transient(seed=3)
+
+
+def test_engine_fig6c_jobs(benchmark):
+    """Stats-only MKSS_ST, MKSS_DP and MKSS_Selective on one set under
+    Figure 6(c)'s faults, at the documented 1500ms horizon.
+
+    The scalar-engine work of a Figure 6(c) sweep job: skipped and
+    backed-up releases, postponed backups canceled by their mains, a
+    permanent fault, and one transient draw per completing copy."""
+    from repro.harness.runner import run_scheme
+
+    taskset, scenario = _fig6c_job()
+
+    def run():
+        return [
+            run_scheme(
+                taskset, scheme, scenario,
+                horizon_cap_units=1500, collect_trace=False,
+            )
+            for scheme in ("MKSS_ST", "MKSS_DP", "MKSS_Selective")
+        ]
+
+    outcomes = benchmark(run)
+    benchmark.extra_info["released_jobs"] = sum(
+        outcome.result.released_jobs for outcome in outcomes
+    )
+    assert all(outcome.result.permanent_fault for outcome in outcomes)
+
+
+def test_audit_scheme(benchmark):
+    """One Figure 6(c) conformance audit of MKSS_Selective at 1500ms: a
+    trace run and a stats run, the profile replay, the priority scan and
+    the DPD check, as a sweep's ``validate`` pays per audited job."""
+    from repro.harness.validate import audit_scheme
+
+    taskset, scenario = _fig6c_job()
+    report = benchmark(
+        lambda: audit_scheme(
+            taskset, "MKSS_Selective", scenario, horizon_cap_units=1500
+        )
+    )
+    assert report.ok
+
+
 def test_sporadic_release_timeline(benchmark):
     """Building the seeded sporadic release sequence for 2000ms -- the
     per-(task set, model) cost the shared-timeline memo amortizes."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..model.job import Job
@@ -60,6 +60,9 @@ class PoissonTransientFaults(TransientFaultModel):
             self._rng = random.Random(seed)
         self.draws = 0
         self.faults = 0
+        # fault_probability per executed tick count: a run completes many
+        # copies of few distinct WCETs.
+        self._probabilities: Dict[int, float] = {}
 
     def fault_probability(self, executed_ticks: int) -> float:
         """P(at least one fault during ``executed_ticks`` of execution)."""
@@ -70,7 +73,11 @@ class PoissonTransientFaults(TransientFaultModel):
 
     def job_faulted(self, job: Job, completion_tick: int) -> bool:
         self.draws += 1
-        probability = self.fault_probability(job.wcet)
+        probability = self._probabilities.get(job.wcet)
+        if probability is None:
+            probability = self._probabilities[job.wcet] = (
+                self.fault_probability(job.wcet)
+            )
         hit = self._rng.random() < probability
         if hit:
             self.faults += 1

@@ -111,12 +111,7 @@ def conformance_spec(
         lambda: analysis_horizon(taskset, base, horizon_cap_units),
     )
     policy = factory()
-    ctx = PolicyContext(
-        taskset=taskset,
-        timebase=base,
-        horizon_ticks=horizon,
-        histories=(),
-    )
+    ctx = PolicyContext(taskset=taskset, timebase=base, horizon_ticks=horizon)
     policy.prepare(ctx)
     return policy.profile(ctx)
 

@@ -235,12 +235,64 @@ def make_initial_history(mk: MKConstraint, mode: str = "met") -> MKHistory:
 def packed_initial_window(mk: MKConstraint, mode: str = "met") -> int:
     """The boundary window as a k-1-bit mask, newest outcome in bit 0.
 
-    Matches the batch kernel's packed-history convention so the
-    vectorized engine can seed ``fd_win`` bit-identically to the scalar
-    engine's :func:`make_initial_history`.
+    The packed form of :func:`make_initial_history`'s window, which both
+    the scalar engine and the batch kernel seed their per-task outcome
+    words from.
     """
+    if mode == "met":
+        return (1 << (mk.k - 1)) - 1
+    if mode == "miss":
+        return 0
     outcomes = make_initial_history(mk, mode).outcomes()
     packed = 0
     for offset, outcome in enumerate(reversed(outcomes)):
         packed |= int(outcome) << offset
     return packed
+
+
+#: The number of set bits of a non-negative int (``int.bit_count`` on
+#: Python 3.10 and later).
+popcount = getattr(int, "bit_count", None) or (lambda word: bin(word).count("1"))
+
+
+def _select_table() -> bytes:
+    """Row b (8 bytes at ``b << 3``) lists the 1-based positions of the
+    set bits of byte b, lowest first, padded with zeros: the lowest set
+    bit, then the row of b without it."""
+    table = bytearray(2048)
+    for byte in range(1, 256):
+        rest = byte & (byte - 1)
+        row = byte << 3
+        table[row] = (byte ^ rest).bit_length()
+        table[row + 1 : row + 8] = table[rest << 3 : (rest << 3) + 7]
+    return bytes(table)
+
+
+#: Per byte value b: ``_POP8[b]`` is its number of set bits, and
+#: ``_SELECT8[b << 3 | (n - 1)]`` the 1-based position of its n-th
+#: lowest set bit (0 when it has fewer than n).
+_POP8 = bytes(map(popcount, range(256)))
+_SELECT8 = _select_table()
+
+
+def packed_flexibility_degree(word: int, m: int, k: int) -> int:
+    """FD of a task's next job from its packed outcome word (bit 0 = newest).
+
+    The packed form of :meth:`MKHistory.flexibility_degree`: with p the
+    1-based position of the m-th newest success among the word's low
+    ``k - 1`` bits, ``FD = k - max(p, m)`` -- that is ``k - p``, as the
+    m-th newest success sits at position m or deeper -- and 0 when those
+    bits hold fewer than m successes.  The search reads the bits a byte
+    at a time through fixed tables.
+    """
+    bits = word & ((1 << (k - 1)) - 1)
+    while bits:
+        byte = bits & 255
+        if m <= 8:
+            position = _SELECT8[byte << 3 | (m - 1)]
+            if position:
+                return k - position
+        m -= _POP8[byte]
+        bits >>= 8
+        k -= 8
+    return 0

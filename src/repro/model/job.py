@@ -94,6 +94,9 @@ class Job:
             Fraction in (0, 1) for a slowed main copy -- its ``wcet``
             is then already the *stretched* tick budget, so the engine's
             time arithmetic needs no per-tick scaling.
+        entry: the simulator's bookkeeping for the logical job this copy
+            belongs to (None outside a run), so a completing or dropped
+            copy reaches its logical job without a lookup.
     """
 
     __slots__ = (
@@ -114,6 +117,7 @@ class Job:
         "_name",
         "queue_key",
         "speed",
+        "entry",
     )
 
     def __init__(
@@ -126,8 +130,9 @@ class Job:
         wcet: int,
         processor: int,
         enqueue_time: Optional[int] = None,
-        name: str = "",
         speed: "int | object" = 1,
+        entry: object = None,
+        name: str = "",
     ) -> None:
         if wcet <= 0:
             raise ModelError(f"job wcet must be positive ticks, got {wcet}")
@@ -153,6 +158,7 @@ class Job:
         self._name = name
         self.queue_key: "tuple[int, ...]" = (task_index, job_index)
         self.speed = speed
+        self.entry = entry
 
     @property
     def name(self) -> str:

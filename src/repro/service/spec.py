@@ -142,8 +142,10 @@ class SweepSpec:
 
     def _default_backend(self) -> str:
         # Imported here, not at module load, so the server starts
-        # without compiling the batch front; the kernel module itself
-        # compiles on its first run, in the thread that runs it.
+        # without compiling the batch front.  The probe finds numpy's
+        # installed version without importing it: the import (and the
+        # kernel's compilation) happens on the executor thread that
+        # runs the batch, not on the event loop resolving this spec.
         from ..sim.batch import numpy_available
 
         width = len(self.bins) * self.sets_per_bin * len(self.schemes)

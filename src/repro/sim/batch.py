@@ -12,8 +12,9 @@ batch is lockstep in iteration count, not in simulated time).
 
 This module is the kernel's front: it resolves sweep jobs into
 :class:`BatchItem` records, runs them, and hands back results or sweep
-payloads.  The kernel module itself is imported on the first run, so a
-process that only asks whether numpy is available never compiles it.
+payloads.  numpy and the kernel module are imported on the first run,
+in the thread that runs it, so a process that only asks whether numpy
+is available loads neither.
 
 Fallback rules
 --------------
@@ -31,11 +32,13 @@ never depends on batchability.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..model.history import make_initial_history
+from ..model.history import normalize_initial_history
 from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
@@ -47,21 +50,24 @@ from .profile import SchemeProfile
 MIN_NUMPY_MAJOR = 2
 
 
+def _supported_version(version: str) -> bool:
+    return int(version.split(".", 1)[0]) >= MIN_NUMPY_MAJOR
+
+
 def supported_numpy(module):
     """``module`` if it is a numpy the kernel runs on, else None: an
     older numpy counts as absent."""
-    if module is None:
-        return None
-    if int(module.__version__.split(".", 1)[0]) < MIN_NUMPY_MAJOR:
+    if module is None or not _supported_version(module.__version__):
         return None
     return module
 
 
-try:  # pragma: no cover - import success is the normal path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via a stubbed import
-    _np = None
-_np = supported_numpy(_np)
+_UNRESOLVED = object()
+
+#: numpy once :func:`require_numpy` has imported it (None when it is
+#: absent or too old); unresolved until then, so neither importing this
+#: module nor asking :func:`numpy_available` loads numpy.
+_np = _UNRESOLVED
 
 #: Largest (m,k) window depth the packed-integer histories support; a
 #: task beyond it falls back to the scalar engine (generated workloads
@@ -70,14 +76,52 @@ MAX_PACKED_K = 60
 
 
 def numpy_available() -> bool:
-    """True when the numpy the batch kernel needs is importable."""
-    return _np is not None
+    """True when the numpy the batch kernel needs is installed.
+
+    Until a batch has imported numpy, this reads the version from the
+    name of the ``numpy-<version>.dist-info`` directory the installer
+    put beside the package, so a caller on a latency-sensitive thread
+    (the service resolving a spec's default backend) pays neither for
+    the import nor for :mod:`importlib.metadata`'s.  An install without
+    that record counts as absent.
+    """
+    if _np is not _UNRESOLVED:
+        return _np is not None
+    return _numpy_installed()
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_installed() -> bool:
+    import importlib.util
+
+    try:
+        spec = importlib.util.find_spec("numpy")
+        for location in spec.submodule_search_locations if spec else ():
+            for name in os.listdir(os.path.dirname(location)):
+                if name.startswith("numpy-") and name.endswith(".dist-info"):
+                    return _supported_version(name[len("numpy-"):])
+    except (ImportError, OSError, ValueError):
+        pass
+    return False
+
+
+def _load_numpy():
+    """numpy, imported on the first call; None when absent or too old."""
+    global _np
+    if _np is _UNRESOLVED:
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        _np = supported_numpy(numpy)
+    return _np
 
 
 def require_numpy():
-    """Return numpy or raise a :class:`ConfigurationError` telling the
-    user how to get the batch backend (or how to avoid needing it)."""
-    if _np is None:
+    """Import and return numpy, or raise a :class:`ConfigurationError`
+    telling the user how to get the batch backend (or how to avoid
+    needing it)."""
+    if _load_numpy() is None:
         raise ConfigurationError(
             "the batch backend requires numpy >= 2.0, which is not "
             "installed; install it with 'pip install repro[batch]' or "
@@ -137,7 +181,7 @@ def build_batch_item(
     kernel cannot express (an ``"all"`` classification, a pattern that
     is not window-periodic); or a window too deep to pack.
     """
-    if _np is None:
+    if _load_numpy() is None:
         return None
     if release_model is not None and not release_model.is_periodic():
         return None
@@ -158,6 +202,7 @@ def build_batch_item(
         ) from exc
     if any(task.mk.k > MAX_PACKED_K for task in taskset):
         return None
+    normalize_initial_history(initial_history)
     base = taskset.timebase()
     horizon = analysis_cache().get(
         (
@@ -178,15 +223,7 @@ def build_batch_item(
         type(policy).plan_recovery is not SchedulingPolicy.plan_recovery
     ):
         return None
-    histories = [
-        make_initial_history(task.mk, initial_history) for task in taskset
-    ]
-    ctx = PolicyContext(
-        taskset=taskset,
-        timebase=base,
-        horizon_ticks=horizon,
-        histories=histories,
-    )
+    ctx = PolicyContext(taskset=taskset, timebase=base, horizon_ticks=horizon)
     policy.prepare(ctx)
     profile = policy.profile(ctx)
     if profile is None or len(profile.tasks) != len(taskset):

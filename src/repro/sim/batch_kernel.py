@@ -374,15 +374,11 @@ class _Kernel:
                     -1,
                     0,
                 )
-            # Histories seed from each item's boundary condition; the
-            # default all-met window is exactly the full k-1-bit mask.
-            if item.initial_history == "met":
-                hist[s, :n] = [(1 << (kk - 1)) - 1 for kk in ks]
-            else:
-                hist[s, :n] = [
-                    packed_initial_window(task.mk, item.initial_history)
-                    for task in item.taskset
-                ]
+            # Histories seed from each item's boundary condition.
+            hist[s, :n] = [
+                packed_initial_window(task.mk, item.initial_history)
+                for task in item.taskset
+            ]
         k = rules[:, :, _K]
         rules[:, :, _K1] = k - 1
         rules[:, :, _KMASK] = (np.int64(1) << k) - 1

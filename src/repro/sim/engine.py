@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..model.history import (
-    MKHistory,
-    make_initial_history,
     normalize_initial_history,
+    packed_flexibility_degree,
+    packed_initial_window,
+    popcount,
 )
 from ..model.job import FINISHED_STATUSES, Job, JobOutcome, JobRole, JobStatus
 from ..model.taskset import TaskSet
@@ -69,8 +70,7 @@ _EV_RELEASE = 2
 _EV_ENQUEUE = 3
 
 
-@dataclass(frozen=True)
-class CopySpec:
+class CopySpec(NamedTuple):
     """One copy the policy wants to create for a released logical job."""
 
     role: JobRole
@@ -78,8 +78,7 @@ class CopySpec:
     enqueue_tick: int
 
 
-@dataclass(frozen=True)
-class ReleasePlan:
+class ReleasePlan(NamedTuple):
     """Policy verdict for one released logical job.
 
     Attributes:
@@ -106,7 +105,6 @@ class PolicyContext:
     taskset: TaskSet
     timebase: TimeBase
     horizon_ticks: int
-    histories: Sequence[MKHistory]
     dead_processor: Optional[int] = None
 
     @property
@@ -192,7 +190,10 @@ TransientFaultFn = Callable[[Job, int], bool]
 
 Receives the job copy and the completion tick; returns True on fault.
 A ``never_faults`` attribute set to True marks the callable as a
-statically-known no-op (the batch kernel then skips fault bookkeeping).
+statically-known no-op: the scalar engine never calls it and the batch
+kernel skips fault bookkeeping.  The engine calls a
+:class:`~repro.faults.types.TransientFaultModel` through its
+``job_faulted`` method.
 """
 
 ExecutionTimeFn = Callable[[int, int, int], int]
@@ -275,8 +276,10 @@ class SimulationResult:
 class _LogicalJob:
     """Engine-internal bookkeeping for one logical job.
 
-    ``record`` is None in stats mode; ``task_index`` and ``fd`` are kept
-    directly so outcome accounting and recovery planning never need it.
+    Each copy reaches it through :attr:`Job.entry`, and the job's
+    deadline event carries it.  ``record`` is None in stats mode;
+    ``task_index`` and ``fd`` are kept directly so outcome accounting
+    and recovery planning never need it.
     """
 
     __slots__ = ("record", "copies", "decided", "task_index", "fd")
@@ -372,15 +375,10 @@ class StandbySparingEngine:
         base = self.timebase
         taskset = self.taskset
         task_count = len(taskset)
-        histories = [
-            make_initial_history(task.mk, self._initial_history)
-            for task in taskset
-        ]
         ctx = PolicyContext(
             taskset=taskset,
             timebase=base,
             horizon_ticks=self.horizon,
-            histories=histories,
         )
         self.policy.prepare(ctx)
 
@@ -391,8 +389,15 @@ class StandbySparingEngine:
         plan_recovery = policy.plan_recovery
         horizon = self.horizon
         execution_time_fn = self.execution_time_fn
-        transient_fault_fn = self.transient_fault_fn
         collect = self.collect_trace
+        # The transient oracle, bound once: a fault model is called
+        # through its ``job_faulted``, and one statically known never to
+        # fault is not consulted at all.
+        oracle = self.transient_fault_fn
+        if oracle is None or getattr(oracle, "never_faults", False):
+            job_faulted = None
+        else:
+            job_faulted = getattr(oracle, "job_faulted", oracle)
 
         periods = [base.to_ticks(task.period) for task in taskset]
         deadlines = [base.to_ticks(task.deadline) for task in taskset]
@@ -436,11 +441,12 @@ class StandbySparingEngine:
 
         trace = ExecutionTrace(processor_count=2) if collect else None
         add_segment = trace.add_segment if collect else None
+        records = trace.records if collect else None
         stats = None if collect else RunStats(task_count)
+        violations = stats.violations if stats is not None else None
         alive = [True, True]
         mjq = [ReadyQueue(), ReadyQueue()]
         ojq = [ReadyQueue(), ReadyQueue()]
-        logical: Dict[Tuple[int, int], _LogicalJob] = {}
         # Copies with a scheduled future enqueue, per processor, so a
         # permanent fault can mark exactly the live postponed copies LOST
         # without scanning every logical job ever released.
@@ -458,23 +464,25 @@ class StandbySparingEngine:
         gap_cursor = [0, 0]
         window_end = [horizon, horizon]
 
-        # Lean per-task (m,k) trackers (stats mode): sliding window of the
-        # last k outcomes plus a ones count.  Exact replacement for the
-        # monitor's full replay because, with constrained deadlines
-        # (D <= P, enforced by the Task model), per-task decide order
-        # equals job order.
-        tr_k = [task.mk.k for task in taskset]
-        tr_m = [task.mk.m for task in taskset]
-        # Windows are packed into plain ints (bit 0 = newest outcome,
-        # bit k-1 = oldest); ``tr_len`` counts outcomes seen until the
-        # window first fills.
-        tr_window = [0] * task_count
-        tr_len = [0] * task_count
-        tr_ones = [0] * task_count
-        tr_kmask = [(1 << k) - 1 for k in tr_k]
+        # One packed (m,k) word per task: bit 0 = newest outcome, masked
+        # to k bits, seeded with the boundary window.  Its low k-1 bits
+        # give the next job's flexibility degree; once ``filled`` counts
+        # k real outcomes the word is exactly the last k-window, whose
+        # popcount the stats-mode violation count reads.  Reading the
+        # word in decide order is exact because, with constrained
+        # deadlines (D <= P, enforced by the Task model), a task's jobs
+        # are decided in job order.
+        mk_m = [task.mk.m for task in taskset]
+        mk_k = [task.mk.k for task in taskset]
+        mk_mask = [(1 << k) - 1 for k in mk_k]
+        words = [
+            packed_initial_window(task.mk, self._initial_history)
+            for task in taskset
+        ]
+        filled = [0] * task_count
 
         # Heap entries are (time, kind, seq, a, b); ``a``/``b`` are the
-        # kind-specific arguments (task/job indices, a Job, a processor).
+        # kind-specific arguments (a logical job, a copy, a processor).
         # Releases are NOT heap events: they stream from the timeline and
         # merge into the drain loop at kind rank _EV_RELEASE.
         heap: List[Tuple[int, int, int, object, object]] = []
@@ -496,57 +504,41 @@ class StandbySparingEngine:
 
         # -- helpers bound to local state -----------------------------------
 
-        def decide(entry: _LogicalJob, effective: bool, now: int) -> None:
-            """Finalize a logical job's (m,k) outcome exactly once."""
-            if entry.decided:
-                return
-            entry.decided = True
-            task_index = entry.task_index
-            if collect:
-                entry.record.outcome = (
-                    JobOutcome.EFFECTIVE if effective else JobOutcome.MISSED
-                )
-                entry.record.decided_at = now
-            else:
+        def record_outcome(task_index: int, effective: bool) -> None:
+            """Shift a decided outcome into its task's word (and count it
+            in stats mode)."""
+            word = ((words[task_index] << 1) | effective) & mk_mask[task_index]
+            words[task_index] = word
+            if not collect:
                 if effective:
                     stats.effective += 1
                 else:
                     stats.missed += 1
-                bit = 1 if effective else 0
-                k = tr_k[task_index]
-                win = tr_window[task_index]
-                count = tr_len[task_index]
-                if count == k:
-                    ones = tr_ones[task_index] - ((win >> (k - 1)) & 1) + bit
-                else:
+                count = filled[task_index]
+                k = mk_k[task_index]
+                if count < k:
                     count += 1
-                    tr_len[task_index] = count
-                    ones = tr_ones[task_index] + bit
-                tr_ones[task_index] = ones
-                tr_window[task_index] = ((win << 1) | bit) & tr_kmask[task_index]
-                if count == k and ones < tr_m[task_index]:
-                    stats.violations[task_index] += 1
-            histories[task_index].record(effective)
+                    filled[task_index] = count
+                if count == k and popcount(word) < mk_m[task_index]:
+                    violations[task_index] += 1
+
+        def decide(entry: _LogicalJob, effective: bool, now: int) -> None:
+            """Finalize an undecided logical job's (m,k) outcome."""
+            entry.decided = True
+            if collect:
+                record = entry.record
+                record.outcome = EFFECTIVE if effective else MISSED
+                record.decided_at = now
+            record_outcome(entry.task_index, effective)
 
         def abandon_copy(job: Job, now: int, reason: str) -> None:
-            if job.is_finished:
-                return
             job.status = JobStatus.ABANDONED
             if collect:
                 trace.log(now, "abandon", f"{job.name}/{job.role.value}: {reason}")
 
-        def cancel_copy(job: Job, now: int) -> None:
-            if job.is_finished:
-                return
-            job.status = JobStatus.CANCELED
-            if collect:
-                trace.log(now, "cancel", f"{job.name}/{job.role.value}")
-
-        def enqueue_copy(job: Job, now: int) -> None:
-            if job.is_finished:
-                return
+        def enqueue_copy(job: Job) -> None:
             job.status = JobStatus.READY
-            if job.role is JobRole.OPTIONAL:
+            if job.role is OPTIONAL:
                 ojq[job.processor].push(job.queue_key, job)
             else:
                 mjq[job.processor].push(job.queue_key, job)
@@ -555,16 +547,13 @@ class StandbySparingEngine:
             nonlocal transient_faults
             job.status = JobStatus.COMPLETED
             job.completion_time = now
-            faulted = bool(
-                transient_fault_fn and transient_fault_fn(job, now)
-            )
+            faulted = job_faulted is not None and job_faulted(job, now)
             job.faulted = faulted
+            entry = job.entry
             if faulted:
                 transient_faults += 1
                 if collect:
                     trace.log(now, "transient-fault", f"{job.name}/{job.role.value}")
-            entry = logical[job.key()]
-            if faulted:
                 if not entry.decided:
                     spec = plan_recovery(ctx, job, now)
                     if spec is not None:
@@ -574,18 +563,19 @@ class StandbySparingEngine:
                                 f"recovery onto dead processor {spec.processor}"
                             )
                         recovery = Job(
-                            task_index=job.task_index,
-                            job_index=job.job_index,
-                            role=spec.role,
-                            release=job.release,
-                            deadline=job.deadline,
-                            wcet=job.wcet,
-                            processor=spec.processor,
-                            enqueue_time=max(spec.enqueue_tick, now),
-                            speed=job.speed,
+                            job.task_index,
+                            job.job_index,
+                            spec.role,
+                            job.release,
+                            job.deadline,
+                            job.wcet,
+                            spec.processor,
+                            max(spec.enqueue_tick, now),
+                            job.speed,
+                            entry,
                         )
                         entry.copies.append(recovery)
-                        if spec.role is JobRole.OPTIONAL:
+                        if spec.role is OPTIONAL:
                             recovery.queue_key = (
                                 entry.fd,
                                 job.task_index,
@@ -596,56 +586,63 @@ class StandbySparingEngine:
                                 now, "recovery", f"{job.name}/{job.role.value}"
                             )
                         if recovery.enqueue_time <= now:
-                            enqueue_copy(recovery, now)
+                            enqueue_copy(recovery)
                         else:
                             defer_enqueue(recovery)
-                    elif job.role is JobRole.OPTIONAL:
+                    elif job.role is OPTIONAL:
                         # No backup and no recovery: the optional job is
                         # simply not effective.  Decide immediately (the
                         # deadline handler would reach the same verdict).
-                        decide(entry, effective=False, now=now)
+                        decide(entry, False, now)
                 return  # a faulted mandatory copy leaves its sibling running
             if now <= job.deadline and not entry.decided:
-                decide(entry, effective=True, now=now)
-            if job.sibling is not None and not job.sibling.is_finished:
-                cancel_copy(job.sibling, now)
+                decide(entry, True, now)
+            sibling = job.sibling
+            if sibling is not None and sibling.status not in finished_statuses:
+                sibling.status = JobStatus.CANCELED
+                if collect:
+                    trace.log(now, "cancel", f"{sibling.name}/{sibling.role.value}")
 
-        def handle_deadline(task_index: int, job_index: int, now: int) -> None:
-            entry = logical.get((task_index, job_index))
-            if entry is None:
-                raise SimulationError(
-                    f"deadline for unknown job ({task_index},{job_index})"
-                )
+        def handle_deadline(entry: _LogicalJob, now: int) -> bool:
+            """Abandon the logical job's unfinished copies and decide it
+            missed if undecided; True when a copy was abandoned."""
+            abandoned = False
             for job in entry.copies:
-                if not job.is_finished and job.status is not JobStatus.RUNNING:
-                    abandon_copy(job, now, "deadline passed")
-                elif job.status is JobStatus.RUNNING:
+                status = job.status
+                if status is RUNNING:
                     abandon_copy(job, now, "deadline passed while running")
+                    abandoned = True
+                elif status not in finished_statuses:
+                    abandon_copy(job, now, "deadline passed")
+                    abandoned = True
             if not entry.decided:
-                decide(entry, effective=False, now=now)
+                decide(entry, False, now)
+            return abandoned
 
-        def handle_release(task_index: int, job_index: int, now: int) -> None:
+        def handle_release(task_index: int, job_index: int, now: int) -> bool:
+            """Plan one release; True when a copy entered a ready queue."""
             nonlocal released_jobs
             release = now  # timeline entries fire exactly at their tick
             deadline = release + deadlines[task_index]
-            fd = histories[task_index].flexibility_degree()
-            plan = plan_release(
+            fd = packed_flexibility_degree(
+                words[task_index], mk_m[task_index], mk_k[task_index]
+            )
+            copies, classified = plan_release(
                 ctx, task_index, job_index, release, deadline, fd
             )
+            released_jobs += 1
             if collect:
                 record = LogicalJobRecord(
                     task_index=task_index,
                     job_index=job_index,
                     release=release,
                     deadline=deadline,
-                    classified_as=plan.classified_as,
+                    classified_as=classified,
                     flexibility_degree=fd,
                 )
-                trace.records[(task_index, job_index)] = record
-                entry = _LogicalJob(record, task_index, fd)
+                records[(task_index, job_index)] = record
             else:
-                entry = _LogicalJob(None, task_index, fd)
-                classified = plan.classified_as
+                record = None
                 if classified == "mandatory":
                     stats.mandatory += 1
                 elif classified == "optional":
@@ -653,8 +650,7 @@ class StandbySparingEngine:
                 elif classified == "skipped":
                     stats.skipped += 1
                 stats.released += 1
-            released_jobs += 1
-            if not plan.copies:
+            if not copies:
                 # A skipped job has no copy to run, so its deadline can
                 # only record a miss -- record it now, stamped with the
                 # deadline.  The order is unchanged: with D <= P and
@@ -662,9 +658,12 @@ class StandbySparingEngine:
                 # at or after this deadline, deadlines precede releases
                 # at equal ticks, and no policy reads another task's
                 # history.
-                decide(entry, False, deadline)
-                return
-            logical[(task_index, job_index)] = entry
+                if collect:
+                    record.outcome = MISSED
+                    record.decided_at = deadline
+                record_outcome(task_index, False)
+                return False
+            entry = _LogicalJob(record, task_index, fd)
 
             actual_wcet = wcets[task_index]
             if execution_time_fn is not None:
@@ -677,13 +676,14 @@ class StandbySparingEngine:
                         f"[1, {wcets[task_index]}] for job "
                         f"({task_index},{job_index})"
                     )
+            enqueued = False
             main_copy: Optional[Job] = None
-            for spec in plan.copies:
-                if not alive[spec.processor]:
+            for role, processor, enqueue_tick in copies:
+                if not alive[processor]:
                     # Planning onto a dead processor is a policy bug.
                     raise SimulationError(
                         f"policy {policy.name} planned a copy onto dead "
-                        f"processor {spec.processor}"
+                        f"processor {processor}"
                     )
                 # DVFS: main copies released while both processors live
                 # run their stretched budget at the plan's speed; backups,
@@ -691,7 +691,7 @@ class StandbySparingEngine:
                 # performance (the survivor has no slack to spend).
                 if (
                     dvfs_wcets is not None
-                    and spec.role is JobRole.MAIN
+                    and role is MAIN
                     and ctx.dead_processor is None
                 ):
                     copy_wcet = dvfs_wcets[task_index]
@@ -699,21 +699,23 @@ class StandbySparingEngine:
                 else:
                     copy_wcet = actual_wcet
                     copy_speed = 1
+                # Positional: a keyword call costs about twice as much.
                 job = Job(
-                    task_index=task_index,
-                    job_index=job_index,
-                    role=spec.role,
-                    release=release,
-                    deadline=deadline,
-                    wcet=copy_wcet,
-                    processor=spec.processor,
-                    enqueue_time=max(spec.enqueue_tick, release),
-                    speed=copy_speed,
+                    task_index,
+                    job_index,
+                    role,
+                    release,
+                    deadline,
+                    copy_wcet,
+                    processor,
+                    enqueue_tick if enqueue_tick > release else release,
+                    copy_speed,
+                    entry,
                 )
                 entry.copies.append(job)
-                if spec.role is JobRole.MAIN:
+                if role is MAIN:
                     main_copy = job
-                elif spec.role is JobRole.BACKUP:
+                elif role is BACKUP:
                     if main_copy is None:
                         raise SimulationError(
                             "a BACKUP copy requires a preceding MAIN copy"
@@ -722,10 +724,12 @@ class StandbySparingEngine:
                 else:
                     job.queue_key = (fd, task_index, job_index)
                 if job.enqueue_time <= now:
-                    enqueue_copy(job, now)
+                    enqueue_copy(job)
+                    enqueued = True
                 else:
                     defer_enqueue(job)
-            push_event(deadline, _EV_DEADLINE, task_index, job_index)
+            push_event(deadline, _EV_DEADLINE, entry)
+            return enqueued
 
         def handle_permfault(processor: int, now: int) -> None:
             if not alive[processor]:
@@ -764,9 +768,9 @@ class StandbySparingEngine:
 
         def drop_infeasible_optional(job: Job, now: int) -> None:
             abandon_copy(job, now, "cannot finish by deadline")
-            entry = logical[job.key()]
+            entry = job.entry
             if not entry.decided:
-                decide(entry, effective=False, now=now)
+                decide(entry, False, now)
 
         def pick(processor: int, now: int) -> Optional[Job]:
             top = mjq[processor].pop()
@@ -800,13 +804,28 @@ class StandbySparingEngine:
         # smaller priority key within the same queue).  This replaces the
         # seed engine's pop/re-push of every running job at every event
         # boundary with two O(1) head peeks per boundary.
+        #
+        # Dead boundaries cost nothing: the dispatch pass runs only when
+        # the drained events or completions enqueued a copy or finished
+        # one (completed, canceled, abandoned, lost); otherwise the
+        # running copies, the queues and the next completion tick are
+        # exactly as the last pass left them.  Heap heads that can change
+        # nothing -- the deadline of a decided job whose copies are all
+        # finished, the enqueue of a finished copy -- are popped before
+        # the next event tick is taken, so they never make a boundary.
 
         optional_preemption = policy.optional_preemption
         OPTIONAL = JobRole.OPTIONAL
+        MAIN = JobRole.MAIN
+        BACKUP = JobRole.BACKUP
         RUNNING = JobStatus.RUNNING
+        EFFECTIVE = JobOutcome.EFFECTIVE
+        MISSED = JobOutcome.MISSED
         finished_statuses = FINISHED_STATUSES
         heappop = heapq.heappop
         now = 0
+        changed = True
+        next_completion: Optional[int] = None
         guard = 0
         guard_limit = 10_000_000
         while True:
@@ -830,66 +849,92 @@ class StandbySparingEngine:
                             and head[1] < _EV_RELEASE
                         )
                     ):
-                        _, kind, _, a, b = heappop(heap)
+                        _, kind, _, a, _ = heappop(heap)
                         if kind == _EV_DEADLINE:
-                            handle_deadline(a, b, now)
+                            if handle_deadline(a, now):
+                                changed = True
                         elif kind == _EV_ENQUEUE:
                             pending[a.processor].discard(a)
-                            enqueue_copy(a, now)
+                            if a.status not in finished_statuses:
+                                enqueue_copy(a)
+                                changed = True
                         elif kind == _EV_PERMFAULT:
                             handle_permfault(a, now)
+                            changed = True
                         else:  # pragma: no cover
                             raise SimulationError(f"unknown event kind {kind!r}")
                         continue
                 if cursor < rel_count and rel_ticks[cursor] <= now:
-                    handle_release(rel_tasks[cursor], rel_jobs[cursor], now)
+                    if handle_release(rel_tasks[cursor], rel_jobs[cursor], now):
+                        changed = True
                     cursor += 1
                     continue
                 break
 
-            next_completion: Optional[int] = None
-            for processor in (PRIMARY, SPARE):
-                if not alive[processor]:
-                    continue
-                job = current[processor]
-                if job is not None and job.status in finished_statuses:
-                    # Canceled / abandoned / lost by an event handler.
-                    job = None
-                if job is not None:
-                    if job.role is OPTIONAL:
-                        if mjq[processor]:
-                            displaced = True
-                        elif optional_preemption:
-                            head = ojq[processor].head_key()
-                            displaced = head is not None and head < job.queue_key
-                        else:
-                            displaced = False
-                    else:
-                        head = mjq[processor].head_key()
-                        displaced = head is not None and head < job.queue_key
-                    if displaced:
-                        # A held (sticky) optional parks in its slot and
-                        # resumes ahead of the OJQ; anything else rejoins
-                        # its ready queue.
-                        if job is not sticky[processor]:
-                            enqueue_copy(job, now)
+            if changed:
+                changed = False
+                next_completion = None
+                for processor in (PRIMARY, SPARE):
+                    if not alive[processor]:
+                        continue
+                    job = current[processor]
+                    if job is not None and job.status in finished_statuses:
+                        # Canceled / abandoned / lost by an event handler.
                         job = None
-                if job is None:
-                    job = pick(processor, now)
-                if job is not None:
-                    job.status = RUNNING
-                    completion = now + job.remaining
-                    if next_completion is None or completion < next_completion:
-                        next_completion = completion
-                current[processor] = job
+                    if job is not None:
+                        if job.role is OPTIONAL:
+                            if mjq[processor]:
+                                displaced = True
+                            elif optional_preemption:
+                                head = ojq[processor].head_key()
+                                displaced = head is not None and head < job.queue_key
+                            else:
+                                displaced = False
+                        else:
+                            head = mjq[processor].head_key()
+                            displaced = head is not None and head < job.queue_key
+                        if displaced:
+                            # A held (sticky) optional parks in its slot
+                            # and resumes ahead of the OJQ; anything else
+                            # rejoins its ready queue.
+                            if job is not sticky[processor]:
+                                enqueue_copy(job)
+                            job = None
+                    if job is None:
+                        job = pick(processor, now)
+                    if job is not None:
+                        job.status = RUNNING
+                        completion = now + job.remaining
+                        if next_completion is None or completion < next_completion:
+                            next_completion = completion
+                    current[processor] = job
 
-            next_heap_time = heap[0][0] if heap else None
-            next_release_time = rel_ticks[cursor] if cursor < rel_count else None
-            next_time = next_heap_time
-            if next_release_time is not None and (
-                next_time is None or next_release_time < next_time
-            ):
-                next_time = next_release_time
+            while heap:
+                head = heap[0]
+                kind = head[1]
+                if kind == _EV_DEADLINE:
+                    entry = head[3]
+                    if not entry.decided:
+                        break
+                    for job in entry.copies:
+                        if job.status not in finished_statuses:
+                            break
+                    else:
+                        heappop(heap)
+                        continue
+                elif kind == _EV_ENQUEUE:
+                    job = head[3]
+                    if job.status in finished_statuses:
+                        heappop(heap)
+                        pending[job.processor].discard(job)
+                        continue
+                break
+
+            next_time = heap[0][0] if heap else None
+            if cursor < rel_count:
+                next_release_time = rel_ticks[cursor]
+                if next_time is None or next_release_time < next_time:
+                    next_time = next_release_time
             if next_completion is not None and (
                 next_time is None or next_completion < next_time
             ):
@@ -943,6 +988,7 @@ class StandbySparingEngine:
                     if job is sticky[processor]:
                         sticky[processor] = None
                     handle_completion(job, now)
+                    changed = True
 
         if collect:
             trace.validate()

@@ -41,11 +41,12 @@ its processor until it finishes or becomes infeasible) and
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from ..model.job import JobRole
-from ..model.patterns import Pattern
+from ..model.patterns import Pattern, is_window_periodic
 from .engine import (
     PRIMARY,
     SPARE,
@@ -56,6 +57,11 @@ from .engine import (
 )
 
 CLASSIFICATIONS = ("fd", "pattern", "all")
+
+MAIN = JobRole.MAIN
+BACKUP = JobRole.BACKUP
+OPTIONAL = JobRole.OPTIONAL
+_SKIP = ReleasePlan.skip()
 
 
 @dataclass(frozen=True)
@@ -130,9 +136,46 @@ class ProfiledPolicy(SchedulingPolicy):
             max_copies=max_copies,
         )
         self._next_optional = [task.optional_processor for task in rules]
+        # Compiled by the first plan_release, not here: the batch kernel
+        # prepares policies too but reads only the profile.
+        self._compiled = None
 
     def profile(self, ctx: PolicyContext) -> SchemeProfile:
         return self._profile
+
+    def _compile(self) -> list:
+        """Each task's rules as a flat tuple :meth:`plan_release` unpacks.
+
+        The first field says which jobs are mandatory: None for the FD
+        rule, True for all of them, a window-periodic pattern's window
+        (read by job phase), or any other pattern's ``is_mandatory``.
+        ``fd_max`` None (no bound) becomes a bound no degree reaches.
+        """
+        compiled = []
+        for rules in self._profile.tasks:
+            classification = rules.classification
+            if classification == "fd":
+                static = None
+            elif classification == "all":
+                static = True
+            elif is_window_periodic(rules.pattern):
+                static = tuple(bit == 1 for bit in rules.pattern.window())
+            else:
+                static = rules.pattern.is_mandatory
+            compiled.append(
+                (
+                    static,
+                    sys.maxsize if rules.fd_max is None else rules.fd_max,
+                    rules.main_processor,
+                    rules.backup_offset,
+                    rules.optional_processor,
+                    rules.alternate_optionals,
+                    rules.postfault_main_offset,
+                    rules.postfault_optionals,
+                )
+            )
+        self._compiled = compiled
+        return compiled
 
     def plan_release(
         self,
@@ -143,52 +186,58 @@ class ProfiledPolicy(SchedulingPolicy):
         deadline: int,
         fd: int,
     ) -> ReleasePlan:
-        rules = self._profile.tasks[task_index]
-        classification = rules.classification
-        if classification == "fd":
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compile()
+        (
+            static, fd_max, main, backup_offset, optional_processor,
+            alternate, postfault_offset, postfault_optionals,
+        ) = compiled[task_index]  # fmt: skip
+        if static is None:
             mandatory = fd == 0
-        elif classification == "pattern":
-            mandatory = rules.pattern.is_mandatory(job_index)
-        else:
+        elif static is True:
             mandatory = True
+        elif type(static) is tuple:
+            mandatory = static[(job_index - 1) % len(static)]
+        else:
+            mandatory = static(job_index)
+        fault_mode = ctx.dead_processor is not None
         if mandatory:
-            if ctx.fault_mode:
+            if fault_mode:
                 survivor = ctx.surviving_processor()
-                enqueue = release + rules.postfault_main_offset[survivor]
                 return ReleasePlan(
-                    copies=(CopySpec(JobRole.MAIN, survivor, enqueue),),
-                    classified_as="mandatory",
-                )
-            main = rules.main_processor
-            if rules.backup_offset is None:
-                copies: Tuple[CopySpec, ...] = (
-                    CopySpec(JobRole.MAIN, main, release),
-                )
-            else:
-                copies = (
-                    CopySpec(JobRole.MAIN, main, release),
-                    CopySpec(
-                        JobRole.BACKUP,
-                        SPARE if main == PRIMARY else PRIMARY,
-                        release + rules.backup_offset,
+                    (
+                        CopySpec(
+                            MAIN, survivor, release + postfault_offset[survivor]
+                        ),
                     ),
+                    "mandatory",
                 )
-            return ReleasePlan(copies=copies, classified_as="mandatory")
-        fd_max = rules.fd_max
-        if fd < 1 or (fd_max is not None and fd > fd_max):
-            return ReleasePlan.skip()
-        if ctx.fault_mode:
-            if not rules.postfault_optionals:
-                return ReleasePlan.skip()
+            if backup_offset is None:
+                return ReleasePlan((CopySpec(MAIN, main, release),), "mandatory")
+            return ReleasePlan(
+                (
+                    CopySpec(MAIN, main, release),
+                    CopySpec(
+                        BACKUP,
+                        SPARE if main == PRIMARY else PRIMARY,
+                        release + backup_offset,
+                    ),
+                ),
+                "mandatory",
+            )
+        if fd < 1 or fd > fd_max:
+            return _SKIP
+        if fault_mode:
+            if not postfault_optionals:
+                return _SKIP
             processor = ctx.surviving_processor()
-        elif rules.alternate_optionals:
+        elif alternate:
             processor = self._next_optional[task_index]
             self._next_optional[task_index] = (
                 SPARE if processor == PRIMARY else PRIMARY
             )
         else:
-            processor = rules.optional_processor
-        return ReleasePlan(
-            copies=(CopySpec(JobRole.OPTIONAL, processor, release),),
-            classified_as="optional",
-        )
+            processor = optional_processor
+        return ReleasePlan((CopySpec(OPTIONAL, processor, release),), "optional")
+

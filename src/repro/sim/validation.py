@@ -54,9 +54,11 @@ Separate entry points cover the remaining surfaces:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..energy.accounting import active_energy_of
@@ -327,7 +329,8 @@ def audit_result(
     issues.extend(_audit_classification(result, spec, initial_history))
     issues.extend(_audit_placement(result, spec))
     issues.extend(_audit_offsets(result, spec))
-    issues.extend(_audit_priority(result, spec))
+    running, waiting = _priority_intervals(result, spec)
+    issues.extend(_priority_scan(running, waiting, spec.optional_preemption))
     return issues
 
 
@@ -582,27 +585,26 @@ def _audit_offsets(
     return issues
 
 
-def _audit_priority(
-    result: SimulationResult, spec: SchemeProfile
-) -> List[ValidationIssue]:
-    """Fixed-priority queue conformance (Algorithm 1, lines 2-9).
+#: processor -> [(start, end, is_optional, queue_key, label)]
+_Intervals = Dict[int, List[Tuple[int, int, bool, tuple, str]]]
 
-    Reconstructs, per processor, when each copy *ran* (its segments) and
-    when it was demonstrably *ready but not running*: from its expected
-    enqueue tick to its first segment, and between consecutive segments
-    of the same copy.  A violation is a running segment overlapping a
-    waiting interval of (a) a mandatory-queue copy while an optional
-    runs, or (b) a strictly higher-priority copy of the same queue
-    class.
+
+def _priority_intervals(
+    result: SimulationResult, spec: SchemeProfile
+) -> Tuple[_Intervals, _Intervals]:
+    """Per processor, when each copy ran and when it demonstrably waited.
+
+    The input of the fixed-priority queue check (Algorithm 1, lines
+    2-9; see :func:`_priority_scan`): a copy *ran* during its segments
+    and was *ready but not running* from its expected enqueue tick to
+    its first segment, and between consecutive segments of the same
+    copy.
 
     Conservative by construction: copies that never ran contribute no
-    waiting intervals, pre-first-segment intervals are dropped when
-    transient faults occurred (recovery copies enqueue at fault-detection
-    times the trace does not record), and optional-vs-optional checks
-    are skipped for non-preemptive-optional schemes (a dispatched
-    optional legitimately holds its processor there).
+    waiting intervals, and pre-first-segment intervals are dropped when
+    transient faults occurred (recovery copies enqueue at
+    fault-detection times the trace does not record).
     """
-    issues: List[ValidationIssue] = []
     trace = result.trace
     records = trace.records
     have_transients = result.transient_fault_count > 0
@@ -615,13 +617,8 @@ def _audit_priority(
              segment.job_index, segment.role)
         ].append(segment)
 
-    # processor -> [(start, end, is_optional, queue_key, label)]
-    running: Dict[int, List[Tuple[int, int, bool, tuple, str]]] = (
-        defaultdict(list)
-    )
-    waiting: Dict[int, List[Tuple[int, int, bool, tuple, str]]] = (
-        defaultdict(list)
-    )
+    running: _Intervals = defaultdict(list)
+    waiting: _Intervals = defaultdict(list)
     for (processor, task_index, job_index, role), segs in groups.items():
         record = records.get((task_index, job_index))
         if record is None:
@@ -649,12 +646,39 @@ def _audit_priority(
                 waiting[processor].append(
                     (prev.end, nxt.start, is_optional, key, label)
                 )
+    return running, waiting
 
+
+def _priority_scan(
+    running: _Intervals, waiting: _Intervals, optional_preemption: bool
+) -> List[ValidationIssue]:
+    """Fixed-priority queue conformance over :func:`_priority_intervals`.
+
+    A violation is a running segment overlapping a waiting interval of
+    (a) a mandatory-queue copy while an optional runs, or (b) a strictly
+    higher-priority copy of the same queue class.  Optional-vs-optional
+    checks are skipped when ``optional_preemption`` is False (a
+    dispatched optional legitimately holds its processor there).
+    """
+    issues: List[ValidationIssue] = []
     for processor, waits in waiting.items():
         runs = running[processor]
+        # Runs in start order, with the running maximum of their ends:
+        # the runs overlapping a wait all lie between the first whose
+        # reach passes the wait's start and the first starting at or
+        # after its end.  (On one processor the runs are disjoint, so the
+        # slice is exactly the overlapping runs; the running maximum
+        # keeps it complete on a trace whose runs overlap.)  Each slice
+        # is visited in insertion order, as an all-pairs scan would.
+        order = sorted(range(len(runs)), key=lambda index: runs[index][0])
+        starts = [runs[index][0] for index in order]
+        reach = list(accumulate((runs[index][1] for index in order), max))
         for wstart, wend, w_opt, w_key, w_label in waits:
-            for rstart, rend, r_opt, r_key, r_label in runs:
-                if rend <= wstart or rstart >= wend:
+            lo = bisect_right(reach, wstart)
+            hi = bisect_left(starts, wend)
+            for index in sorted(order[lo:hi]):
+                rstart, rend, r_opt, r_key, r_label = runs[index]
+                if rend <= wstart:
                     continue
                 if w_key == r_key and w_opt == r_opt:
                     continue  # the same copy identity (recovery re-runs)
@@ -669,7 +693,7 @@ def _audit_priority(
                         )
                     )
                 elif w_opt == r_opt:
-                    if w_opt and not spec.optional_preemption:
+                    if w_opt and not optional_preemption:
                         continue
                     if w_key < r_key:
                         issues.append(
@@ -714,37 +738,39 @@ def _expected_decomposition(
             busy = base.from_ticks(
                 result.trace.busy_ticks(processor, (0, window_end))
             )
-            idle = Fraction(0)
-            sleep = Fraction(0)
-            transitions = 0
+            counts: Dict[int, int] = {}
             for gap_start, gap_end in result.trace.idle_gaps(
                 processor, (0, window_end)
             ):
-                gap = base.from_ticks(gap_end - gap_start)
-                if shutdown_decision(gap, model):
-                    sleep += gap
-                    transitions += 1
-                else:
-                    idle += gap
-            expected[processor] = (busy, idle, sleep, transitions)
+                length = gap_end - gap_start
+                counts[length] = counts.get(length, 0) + 1
+            expected[processor] = (busy,) + _split_gaps(counts, base, model)
         return expected
     stats = result.stats
     if stats is None:  # pragma: no cover - engine fills one of the two
         raise ValueError("result has neither trace nor stats")
     for processor, counts in enumerate(stats.gap_counts):
         busy = base.from_ticks(result.busy_by_processor[processor])
-        idle = Fraction(0)
-        sleep = Fraction(0)
-        transitions = 0
-        for length, count in counts.items():
-            gap = base.from_ticks(length)
-            if shutdown_decision(gap, model):
-                sleep += gap * count
-                transitions += count
-            else:
-                idle += gap * count
-        expected[processor] = (busy, idle, sleep, transitions)
+        expected[processor] = (busy,) + _split_gaps(counts, base, model)
     return expected
+
+
+def _split_gaps(
+    counts: Dict[int, int], base, model
+) -> Tuple[Fraction, Fraction, int]:
+    """(idle, sleep, transitions) of a gap-length multiset under the DPD
+    rule, deciding each distinct length once."""
+    idle = Fraction(0)
+    sleep = Fraction(0)
+    transitions = 0
+    for length, count in counts.items():
+        gap = base.from_ticks(length)
+        if shutdown_decision(gap, model):
+            sleep += gap * count
+            transitions += count
+        else:
+            idle += gap * count
+    return idle, sleep, transitions
 
 
 def _expected_speed_units(

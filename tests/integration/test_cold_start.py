@@ -67,3 +67,33 @@ def test_imports_and_a_pool_sweep_leave_numpy_unloaded():
 def test_batch_sweep_loads_numpy_on_demand():
     pytest.importorskip("numpy", reason="the batch backend requires numpy")
     assert _numpy_loaded("batch") == (False, True)
+
+
+def test_service_default_backend_resolves_without_numpy():
+    """A spec that omits ``backend`` is resolved on the server's event
+    loop: a smoke-width one must pick the batch kernel from numpy's
+    installed version, leaving the import to the thread that runs it."""
+    pytest.importorskip("numpy", reason="the batch backend requires numpy")
+    script = textwrap.dedent(
+        """
+        import sys
+
+        from repro.service.spec import SweepSpec
+
+        spec = SweepSpec.from_dict({"faults": "transient"})
+        print(spec.backend, "numpy" in sys.modules)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(SRC) + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        check=True,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.stdout.split() == ["batch", "False"]

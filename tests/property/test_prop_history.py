@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.model.history import MKHistory, flexibility_degree
+from repro.model.history import (
+    INITIAL_HISTORY_MODES,
+    MKHistory,
+    flexibility_degree,
+    make_initial_history,
+    packed_flexibility_degree,
+    packed_initial_window,
+    popcount,
+)
 from repro.model.mk import MKConstraint
+from repro.qos.monitor import MKMonitor
 
 mk_pairs = st.integers(min_value=2, max_value=15).flatmap(
     lambda k: st.tuples(st.integers(min_value=1, max_value=k - 1), st.just(k))
@@ -62,17 +72,48 @@ def test_miss_decreases_fd_by_at_most_one(pair, history):
     assert after >= before - 1
 
 
-@given(mk_pairs, st.lists(st.booleans(), min_size=1, max_size=60))
-def test_mkhistory_agrees_with_function(pair, outcomes):
-    m, k = pair
+#: Every (m, k) with 1 <= m <= k <= 20 -- k = 1 and hard tasks (m = k)
+#: included -- plus windows of 60 (the batch kernel's deepest packing),
+#: each with an outcome sequence at least one window long.
+mk_runs = st.one_of(
+    st.integers(min_value=1, max_value=20).flatmap(
+        lambda k: st.tuples(st.integers(min_value=1, max_value=k), st.just(k))
+    ),
+    st.tuples(st.integers(min_value=1, max_value=60), st.just(60)),
+).flatmap(
+    lambda pair: st.tuples(
+        st.just(pair),
+        st.lists(st.booleans(), min_size=pair[1], max_size=3 * pair[1]),
+    )
+)
+
+
+@pytest.mark.parametrize("mode", INITIAL_HISTORY_MODES)
+@given(mk_runs)
+def test_mkhistory_agrees_with_function(mode, run):
+    """After every outcome, the three flexibility-degree trackers agree
+    -- :class:`MKHistory`, :func:`flexibility_degree` over the seeded
+    outcome list, and the packed word the engine keeps -- and the word's
+    popcount counts the violated windows :class:`MKMonitor` reports."""
+    (m, k), outcomes = run
     mk = MKConstraint(m, k)
-    tracker = MKHistory(mk)
-    recorded = []
-    for outcome in outcomes:
-        assert tracker.flexibility_degree() == flexibility_degree(recorded, mk)
-        tracker.record(outcome)
-        recorded.append(outcome)
-    assert tracker.flexibility_degree() == flexibility_degree(recorded, mk)
+    tracker = make_initial_history(mk, mode)
+    recorded = list(tracker.outcomes())
+    word = packed_initial_window(mk, mode)
+    monitor = MKMonitor(mk)
+    filled = violations = 0
+    for outcome in [None] + outcomes:
+        if outcome is not None:
+            tracker.record(outcome)
+            recorded.append(outcome)
+            monitor.record(outcome)
+            word = ((word << 1) | outcome) & ((1 << k) - 1)
+            filled = min(filled + 1, k)
+            violations += filled == k and popcount(word) < m
+        fd = tracker.flexibility_degree()
+        assert flexibility_degree(recorded, mk) == fd
+        assert packed_flexibility_degree(word, m, k) == fd
+        assert violations == len(monitor.violations)
 
 
 @given(mk_pairs)

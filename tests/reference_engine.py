@@ -113,7 +113,6 @@ class ReferenceStandbySparingEngine:
             taskset=taskset,
             timebase=base,
             horizon_ticks=self.horizon,
-            histories=histories,
         )
         self.policy.prepare(ctx)
 

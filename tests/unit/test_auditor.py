@@ -20,8 +20,12 @@ from repro.harness.validate import (
     audit_scheme,
     conformance_spec,
 )
+from repro.model.task import Task
+from repro.model.taskset import TaskSet
 from repro.schedulers import DistanceBasedPriority, SingleProcessorFP
 from repro.sim.validation import (
+    ValidationIssue,
+    _priority_intervals,
     audit_energy,
     audit_result,
     compare_ledgers,
@@ -258,6 +262,74 @@ class TestSeededMutations:
         )
         issues = audit_result(outcome.result, spec)
         assert "overlap" in _kinds(issues)
+
+    def test_priority_inversions_match_all_pairs_scan(self):
+        # Four hard tasks released together every 10 ticks: MKSS_ST runs
+        # their mains on the primary in priority order, tau1 [0,1), tau2
+        # [1,3), tau3 [3,5), tau4 [5,8).  Running them in reverse order
+        # instead makes each main wait while every lower-priority main
+        # runs: six inversions per period, two periods.  The trace lists
+        # the mains in priority order, the reverse of their start order,
+        # so the scan must report each wait's inversions in that order.
+        taskset = TaskSet([Task(10, 10, wcet, 2, 2) for wcet in (1, 2, 2, 3)])
+        outcome = run_scheme(taskset, "MKSS_ST", horizon_cap_units=40)
+        spec = conformance_spec(taskset, "MKSS_ST", 40)
+        trace = outcome.result.trace
+        reversed_order = ((7, 8), (5, 7), (3, 5), (0, 3))
+        for task_index, (start, end) in enumerate(reversed_order):
+            for job_index in (1, 2):
+                _replace_segment(
+                    trace,
+                    lambda s, key=(task_index, job_index): s.processor == 0
+                    and (s.task_index, s.job_index) == key,
+                    start=10 * (job_index - 1) + start,
+                    end=10 * (job_index - 1) + end,
+                )
+        running, waiting = _priority_intervals(outcome.result, spec)
+        expected = _all_pairs_priority_scan(
+            running, waiting, spec.optional_preemption
+        )
+        assert len(expected) == 12
+        issues = audit_result(outcome.result, spec)
+        assert [issue for issue in issues if issue.kind == "priority"] == expected
+
+
+def _all_pairs_priority_scan(running, waiting, optional_preemption):
+    """The priority check as every waiting interval against every run on
+    its processor: the reference the bisecting scan must reproduce."""
+    issues = []
+    for processor, waits in waiting.items():
+        runs = running[processor]
+        for wstart, wend, w_opt, w_key, w_label in waits:
+            for rstart, rend, r_opt, r_key, r_label in runs:
+                if rend <= wstart or rstart >= wend:
+                    continue
+                if w_key == r_key and w_opt == r_opt:
+                    continue
+                overlap = (max(wstart, rstart), min(wend, rend))
+                if not w_opt and r_opt:
+                    issues.append(
+                        ValidationIssue(
+                            "priority",
+                            f"optional {r_label} ran on processor "
+                            f"{processor} during {overlap} while mandatory "
+                            f"{w_label} was ready",
+                        )
+                    )
+                elif w_opt == r_opt:
+                    if w_opt and not optional_preemption:
+                        continue
+                    if w_key < r_key:
+                        issues.append(
+                            ValidationIssue(
+                                "priority",
+                                f"{r_label} (key {r_key}) ran on processor "
+                                f"{processor} during {overlap} while "
+                                f"higher-priority {w_label} (key {w_key}) "
+                                f"was ready",
+                            )
+                        )
+    return issues
 
 
 class TestFaultyRunsAudit:

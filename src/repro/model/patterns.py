@@ -18,7 +18,8 @@ consecutive jobs contains at least m mandatory slots.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Protocol, runtime_checkable
+from itertools import accumulate
+from typing import Iterator, List, Optional, Protocol, runtime_checkable
 
 from ..errors import ModelError
 from .mk import MKConstraint
@@ -38,10 +39,13 @@ class Pattern(Protocol):
 class _PeriodicPattern:
     """Shared machinery for patterns periodic in the window length k."""
 
-    __slots__ = ("mk",)
+    __slots__ = ("mk", "_prefix")
 
     def __init__(self, mk: MKConstraint) -> None:
         self.mk = mk
+        #: ``_prefix[j]``: mandatory jobs among 1..j of one window
+        #: (j = 0..k), filled by the first count.
+        self._prefix: Optional[List[int]] = None
 
     def is_mandatory(self, job_index: int) -> bool:
         raise NotImplementedError
@@ -67,8 +71,9 @@ class _PeriodicPattern:
     def mandatory_count_in(self, job_lo: int, job_hi: int) -> int:
         """Number of mandatory jobs with index in [job_lo, job_hi] (1-based).
 
-        Computed in O(k) via the pattern's periodicity, so demand-bound
-        analysis over long horizons stays cheap.
+        Computed in O(1) from one window's prefix sums via the pattern's
+        periodicity, so demand-bound analysis over long horizons stays
+        cheap.
         """
         if job_hi < job_lo:
             return 0
@@ -78,11 +83,11 @@ class _PeriodicPattern:
         """Mandatory jobs among indices 1..job_hi."""
         if job_hi <= 0:
             return 0
-        k = self.mk.k
-        per_window = sum(self.window())
-        full, rest = divmod(job_hi, k)
-        partial = sum(int(self.is_mandatory(j)) for j in range(1, rest + 1))
-        return full * per_window + partial
+        prefix = self._prefix
+        if prefix is None:
+            prefix = self._prefix = list(accumulate(self.window(), initial=0))
+        full, rest = divmod(job_hi, self.mk.k)
+        return full * prefix[-1] + prefix[rest]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(mk={self.mk})"

@@ -10,7 +10,9 @@ Durability comes from reusing the harness's own seams rather than a
 separate queue store:
 
 * the **job record** (``jobs/<digest>.json``) is the small metadata
-  envelope (spec, tenant, state) that survives restarts;
+  envelope (spec, tenant, submission time) that survives restarts.  It
+  is written once, at submission, and rewritten only to record a
+  failure's error; it stores no state;
 * the **journal** (``journals/<digest>.jsonl``) is the real work queue:
   every finished (task set, scheme) simulation checkpoints there, so a
   killed server resumes a sweep at the granularity of individual jobs
@@ -19,6 +21,14 @@ separate queue store:
   artifact; its existence is what "done" means;
 * the **event history** (``events/<digest>.jsonl``) replays the run's
   :mod:`repro.harness.events` stream to late-attaching subscribers.
+
+A job's state is derived from these, never stored: a stored result is
+``done``, a recorded error is ``failed``, anything else is ``queued``
+(``running`` lives only in memory, while a worker executes the sweep).
+So finishing a job writes only its result, and a restart writes
+nothing.  Not rewriting the record is also what keeps the finish cheap:
+replacing a file whose blocks the filesystem has allocated frees them,
+which can stall the event loop for tens of milliseconds.
 
 Backpressure is admission control, not queue blocking: when the global
 or per-tenant bound is hit, :meth:`JobManager.submit` raises
@@ -45,6 +55,8 @@ from .store import ResultStore
 
 #: Job lifecycle states, in order.  ``queued`` and ``running`` count
 #: against the admission bounds; ``done`` / ``failed`` are terminal.
+#: None is stored: a record loads as ``done`` when its result is stored,
+#: ``failed`` when it carries an error, and ``queued`` otherwise.
 JOB_STATES = ("queued", "running", "done", "failed")
 
 #: Sentinel pushed to subscriber queues when a job reaches a terminal
@@ -75,7 +87,6 @@ class Job:
     error: Optional[str] = None
     cached: bool = False
     submitted_at: float = field(default_factory=time.time)
-    finished_at: Optional[float] = None
     #: Payload of the sweep's GENERATION event: where the task sets came
     #: from ("cache"/"generated"), generation seconds, and the shared
     #: generation-cache counters (hits / entries / bytes).
@@ -139,14 +150,13 @@ class JobManager:
         return self.config.path("events", f"{digest}.jsonl")
 
     def _persist(self, job: Job) -> None:
+        """Write the job's record: at submission, and once on failure."""
         record = {
             "digest": job.digest,
             "spec": job.spec.to_dict(),
             "tenant": job.tenant,
-            "state": job.state,
             "error": job.error,
             "submitted_at": job.submitted_at,
-            "finished_at": job.finished_at,
         }
         path = self._record_path(job.digest)
         tmp = path + ".tmp"
@@ -158,11 +168,14 @@ class JobManager:
     def _recover(self) -> None:
         """Reload job records; requeue work interrupted by a shutdown.
 
-        A record whose result document exists is ``done`` regardless of
-        the state it was persisted with (the result write is the commit
-        point).  A record persisted as ``queued``/``running`` without a
-        result is exactly the crash case the journal exists for: it goes
-        back on the queue and its sweep resumes from the journal.
+        Each record's state is derived, and nothing is written back.  A
+        record whose result document exists is ``done`` (the result
+        write is the commit point); one that carries an error is
+        ``failed`` and stays so until its spec is resubmitted.  Any
+        other record is exactly the crash case the journal exists for:
+        it goes back on the queue and its sweep resumes from the
+        journal.  The ``state`` and ``finished_at`` keys that older
+        servers stored are ignored.
 
         A record written before an execution knob was removed is read
         without that knob (:data:`REMOVED_SPEC_KEYS`).  A record that
@@ -178,26 +191,23 @@ class JobManager:
             if not name.endswith(".json"):
                 continue
             try:
-                job, persisted_state = self._load_record(
-                    os.path.join(jobs_dir, name)
-                )
+                job = self._load_record(os.path.join(jobs_dir, name))
             except (OSError, ValueError, KeyError, TypeError,
                     ConfigurationError) as exc:
                 self.skipped.append(f"{name}: {type(exc).__name__}: {exc}")
                 continue
             if job.digest in self.store:
                 job.state = "done"
-            elif job.state in ("queued", "running"):
-                job.state = "queued"
+            elif job.error is not None:
+                job.state = "failed"
+            else:
                 self._queue.put_nowait(job.digest)
                 self.recovered.append(job.digest)
             self.jobs[job.digest] = job
-            if job.state != persisted_state:
-                self._persist(job)
 
     @staticmethod
-    def _load_record(path: str) -> Tuple[Job, Any]:
-        """One job record as ``(job, persisted state)``; raises if unreadable."""
+    def _load_record(path: str) -> Job:
+        """One job record as a ``queued`` job; raises if unreadable."""
         with open(path, encoding="utf-8") as handle:
             record = json.load(handle)
         if not isinstance(record, dict):
@@ -215,16 +225,13 @@ class JobManager:
                 f"spec digests to {spec.digest()}, not the record's "
                 f"{record['digest']}"
             )
-        job = Job(
+        return Job(
             digest=record["digest"],
             spec=spec,
             tenant=record.get("tenant", "anonymous"),
-            state=record.get("state", "queued"),
             error=record.get("error"),
             submitted_at=record.get("submitted_at", 0.0),
-            finished_at=record.get("finished_at"),
         )
-        return job, record.get("state")
 
     # -- admission -----------------------------------------------------
 
@@ -248,12 +255,13 @@ class JobManager:
         digest = spec.digest()
         existing = self.jobs.get(digest)
         if digest in self.store:
-            if existing is None or existing.state != "done":
-                existing = existing or Job(digest=digest, spec=spec, tenant=tenant)
-                existing.state = "done"
-                existing.error = None
+            if existing is None:
+                existing = Job(digest=digest, spec=spec, tenant=tenant)
                 self.jobs[digest] = existing
-                self._persist(existing)
+                if not os.path.exists(self._record_path(digest)):
+                    self._persist(existing)
+            existing.state = "done"
+            existing.error = None
             existing.cached = True
             return existing, False
         if existing is not None and existing.state in ("queued", "running"):
@@ -354,19 +362,16 @@ class JobManager:
             if job is None or job.state not in ("queued",):
                 continue
             job.state = "running"
-            self._persist(job)
             try:
                 sweep = await self.loop.run_in_executor(
                     None, self._run_sweep, job
                 )
                 self.store.put(digest, sweep)
                 job.state = "done"
-                job.error = None
             except Exception:
                 job.state = "failed"
                 job.error = traceback.format_exc(limit=8)
-            job.finished_at = time.time()
-            self._persist(job)
+                self._persist(job)
             self._finish_stream(digest)
 
     def _run_sweep(self, job: Job):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.model.mk import MKConstraint
@@ -16,6 +16,12 @@ from repro.model.patterns import (
 mk_pairs = st.integers(min_value=2, max_value=20).flatmap(
     lambda k: st.tuples(st.integers(min_value=1, max_value=k), st.just(k))
 )
+#: Counting is checked on hard constraints (m = k, k = 1 included) as
+#: often as on firm ones: R-patterns special-case them.
+count_pairs = st.one_of(
+    mk_pairs, st.integers(min_value=1, max_value=20).map(lambda k: (k, k))
+)
+bases = st.sampled_from([RPattern, EPattern])
 
 
 @given(mk_pairs)
@@ -50,22 +56,25 @@ def test_first_job_mandatory(pair):
     assert EPattern(mk).is_mandatory(1)
 
 
-@given(mk_pairs, st.integers(min_value=0, max_value=200))
-def test_prefix_count_matches_enumeration(pair, count):
+@given(count_pairs, bases, st.integers(min_value=0, max_value=200))
+@example((1, 1), RPattern, 3)
+@example((5, 5), EPattern, 12)
+def test_prefix_count_matches_enumeration(pair, base, count):
     m, k = pair
-    pattern = RPattern(MKConstraint(m, k))
+    pattern = base(MKConstraint(m, k))
     expected = sum(int(pattern.is_mandatory(j)) for j in range(1, count + 1))
     assert pattern.mandatory_count_in(1, count) == expected
 
 
 @given(
-    mk_pairs,
+    count_pairs,
+    bases,
     st.integers(min_value=1, max_value=100),
     st.integers(min_value=0, max_value=100),
 )
-def test_range_count_is_additive(pair, lo, width):
+def test_range_count_is_additive(pair, base, lo, width):
     m, k = pair
-    pattern = EPattern(MKConstraint(m, k))
+    pattern = base(MKConstraint(m, k))
     hi = lo + width
     left = pattern.mandatory_count_in(1, lo - 1)
     right = pattern.mandatory_count_in(lo, hi)
@@ -75,10 +84,12 @@ def test_range_count_is_additive(pair, lo, width):
 # --- Rotated patterns (the enhanced-FP admission lever) --------------------
 
 rotations = st.integers(min_value=0, max_value=45)
-bases = st.sampled_from([RPattern, EPattern])
 
 
-@given(mk_pairs, rotations, bases)
+@given(count_pairs, rotations, bases)
+@example((1, 1), 0, RPattern)
+@example((4, 4), 3, EPattern)
+@example((3, 7), 2, EPattern)
 def test_rotated_prefix_count_matches_enumeration(pair, rotation, base):
     """The closed-form ``_prefix_count`` must agree with brute-force
     enumeration of ``is_mandatory`` for every rotation."""
@@ -97,12 +108,15 @@ def test_rotated_prefix_count_matches_enumeration(pair, rotation, base):
 
 
 @given(
-    mk_pairs,
+    count_pairs,
     rotations,
     bases,
     st.integers(min_value=1, max_value=80),
     st.integers(min_value=0, max_value=80),
 )
+@example((1, 1), 0, RPattern, 1, 5)
+@example((4, 4), 3, EPattern, 7, 9)
+@example((3, 7), 2, EPattern, 5, 20)
 def test_rotated_window_count_matches_enumeration(pair, rotation, base, lo, width):
     m, k = pair
     pattern = RotatedPattern(base(MKConstraint(m, k)), rotation)

@@ -41,13 +41,7 @@ def bench_tasksets():
 
 def panel_kwargs(bench_tasksets):
     """Common keyword arguments for one Figure 6 panel."""
-    return dict(
-        bins=list(BINS),
-        tasksets_by_bin=bench_tasksets,
-        horizon_cap_units=HORIZON_UNITS,
-        sets_per_bin=SETS_PER_BIN,
-        protocol=PROTOCOL,
-    )
+    return dict(tasksets_by_bin=bench_tasksets, protocol=PROTOCOL)
 
 
 def record_sweep(benchmark, sweep):

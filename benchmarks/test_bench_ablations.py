@@ -16,6 +16,7 @@ from __future__ import annotations
 from conftest import HORIZON_UNITS, record_sweep
 
 from repro.harness.report import format_series_table
+from repro.harness.runner import RunSpec
 from repro.harness.sweep import utilization_sweep
 
 ABLATION_BINS = [(0.3, 0.4), (0.5, 0.6), (0.7, 0.8)]
@@ -26,7 +27,7 @@ def _sweep(schemes, bench_tasksets, scenario_factory=None):
     return utilization_sweep(
         bins=ABLATION_BINS,
         schemes=schemes,
-        horizon_cap_units=HORIZON_UNITS,
+        run=RunSpec(horizon_cap_units=HORIZON_UNITS),
         tasksets_by_bin=tasksets,
         scenario_factory=scenario_factory,
     )

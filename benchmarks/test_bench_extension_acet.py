@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import HORIZON_UNITS, record_sweep
 
 from repro.harness.report import format_table
-from repro.harness.runner import PAPER_SCHEMES, run_scheme
+from repro.harness.runner import PAPER_SCHEMES, RunSpec, run_scheme
 from repro.workload.acet import UniformActualTimes
 
 RATIOS = (0.25, 0.5, 0.75, 1.0)
@@ -30,7 +30,7 @@ def _series(bench_tasksets):
                 totals[scheme] += run_scheme(
                     taskset,
                     scheme,
-                    horizon_cap_units=HORIZON_UNITS,
+                    run=RunSpec(horizon_cap_units=HORIZON_UNITS),
                     execution_time_fn=fn,
                 ).total_energy
         reference = totals["MKSS_ST"]

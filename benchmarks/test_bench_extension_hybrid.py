@@ -12,6 +12,7 @@ from __future__ import annotations
 from conftest import HORIZON_UNITS, record_sweep
 
 from repro.harness.report import format_series_table
+from repro.harness.runner import RunSpec
 from repro.harness.sweep import utilization_sweep
 
 EXT_BINS = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8)]
@@ -24,7 +25,7 @@ def test_extension_hybrid_vs_paper_schemes(benchmark, bench_tasksets):
         lambda: utilization_sweep(
             bins=EXT_BINS,
             schemes=schemes,
-            horizon_cap_units=HORIZON_UNITS,
+            run=RunSpec(horizon_cap_units=HORIZON_UNITS),
             tasksets_by_bin=tasksets,
         ),
         rounds=1,

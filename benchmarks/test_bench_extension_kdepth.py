@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import HORIZON_UNITS, SEED
 
 from repro.harness.report import format_table
-from repro.harness.runner import PAPER_SCHEMES, run_scheme
+from repro.harness.runner import PAPER_SCHEMES, RunSpec, run_scheme
 from repro.workload.generator import GeneratorConfig, generate_binned_tasksets
 
 K_RANGES = ((2, 4), (5, 10), (11, 20))
@@ -31,7 +31,9 @@ def _series():
         for taskset in pool:
             for scheme in PAPER_SCHEMES:
                 totals[scheme] += run_scheme(
-                    taskset, scheme, horizon_cap_units=HORIZON_UNITS
+                    taskset,
+                    scheme,
+                    run=RunSpec(horizon_cap_units=HORIZON_UNITS),
                 ).total_energy
         reference = totals["MKSS_ST"]
         rows.append(

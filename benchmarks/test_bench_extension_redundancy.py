@@ -19,6 +19,7 @@ from conftest import HORIZON_UNITS, record_sweep
 
 from repro.faults.scenario import FaultScenario
 from repro.harness.report import format_series_table
+from repro.harness.runner import RunSpec
 from repro.harness.sweep import utilization_sweep
 
 BINS = [(0.2, 0.3), (0.4, 0.5), (0.6, 0.7)]
@@ -34,7 +35,7 @@ def test_redundancy_styles_under_transients(benchmark, bench_tasksets):
         lambda: utilization_sweep(
             bins=BINS,
             schemes=schemes,
-            horizon_cap_units=HORIZON_UNITS,
+            run=RunSpec(horizon_cap_units=HORIZON_UNITS),
             tasksets_by_bin=tasksets,
             scenario_factory=factory,
         ),
@@ -73,7 +74,7 @@ def test_redundancy_styles_under_permanent_faults(benchmark, bench_tasksets):
         lambda: utilization_sweep(
             bins=BINS,
             schemes=schemes,
-            horizon_cap_units=HORIZON_UNITS,
+            run=RunSpec(horizon_cap_units=HORIZON_UNITS),
             tasksets_by_bin=tasksets,
             scenario_factory=factory,
         ),

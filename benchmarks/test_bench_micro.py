@@ -13,6 +13,7 @@ from repro.analysis.cache import analysis_cache
 from repro.analysis.postponement import task_postponement_intervals
 from repro.analysis.rta import response_times
 from repro.analysis.schedulability import is_rpattern_schedulable
+from repro.harness.runner import RunSpec
 from repro.model.history import MKHistory
 from repro.model.mk import MKConstraint
 from repro.model.task import Task
@@ -169,7 +170,7 @@ def test_engine_fig6c_jobs(benchmark):
         return [
             run_scheme(
                 taskset, scheme, scenario,
-                horizon_cap_units=1500, collect_trace=False,
+                run=RunSpec(horizon_cap_units=1500), collect_trace=False,
             )
             for scheme in ("MKSS_ST", "MKSS_DP", "MKSS_Selective")
         ]
@@ -190,7 +191,10 @@ def test_audit_scheme(benchmark):
     taskset, scenario = _fig6c_job()
     report = benchmark(
         lambda: audit_scheme(
-            taskset, "MKSS_Selective", scenario, horizon_cap_units=1500
+            taskset,
+            "MKSS_Selective",
+            scenario,
+            RunSpec(horizon_cap_units=1500),
         )
     )
     assert report.ok
@@ -289,22 +293,20 @@ def test_bench_batch_sweep(benchmark, bench_tasksets):
 
     # Same protocol object (and environment overrides) as the session
     # fixture that generated ``bench_tasksets`` -- see conftest.py.
-    horizon_units = smoke_protocol().horizon_cap_units
+    run = smoke_protocol().run_spec()
 
     items = []
     for key in sorted(bench_tasksets):
         for taskset in bench_tasksets[key]:
             for scheme in sorted(SCHEME_FACTORIES):
-                item = build_batch_item(
-                    taskset, scheme, None, horizon_cap_units=horizon_units
-                )
+                item = build_batch_item(taskset, scheme, None, run)
                 assert item is not None
                 items.append(item)
 
     payloads = benchmark(lambda: run_batch_payloads(items))
     benchmark.extra_info["sims"] = len(items)
     assert len(payloads) == len(items)
-    assert all(energy > 0 for energy, _, _ in payloads)
+    assert all(energy > 0 for energy, _ in payloads)
 
 
 def test_bench_batch_sweep_transient(benchmark, bench_tasksets):
@@ -339,10 +341,7 @@ def test_bench_batch_sweep_transient(benchmark, bench_tasksets):
         )
         for scheme in schemes:
             item = build_batch_item(
-                taskset,
-                scheme,
-                scenario,
-                horizon_cap_units=protocol.horizon_cap_units,
+                taskset, scheme, scenario, protocol.run_spec()
             )
             assert item is not None
             items.append(item)
@@ -350,7 +349,7 @@ def test_bench_batch_sweep_transient(benchmark, bench_tasksets):
     payloads = benchmark(lambda: run_batch_payloads(items))
     benchmark.extra_info["sims"] = len(items)
     assert len(payloads) == len(items)
-    assert all(energy > 0 for energy, _, _ in payloads)
+    assert all(energy > 0 for energy, _ in payloads)
 
 
 def test_workload_generation(benchmark):
@@ -420,7 +419,7 @@ def test_bench_sweep_wall(benchmark):
             schemes=["MKSS_ST", "MKSS_Selective"],
             sets_per_bin=2,
             seed=11,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
         )
 
     sweep = benchmark(run)

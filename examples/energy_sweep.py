@@ -15,15 +15,16 @@ import sys
 
 from repro import figure6_series, format_series_table
 from repro.harness.figures import FIGURE_SCENARIOS
+from repro.harness.protocol import ExperimentProtocol
 
 
 def main() -> None:
     sets_per_bin = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     bins = [(0.2, 0.3), (0.4, 0.5), (0.6, 0.7), (0.8, 0.9)]
     panels = figure6_series(
-        bins=bins,
-        sets_per_bin=sets_per_bin,
-        horizon_cap_units=1000,
+        ExperimentProtocol(
+            bins=bins, sets_per_bin=sets_per_bin, horizon_cap_units=1000
+        )
     )
     for panel_id, sweep in panels.items():
         title = f"Figure 6({panel_id[-1]}): {FIGURE_SCENARIOS[panel_id]}"

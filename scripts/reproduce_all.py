@@ -93,11 +93,7 @@ def run_figure6(args, out_dir, report):
     tasksets = generate_binned_tasksets(
         bins, sets_per_bin=proto.sets_per_bin, seed=proto.seed
     )
-    shared = dict(
-        bins=bins,
-        tasksets_by_bin=tasksets,
-        protocol=proto,
-    )
+    shared = dict(tasksets_by_bin=tasksets, protocol=proto)
     scale = (
         "documented protocol"
         if proto == ExperimentProtocol.documented()

@@ -93,7 +93,7 @@ from .harness import (
     format_series_table,
     utilization_sweep,
 )
-from .harness.runner import run_scheme
+from .harness.runner import RunSpec, run_scheme
 
 __version__ = "1.0.0"
 
@@ -172,6 +172,7 @@ __all__ = [
     "fig3_taskset",
     "fig5_taskset",
     # harness
+    "RunSpec",
     "run_scheme",
     "utilization_sweep",
     "fig6a",

@@ -1,7 +1,7 @@
 """Experiment harness: runners, utilization sweeps, Figure 6 series, and
 the resilient execution layer (journal, events, fault isolation)."""
 
-from .runner import SCHEME_FACTORIES, RunOutcome, run_scheme
+from .runner import SCHEME_FACTORIES, RunOutcome, RunSpec, run_scheme
 from .sweep import (
     BinResult,
     DroppedSet,
@@ -28,6 +28,7 @@ from .stats import mean, sample_std, confidence_interval95
 __all__ = [
     "SCHEME_FACTORIES",
     "RunOutcome",
+    "RunSpec",
     "run_scheme",
     "BinResult",
     "DroppedSet",

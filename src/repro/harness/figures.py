@@ -10,22 +10,21 @@ scenario:
 Panels share the generated task sets when run through
 :func:`figure6_series`, matching the paper's presentation.
 
-Scale and setup knobs come from one
-:class:`~repro.harness.protocol.ExperimentProtocol`: panels default to
-the *documented* protocol (``sets_per_bin=15, horizon_cap_units=1500`` --
-the scale every EXPERIMENTS.md series was measured at), and every knob
-can still be overridden per call.  Pass ``protocol=`` to rescale a whole
-panel coherently.
+Every scale, setup and run knob comes from one
+:class:`~repro.harness.protocol.ExperimentProtocol` (default: the
+*documented* protocol, ``sets_per_bin=15, horizon_cap_units=1500`` --
+the scale every EXPERIMENTS.md series was measured at); a panel call
+adds only the scheme list, an optional pre-generated corpus and the
+execution knobs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from ..energy.power import PowerModel
 from ..faults.scenario import FaultScenario
 from ..faults.transient import PAPER_FAULT_RATE
-from ..workload.generator import GeneratorConfig, generate_binned_tasksets
+from ..workload.generator import generate_binned_tasksets
 from .protocol import DEFAULT_BINS, ExperimentProtocol
 from .runner import PAPER_SCHEMES
 from .sweep import ScenarioFactory, SweepResult, utilization_sweep
@@ -39,10 +38,6 @@ __all__ = [
     "figure6_series",
     "panel_scenario_factory",
 ]
-
-
-def _scenario_none(_: int) -> FaultScenario:
-    return FaultScenario.none()
 
 
 def _scenario_permanent(seed_base: int) -> ScenarioFactory:
@@ -82,40 +77,31 @@ def panel_scenario_factory(
     raise KeyError(f"unknown panel {panel!r}; known: {sorted(FIGURE_SCENARIOS)}")
 
 
-def fig6a(**kwargs) -> SweepResult:
+def fig6a(
+    protocol: Optional[ExperimentProtocol] = None, **kwargs
+) -> SweepResult:
     """Figure 6(a): energy comparison with no faults."""
-    kwargs.setdefault("scenario_factory", _scenario_none)
-    return _run_panel(**kwargs)
+    return _run_panel("fig6a", protocol, **kwargs)
 
 
-def fig6b(seed_base: Optional[int] = None, **kwargs) -> SweepResult:
+def fig6b(
+    protocol: Optional[ExperimentProtocol] = None, **kwargs
+) -> SweepResult:
     """Figure 6(b): energy comparison under one permanent fault."""
-    if "scenario_factory" not in kwargs:
-        proto = kwargs.get("protocol") or ExperimentProtocol.documented()
-        base = seed_base if seed_base is not None else proto.permanent_seed_base
-        kwargs["scenario_factory"] = _scenario_permanent(base)
-    return _run_panel(**kwargs)
+    return _run_panel("fig6b", protocol, **kwargs)
 
 
-def fig6c(seed_base: Optional[int] = None, **kwargs) -> SweepResult:
+def fig6c(
+    protocol: Optional[ExperimentProtocol] = None, **kwargs
+) -> SweepResult:
     """Figure 6(c): energy under permanent + transient faults."""
-    if "scenario_factory" not in kwargs:
-        proto = kwargs.get("protocol") or ExperimentProtocol.documented()
-        base = seed_base if seed_base is not None else proto.transient_seed_base
-        kwargs["scenario_factory"] = _scenario_permanent_transient(base)
-    return _run_panel(**kwargs)
+    return _run_panel("fig6c", protocol, **kwargs)
 
 
 def _run_panel(
-    bins: Optional[Sequence[Tuple[float, float]]] = None,
+    panel: str,
+    protocol: Optional[ExperimentProtocol],
     schemes: Sequence[str] = PAPER_SCHEMES,
-    sets_per_bin: Optional[int] = None,
-    seed: Optional[int] = None,
-    scenario_factory: Optional[ScenarioFactory] = None,
-    generator_config: Optional[GeneratorConfig] = None,
-    horizon_cap_units: Optional[int] = None,
-    power_model: Optional[PowerModel] = None,
-    protocol: Optional[ExperimentProtocol] = None,
     tasksets_by_bin=None,
     workers: int = 1,
     backend: str = "pool",
@@ -126,36 +112,16 @@ def _run_panel(
     events=None,
     validate: int = 0,
     generation_store=None,
-    release_model=None,
-    initial_history: Optional[str] = None,
-    dvfs=None,
 ) -> SweepResult:
     proto = protocol or ExperimentProtocol.documented()
-    if power_model is None and not proto.uses_default_power_model():
-        power_model = proto.power_model()
-    if release_model is None:
-        release_model = proto.release_model
-    if initial_history is None:
-        initial_history = proto.initial_history
-    if dvfs is None:
-        dvfs = proto.dvfs
     return utilization_sweep(
-        bins=list(proto.bins) if bins is None else bins,
+        bins=list(proto.bins),
         schemes=schemes,
-        scenario_factory=scenario_factory,
-        sets_per_bin=(
-            proto.sets_per_bin if sets_per_bin is None else sets_per_bin
-        ),
-        generator_config=(
-            proto.generator if generator_config is None else generator_config
-        ),
-        seed=proto.seed if seed is None else seed,
-        horizon_cap_units=(
-            proto.horizon_cap_units
-            if horizon_cap_units is None
-            else horizon_cap_units
-        ),
-        power_model=power_model,
+        scenario_factory=panel_scenario_factory(panel, proto),
+        sets_per_bin=proto.sets_per_bin,
+        generator_config=proto.generator,
+        seed=proto.seed,
+        run=proto.run_spec(),
         tasksets_by_bin=tasksets_by_bin,
         workers=workers,
         backend=backend,
@@ -166,20 +132,12 @@ def _run_panel(
         events=events,
         validate=validate,
         generation_store=generation_store,
-        release_model=release_model,
-        initial_history=initial_history,
-        dvfs=dvfs,
     )
 
 
 def figure6_series(
-    bins: Optional[Sequence[Tuple[float, float]]] = None,
-    sets_per_bin: Optional[int] = None,
-    seed: Optional[int] = None,
-    generator_config: Optional[GeneratorConfig] = None,
-    horizon_cap_units: Optional[int] = None,
-    schemes: Sequence[str] = PAPER_SCHEMES,
     protocol: Optional[ExperimentProtocol] = None,
+    schemes: Sequence[str] = PAPER_SCHEMES,
     generation_store=None,
 ) -> Dict[str, SweepResult]:
     """All three panels over one shared pool of task sets.
@@ -189,18 +147,7 @@ def figure6_series(
     consulted before generating and populated after.
     """
     proto = protocol or ExperimentProtocol.documented()
-    bins = list(proto.bins) if bins is None else bins
-    sets_per_bin = proto.sets_per_bin if sets_per_bin is None else sets_per_bin
-    seed = proto.seed if seed is None else seed
-    generator_config = (
-        proto.generator if generator_config is None else generator_config
-    )
-    horizon_cap_units = (
-        proto.horizon_cap_units
-        if horizon_cap_units is None
-        else horizon_cap_units
-    )
-    store = None
+    spec = (list(proto.bins), proto.sets_per_bin, proto.generator, proto.seed)
     if generation_store is not None:
         from .genstore import GenerationStore, generation_digest
 
@@ -209,27 +156,14 @@ def figure6_series(
             if isinstance(generation_store, str)
             else generation_store
         )
-        digest = generation_digest(bins, sets_per_bin, generator_config, seed)
+        digest = generation_digest(*spec)
         tasksets = store.get(digest)
         if tasksets is None:
-            tasksets = generate_binned_tasksets(
-                bins, sets_per_bin, generator_config, seed
-            )
+            tasksets = generate_binned_tasksets(*spec)
             store.put(digest, tasksets)
     else:
-        tasksets = generate_binned_tasksets(
-            bins, sets_per_bin, generator_config, seed
-        )
-    shared = dict(
-        bins=bins,
-        schemes=schemes,
-        sets_per_bin=sets_per_bin,
-        horizon_cap_units=horizon_cap_units,
-        tasksets_by_bin=tasksets,
-        protocol=proto,
-    )
+        tasksets = generate_binned_tasksets(*spec)
     return {
-        "fig6a": fig6a(**shared),
-        "fig6b": fig6b(**shared),
-        "fig6c": fig6c(**shared),
+        panel: _run_panel(panel, proto, schemes, tasksets)
+        for panel in FIGURE_SCENARIOS
     }

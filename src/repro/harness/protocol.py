@@ -34,13 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Optional, Tuple
 
-from ..energy.dvfs import DVFSConfig, resolve_dvfs
+from ..energy.dvfs import DVFSConfig
 from ..energy.power import PowerModel
 from ..errors import ConfigurationError
-from ..model.history import INITIAL_HISTORY_MODES
 from ..timebase import as_fraction
 from ..workload.generator import GeneratorConfig
-from ..workload.release import ReleaseModel, resolve_release_model
+from ..workload.release import ReleaseModel
+from .runner import RunSpec
 
 #: The paper's x-axis: 0.1-wide (m,k)-utilization bins over (0, 1].
 DEFAULT_BINS: Tuple[Tuple[float, float], ...] = tuple(
@@ -78,20 +78,10 @@ class ExperimentProtocol:
             (paper: 1 ms).
         permanent_seed_base: fault-draw seed base for Figure 6(b).
         transient_seed_base: fault-draw seed base for Figure 6(c).
-        release_model: job arrival process
-            (:class:`~repro.workload.release.ReleaseModel`); None keeps
-            the paper's strictly periodic releases.  Periodic models
-            normalize to None so the fingerprints/journals of explicit
-            periodic requests match the historical default.
-        initial_history: (m,k)-history boundary condition, one of
-            :data:`repro.model.history.INITIAL_HISTORY_MODES` (the paper
-            assumes ``"met"``: every pre-horizon job met its deadline).
-        dvfs: deadline-safe frequency scaling
-            (:class:`~repro.energy.dvfs.DVFSConfig`); None keeps the
-            paper's fixed-frequency processors ("without applying DVS").
-            A config whose critical speed is 1 normalizes to None, so
-            fingerprints/journals of a no-op request match the
-            historical default.
+        release_model, initial_history, dvfs: the model knobs of
+            :class:`~repro.harness.runner.RunSpec` (periodic releases,
+            the all-met history and fixed-frequency processors by
+            default), validated and normalized there.
     """
 
     sets_per_bin: int = 15
@@ -111,10 +101,6 @@ class ExperimentProtocol:
             raise ConfigurationError(
                 f"sets_per_bin must be >= 1, got {self.sets_per_bin}"
             )
-        if self.horizon_cap_units < 1:
-            raise ConfigurationError(
-                f"horizon_cap_units must be >= 1, got {self.horizon_cap_units}"
-            )
         object.__setattr__(
             self, "bins", tuple(tuple(b) for b in self.bins)
         )
@@ -123,15 +109,9 @@ class ExperimentProtocol:
         )
         if self.break_even_units < 0:
             raise ConfigurationError("break_even_units must be >= 0")
-        object.__setattr__(
-            self, "release_model", resolve_release_model(self.release_model)
-        )
-        if self.initial_history not in INITIAL_HISTORY_MODES:
-            raise ConfigurationError(
-                f"initial_history must be one of {INITIAL_HISTORY_MODES}, "
-                f"got {self.initial_history!r}"
-            )
-        object.__setattr__(self, "dvfs", resolve_dvfs(self.dvfs))
+        run = self.run_spec()
+        object.__setattr__(self, "release_model", run.release_model)
+        object.__setattr__(self, "dvfs", run.dvfs)
 
     @classmethod
     def documented(cls, **overrides: Any) -> "ExperimentProtocol":
@@ -165,9 +145,15 @@ class ExperimentProtocol:
         """The protocol's energy model (paper defaults, T_be knob)."""
         return PowerModel.paper_default(break_even=self.break_even_units)
 
-    def uses_default_power_model(self) -> bool:
-        """Whether the power model equals the paper's exact default."""
-        return self.power_model() == PowerModel.paper_default()
+    def run_spec(self) -> RunSpec:
+        """The run knobs every job of this protocol's panels shares."""
+        return RunSpec(
+            horizon_cap_units=self.horizon_cap_units,
+            power_model=self.power_model(),
+            release_model=self.release_model,
+            initial_history=self.initial_history,
+            dvfs=self.dvfs,
+        )
 
     def scenario_seed_base(self, panel: str) -> int:
         """Fault-draw seed base for ``fig6b`` / ``fig6c``."""
@@ -196,14 +182,7 @@ class ExperimentProtocol:
             "permanent_seed_base": self.permanent_seed_base,
             "transient_seed_base": self.transient_seed_base,
         }
-        # Conditional keys keep default protocols' dicts (and everything
-        # fingerprinted off them) byte-identical to pre-knob output.
-        if self.release_model is not None:
-            payload["release_model"] = self.release_model.as_dict()
-        if self.initial_history != "met":
-            payload["initial_history"] = self.initial_history
-        if self.dvfs is not None:
-            payload["dvfs"] = self.dvfs.as_dict()
+        payload.update(self.run_spec().key())
         return payload
 
 

@@ -9,15 +9,16 @@ machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..analysis.cache import analysis_cache
 from ..analysis.hyperperiod import analysis_horizon
 from ..energy.accounting import EnergyReport, energy_of_result
-from ..energy.dvfs import resolve_dvfs, speed_plan_for
+from ..energy.dvfs import DVFSConfig, resolve_dvfs, speed_plan_for
 from ..energy.power import PowerModel
-from ..errors import UnknownSchemeError
+from ..errors import ConfigurationError, UnknownSchemeError
 from ..faults.scenario import FaultScenario
+from ..model.history import INITIAL_HISTORY_MODES
 from ..model.taskset import TaskSet
 from ..qos.metrics import QoSMetrics, collect_metrics
 from ..schedulers import (
@@ -31,6 +32,7 @@ from ..schedulers import (
 from ..schedulers.base import run_policy
 from ..sim.engine import SchedulingPolicy, SimulationResult
 from ..sim.timeline import shared_release_timeline
+from ..workload.release import ReleaseModel, resolve_release_model
 
 #: Factories for every registered scheme (fresh policy per run).
 SCHEME_FACTORIES: Dict[str, Callable[[], SchedulingPolicy]] = {
@@ -51,6 +53,101 @@ SCHEME_FACTORIES: Dict[str, Callable[[], SchedulingPolicy]] = {
 PAPER_SCHEMES = ("MKSS_ST", "MKSS_DP", "MKSS_Selective")
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """The run knobs a sweep holds constant across its jobs.
+
+    One value carries them from every entry point (CLI, protocol,
+    service spec) to the engine, and is what a sweep's fingerprint
+    records.  Scheme, scenario, trace collection and execution-time
+    model vary per job, so they stay per-call arguments.  Every knob is
+    validated and normalized once, here; a rejected value raises
+    :class:`~repro.errors.ConfigurationError`.
+
+    Attributes:
+        horizon_cap_units: horizon cap in model time units; a run's
+            horizon is min((m,k)-hyperperiod, cap).
+        power_model: energy model; None (or an explicit
+            :meth:`PowerModel.paper_default`) is the paper's evaluation
+            model.
+        release_model: arrival process
+            (:class:`~repro.workload.release.ReleaseModel`, a preset
+            name, or its dict form); None (or any periodic model) is the
+            paper's strictly periodic releases.
+        initial_history: (m,k)-history boundary condition, one of
+            :data:`repro.model.history.INITIAL_HISTORY_MODES` (the paper
+            assumes ``"met"``).
+        dvfs: deadline-safe frequency scaling
+            (:class:`~repro.energy.dvfs.DVFSConfig` or its dict form),
+            applied to the schemes the config names; None (or a config
+            whose critical speed is 1) keeps fixed-frequency processors.
+
+    Normalizing every default spelling to None keeps the caches,
+    fingerprints and journals of an explicit default request identical
+    to those of an omitted one.
+    """
+
+    horizon_cap_units: int = 2000
+    power_model: Optional[PowerModel] = None
+    release_model: Optional[ReleaseModel] = None
+    initial_history: str = "met"
+    dvfs: Optional[DVFSConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.horizon_cap_units < 1:
+            raise ConfigurationError(
+                f"horizon_cap_units must be >= 1, got {self.horizon_cap_units}"
+            )
+        if self.power_model == PowerModel.paper_default():
+            object.__setattr__(self, "power_model", None)
+        object.__setattr__(
+            self, "release_model", resolve_release_model(self.release_model)
+        )
+        if self.initial_history not in INITIAL_HISTORY_MODES:
+            raise ConfigurationError(
+                f"initial_history must be one of {INITIAL_HISTORY_MODES}, "
+                f"got {self.initial_history!r}"
+            )
+        object.__setattr__(self, "dvfs", resolve_dvfs(self.dvfs))
+
+    def key(self) -> Dict[str, Any]:
+        """The non-default model knobs, as fingerprints and documents
+        record them; the defaults are omitted so keys written before a
+        knob existed stay valid."""
+        payload: Dict[str, Any] = {}
+        if self.release_model is not None:
+            payload["release_model"] = self.release_model.as_dict()
+        if self.initial_history != "met":
+            payload["initial_history"] = self.initial_history
+        if self.dvfs is not None:
+            payload["dvfs"] = self.dvfs.as_dict()
+        return payload
+
+    def horizon_ticks(self, taskset: TaskSet) -> int:
+        """The task set's simulated horizon under this cap (cached)."""
+        base = taskset.timebase()
+        return analysis_cache().get(
+            (
+                "horizon",
+                taskset.fingerprint(),
+                base.ticks_per_unit,
+                self.horizon_cap_units,
+            ),
+            lambda: analysis_horizon(taskset, base, self.horizon_cap_units),
+        )
+
+
+def scheme_factory(scheme: str) -> Callable[[], SchedulingPolicy]:
+    """The registered factory of ``scheme``; unknown names raise
+    :class:`~repro.errors.UnknownSchemeError`."""
+    try:
+        return SCHEME_FACTORIES[scheme]
+    except KeyError as exc:
+        raise UnknownSchemeError(
+            f"unknown scheme {scheme!r}; known: {sorted(SCHEME_FACTORIES)}"
+        ) from exc
+
+
 @dataclass
 class RunOutcome:
     """One (task set, scheme, scenario) execution with derived metrics."""
@@ -69,13 +166,10 @@ def run_scheme(
     taskset: TaskSet,
     scheme: str,
     scenario: Optional[FaultScenario] = None,
-    horizon_cap_units: int = 2000,
-    power_model: Optional[PowerModel] = None,
-    execution_time_fn=None,
+    run: RunSpec = RunSpec(),
+    *,
     collect_trace: bool = True,
-    release_model=None,
-    initial_history: str = "met",
-    dvfs=None,
+    execution_time_fn=None,
 ) -> RunOutcome:
     """Simulate one scheme and account its energy and QoS.
 
@@ -83,38 +177,18 @@ def run_scheme(
         taskset: the task set.
         scheme: a key of :data:`SCHEME_FACTORIES`.
         scenario: fault scenario (default fault-free).
-        horizon_cap_units: horizon cap in model time units; the actual
-            horizon is min((m,k)-hyperperiod, cap).
-        power_model: energy model (default: the paper's evaluation model).
-        execution_time_fn: optional actual-execution-time model
-            (see :mod:`repro.workload.acet`); None charges full WCETs.
+        run: the run knobs (:class:`RunSpec`): horizon cap, power,
+            release and DVFS models, initial history.
         collect_trace: False runs stats-only -- same energy and metrics,
             no trace.
-        release_model: arrival process
-            (:class:`~repro.workload.release.ReleaseModel`); None keeps
-            the paper's periodic releases.
-        initial_history: (m,k)-history boundary condition, one of
-            :data:`repro.model.history.INITIAL_HISTORY_MODES`.
-        dvfs: deadline-safe frequency scaling
-            (:class:`~repro.energy.dvfs.DVFSConfig` or its dict form);
-            None -- or a config whose critical speed is 1 -- runs at
-            full speed.  Only applies to the schemes the config names
-            (the standby-sparing trio by default); other schemes run
-            unscaled.
+        execution_time_fn: optional actual-execution-time model
+            (see :mod:`repro.workload.acet`); None charges full WCETs.
     """
-    try:
-        factory = SCHEME_FACTORIES[scheme]
-    except KeyError as exc:
-        raise UnknownSchemeError(
-            f"unknown scheme {scheme!r}; known: {sorted(SCHEME_FACTORIES)}"
-        ) from exc
+    factory = scheme_factory(scheme)
     base = taskset.timebase()
-    horizon = analysis_cache().get(
-        ("horizon", taskset.fingerprint(), base.ticks_per_unit, horizon_cap_units),
-        lambda: analysis_horizon(taskset, base, horizon_cap_units),
-    )
-    timeline = shared_release_timeline(taskset, horizon, base, release_model)
-    dvfs = resolve_dvfs(dvfs)
+    horizon = run.horizon_ticks(taskset)
+    timeline = shared_release_timeline(taskset, horizon, base, run.release_model)
+    dvfs = run.dvfs
     speed_plan = None
     if dvfs is not None and dvfs.applies_to(scheme):
         speed_plan = analysis_cache().get(
@@ -122,11 +196,11 @@ def run_scheme(
                 "dvfs-plan",
                 taskset.fingerprint(),
                 base.ticks_per_unit,
-                horizon_cap_units,
+                run.horizon_cap_units,
                 dvfs.cache_key(),
             ),
             lambda: speed_plan_for(
-                taskset, base, dvfs, horizon_cap_units=horizon_cap_units
+                taskset, base, dvfs, horizon_cap_units=run.horizon_cap_units
             ),
         )
     result = run_policy(
@@ -138,13 +212,12 @@ def run_scheme(
         execution_time_fn,
         collect_trace=collect_trace,
         release_timeline=timeline,
-        initial_history=initial_history,
+        initial_history=run.initial_history,
         speed_plan=speed_plan,
     )
-    energy = energy_of_result(result, power_model or PowerModel.paper_default())
     return RunOutcome(
         scheme=scheme,
         result=result,
-        energy=energy,
+        energy=energy_of_result(result, run.power_model),
         metrics=collect_metrics(result),
     )

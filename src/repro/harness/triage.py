@@ -804,6 +804,7 @@ def _panel_outliers(
         for lo, hi in protocol.bins
     }
     scenario_factory = panel_scenario_factory(panel, protocol)
+    run = protocol.run_spec()
     trace_dir = os.path.join(options.out_dir, "traces")
     os.makedirs(trace_dir, exist_ok=True)
     findings: List[OutlierFinding] = []
@@ -820,28 +821,9 @@ def _panel_outliers(
         issues = 0
         trace_paths: Dict[str, str] = {}
         for scheme in (HEADLINE_SCHEME, HEADLINE_VERSUS):
-            report = audit_scheme(
-                taskset,
-                scheme,
-                scenario=scenario,
-                horizon_cap_units=protocol.horizon_cap_units,
-                power_model=protocol.power_model(),
-                release_model=protocol.release_model,
-                initial_history=protocol.initial_history,
-                dvfs=protocol.dvfs,
-            )
+            report = audit_scheme(taskset, scheme, scenario, run)
             issues += len(report.issues)
-            outcome = run_scheme(
-                taskset,
-                scheme,
-                scenario=scenario,
-                horizon_cap_units=protocol.horizon_cap_units,
-                power_model=protocol.power_model(),
-                collect_trace=True,
-                release_model=protocol.release_model,
-                initial_history=protocol.initial_history,
-                dvfs=protocol.dvfs,
-            )
+            outcome = run_scheme(taskset, scheme, scenario, run)
             path = os.path.join(
                 trace_dir,
                 _slug(f"{panel}--{bin_label}-set{index}-{scheme}") + ".json",

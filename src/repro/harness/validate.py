@@ -12,10 +12,10 @@ hook of :func:`repro.harness.sweep.utilization_sweep`.  For one
    profile (:func:`~repro.sim.validation.audit_result`) and the energy
    report against the DPD rule
    (:func:`~repro.sim.validation.audit_energy`), and
-3. re-runs the *same* descriptor stats-only when requested and
-   requires its :func:`~repro.sim.validation.result_ledger` to match
-   the trace run's exactly (cross-mode differential check) -- the
-   trace-less fast path is thereby held to the fully audited reference.
+3. re-runs the *same* descriptor stats-only and requires its
+   :func:`~repro.sim.validation.result_ledger` to match the trace run's
+   exactly (cross-mode differential check) -- the trace-less fast path
+   is thereby held to the fully audited reference.
 
 Determinism caveat: the differential check re-materializes the fault
 scenario once per mode, so the scenario must be reproducible from its
@@ -27,12 +27,8 @@ spurious ``mode-divergence`` issues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from ..analysis.cache import analysis_cache
-from ..analysis.hyperperiod import analysis_horizon
-from ..energy.power import PowerModel
-from ..errors import ConfigurationError, UnknownSchemeError
 from ..faults.scenario import FaultScenario
 from ..model.taskset import TaskSet
 from ..sim.engine import PolicyContext
@@ -44,10 +40,10 @@ from ..sim.validation import (
     compare_ledgers,
     result_ledger,
 )
-from .runner import SCHEME_FACTORIES, run_scheme
+from .runner import RunSpec, run_scheme, scheme_factory
 
-#: The execution modes the auditor can cover, in audit order.  Trace is
-#: always run (it is the differential reference) even when absent here.
+#: The execution modes the auditor covers, in audit order: the trace run
+#: is the differential reference the stats-only run must match.
 AUDIT_MODES = ("trace", "stats")
 
 
@@ -83,9 +79,7 @@ class AuditReport:
 
 
 def conformance_spec(
-    taskset: TaskSet,
-    scheme: str,
-    horizon_cap_units: int = 2000,
+    taskset: TaskSet, scheme: str, run: RunSpec
 ) -> Optional[SchemeProfile]:
     """The scheme's rules for this task set, as the auditor checks them.
 
@@ -94,24 +88,12 @@ def conformance_spec(
     :class:`~repro.sim.profile.SchemeProfile`.  None means the policy
     declares no rules and only model-level checks apply.
     """
-    try:
-        factory = SCHEME_FACTORIES[scheme]
-    except KeyError as exc:
-        raise UnknownSchemeError(
-            f"unknown scheme {scheme!r}; known: {sorted(SCHEME_FACTORIES)}"
-        ) from exc
-    base = taskset.timebase()
-    horizon = analysis_cache().get(
-        (
-            "horizon",
-            taskset.fingerprint(),
-            base.ticks_per_unit,
-            horizon_cap_units,
-        ),
-        lambda: analysis_horizon(taskset, base, horizon_cap_units),
+    policy = scheme_factory(scheme)()
+    ctx = PolicyContext(
+        taskset=taskset,
+        timebase=taskset.timebase(),
+        horizon_ticks=run.horizon_ticks(taskset),
     )
-    policy = factory()
-    ctx = PolicyContext(taskset=taskset, timebase=base, horizon_ticks=horizon)
     policy.prepare(ctx)
     return policy.profile(ctx)
 
@@ -120,81 +102,39 @@ def audit_scheme(
     taskset: TaskSet,
     scheme: str,
     scenario: Optional[FaultScenario] = None,
-    horizon_cap_units: int = 2000,
-    modes: Sequence[str] = AUDIT_MODES,
-    power_model: Optional[PowerModel] = None,
-    release_model=None,
-    initial_history: str = "met",
-    dvfs=None,
+    run: RunSpec = RunSpec(),
 ) -> AuditReport:
-    """Run one scheme in every requested mode and audit each run.
+    """Run one scheme in every mode of :data:`AUDIT_MODES` and audit
+    each run.
 
     Args:
         taskset: the task set.
         scheme: a key of :data:`~repro.harness.runner.SCHEME_FACTORIES`.
         scenario: fault scenario (default fault-free); must be
             seed-reproducible, see the module docstring.
-        horizon_cap_units: horizon cap in model time units.
-        modes: subset of :data:`AUDIT_MODES` to audit.  The trace run
-            always happens (it is the reference); listing ``"trace"``
-            additionally audits it against the scheme's profile.
-        power_model: energy model (default: the paper's).
-        release_model: arrival process shared by every mode's run (None
-            = the paper's periodic releases).
-        initial_history: (m,k)-history boundary condition shared by
-            every mode's run (and by the FD replay of the trace audit).
-        dvfs: deadline-safe frequency scaling
-            (:class:`~repro.energy.dvfs.DVFSConfig` or its dict form)
-            shared by every mode's run.  The trace audit then also
-            enforces per-segment frequency conformance, and the energy
-            audit re-derives the speed-aware charge in every mode.
+        run: the run knobs (:class:`~repro.harness.runner.RunSpec`)
+            shared by both modes' runs and by the FD replay of the trace
+            audit.  Under DVFS the trace audit also enforces per-segment
+            frequency conformance, and the energy audit re-derives the
+            speed-aware charge in both modes.
 
     Returns:
-        An :class:`AuditReport` with one :class:`ModeAudit` per
-        requested mode, in :data:`AUDIT_MODES` order.
+        An :class:`AuditReport` with one :class:`ModeAudit` per mode, in
+        :data:`AUDIT_MODES` order.
     """
-    unknown = [mode for mode in modes if mode not in AUDIT_MODES]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown audit mode(s) {unknown}; known: {list(AUDIT_MODES)}"
-        )
-    spec = conformance_spec(taskset, scheme, horizon_cap_units)
-    model = power_model or PowerModel.paper_default()
-    reference = run_scheme(
-        taskset,
-        scheme,
-        scenario=scenario,
-        horizon_cap_units=horizon_cap_units,
-        power_model=model,
-        collect_trace=True,
-        release_model=release_model,
-        initial_history=initial_history,
-        dvfs=dvfs,
+    profile = conformance_spec(taskset, scheme, run)
+    reference = run_scheme(taskset, scheme, scenario, run)
+    issues = audit_result(
+        reference.result, profile, initial_history=run.initial_history
     )
-    audits = []
-    if "trace" in modes:
-        issues = audit_result(
-            reference.result, spec, initial_history=initial_history
-        )
-        issues += audit_energy(reference.result, reference.energy)
-        audits.append(ModeAudit(mode="trace", issues=tuple(issues)))
-    if "stats" in modes:
-        outcome = run_scheme(
-            taskset,
-            scheme,
-            scenario=scenario,
-            horizon_cap_units=horizon_cap_units,
-            power_model=model,
-            collect_trace=False,
-            release_model=release_model,
-            initial_history=initial_history,
-            dvfs=dvfs,
-        )
-        issues = compare_ledgers(
-            result_ledger(reference.result),
-            result_ledger(outcome.result),
-            label="stats",
-        )
-        issues += audit_energy(outcome.result, outcome.energy)
-        audits.append(ModeAudit(mode="stats", issues=tuple(issues)))
-    return AuditReport(scheme=scheme, modes=tuple(audits))
+    issues += audit_energy(reference.result, reference.energy)
+    trace = ModeAudit(mode="trace", issues=tuple(issues))
+    outcome = run_scheme(taskset, scheme, scenario, run, collect_trace=False)
+    issues = compare_ledgers(
+        result_ledger(reference.result),
+        result_ledger(outcome.result),
+        label="stats",
+    )
+    issues += audit_energy(outcome.result, outcome.energy)
+    stats = ModeAudit(mode="stats", issues=tuple(issues))
+    return AuditReport(scheme=scheme, modes=(trace, stats))

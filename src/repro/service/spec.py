@@ -26,13 +26,12 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
-from ..energy.dvfs import DVFSConfig, resolve_dvfs
+from ..energy.dvfs import DVFSConfig
 from ..errors import ConfigurationError
 from ..harness.protocol import DEFAULT_BINS, ExperimentProtocol
 from ..harness.runner import PAPER_SCHEMES, SCHEME_FACTORIES
-from ..harness.sweep import _sweep_fingerprint, resolve_driver
-from ..model.history import INITIAL_HISTORY_MODES
-from ..workload.release import ReleaseModel, resolve_release_model
+from ..harness.sweep import _sweep_fingerprint, check_backend
+from ..workload.release import ReleaseModel
 
 #: Fault regimes, mapping onto the Figure 6 panels.
 FAULT_REGIMES = ("none", "permanent", "transient")
@@ -93,18 +92,12 @@ class SweepSpec:
     dvfs: Optional[DVFSConfig] = None
 
     def __post_init__(self) -> None:
-        # Normalizes periodic models to None so an explicit periodic
-        # submission digests identically to the historical default; the
-        # same rule maps a no-op DVFS config (critical speed 1) to None.
-        object.__setattr__(
-            self, "release_model", resolve_release_model(self.release_model)
-        )
-        object.__setattr__(self, "dvfs", resolve_dvfs(self.dvfs))
-        if self.initial_history not in INITIAL_HISTORY_MODES:
-            raise ConfigurationError(
-                f"initial_history must be one of {INITIAL_HISTORY_MODES}, "
-                f"got {self.initial_history!r}"
-            )
+        # The protocol validates the scale and the run knobs, and
+        # normalizes an explicit default model to None so the submission
+        # digests identically to one that omits it.
+        protocol = self.protocol()
+        object.__setattr__(self, "release_model", protocol.release_model)
+        object.__setattr__(self, "dvfs", protocol.dvfs)
         if self.faults not in FAULT_REGIMES:
             raise ConfigurationError(
                 f"unknown faults regime {self.faults!r}; "
@@ -124,21 +117,26 @@ class SweepSpec:
         for lo, hi in self.bins:
             if not lo < hi:
                 raise ConfigurationError(f"bad bin [{lo}, {hi}): need lo < hi")
-        if self.sets_per_bin < 1:
-            raise ConfigurationError(
-                f"sets_per_bin must be >= 1, got {self.sets_per_bin}"
-            )
         if self.backend is None:
             object.__setattr__(self, "backend", self._default_backend())
-        resolve_driver(self.backend)  # raises on unknown backend names
-        if self.horizon_cap_units < 1:
-            raise ConfigurationError(
-                f"horizon_cap_units must be >= 1, got {self.horizon_cap_units}"
-            )
+        check_backend(self.backend)
         if self.validate < 0:
             raise ConfigurationError(
                 f"validate must be >= 0, got {self.validate}"
             )
+
+    def protocol(self) -> ExperimentProtocol:
+        """The Figure 6 protocol this spec runs: its scale and run knobs
+        on the default generator, power model and fault-seed bases."""
+        return ExperimentProtocol(
+            sets_per_bin=self.sets_per_bin,
+            horizon_cap_units=self.horizon_cap_units,
+            seed=self.seed,
+            bins=self.bins,
+            release_model=self.release_model,
+            initial_history=self.initial_history,
+            dvfs=self.dvfs,
+        )
 
     def _default_backend(self) -> str:
         # Imported here, not at module load, so the server starts
@@ -193,14 +191,14 @@ class SweepSpec:
             if "backend" in payload:
                 kwargs["backend"] = str(payload["backend"])
             if "release_model" in payload:
-                # A preset name, a {"kind": ...} document, or null;
-                # resolve_release_model in __post_init__ validates it.
+                # A preset name, a {"kind": ...} document, or null; the
+                # RunSpec built in __post_init__ validates it.
                 kwargs["release_model"] = payload["release_model"]
             if "initial_history" in payload:
                 kwargs["initial_history"] = str(payload["initial_history"])
             if "dvfs" in payload:
-                # A {"alpha": ...} document or null; resolve_dvfs in
-                # __post_init__ validates it.
+                # A {"alpha": ...} document or null, validated the same
+                # way.
                 kwargs["dvfs"] = payload["dvfs"]
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed sweep spec: {exc}") from exc
@@ -219,13 +217,7 @@ class SweepSpec:
             "backend": self.backend,
             "validate": self.validate,
         }
-        # Conditional keys keep pre-knob job documents byte-identical.
-        if self.release_model is not None:
-            payload["release_model"] = self.release_model.as_dict()
-        if self.initial_history != "met":
-            payload["initial_history"] = self.initial_history
-        if self.dvfs is not None:
-            payload["dvfs"] = self.dvfs.as_dict()
+        payload.update(self.protocol().run_spec().key())
         return payload
 
     def journal_fingerprint(self) -> Dict[str, Any]:
@@ -237,12 +229,8 @@ class SweepSpec:
             self.reference_scheme,
             None,  # generator config: service sweeps use the defaults
             self.seed,
-            self.horizon_cap_units,
             None,  # workload is always generated server-side
-            None,  # power model: the paper default
-            release_model=self.release_model,
-            initial_history=self.initial_history,
-            dvfs=self.dvfs,
+            self.protocol().run_spec(),
         )
 
     def identity(self) -> Dict[str, Any]:
@@ -283,11 +271,8 @@ class SweepSpec:
             self.faults
         ]
         return panel(
-            bins=list(self.bins),
+            protocol=self.protocol(),
             schemes=list(self.schemes),
-            sets_per_bin=self.sets_per_bin,
-            seed=self.seed,
-            horizon_cap_units=self.horizon_cap_units,
             workers=workers,
             backend=self.backend,
             journal_path=journal_path,
@@ -296,7 +281,4 @@ class SweepSpec:
             events=events,
             validate=self.validate,
             generation_store=generation_store,
-            release_model=self.release_model,
-            initial_history=self.initial_history,
-            dvfs=self.dvfs,
         )

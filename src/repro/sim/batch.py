@@ -35,15 +35,17 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..model.history import normalize_initial_history
 from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
 from .engine import PolicyContext, SchedulingPolicy, SimulationResult
 from .profile import SchemeProfile
+
+if TYPE_CHECKING:  # the harness imports this module, not the reverse
+    from ..harness.runner import RunSpec
 
 #: Oldest numpy major version the kernel runs on: it counts (m,k)
 #: window successes with ``np.bitwise_count``, new in numpy 2.0.
@@ -159,12 +161,8 @@ class BatchItem:
 def build_batch_item(
     taskset: TaskSet,
     scheme: str,
-    scenario=None,
-    horizon_cap_units: int = 2000,
-    power_model=None,
-    release_model=None,
-    initial_history: str = "met",
-    dvfs=None,
+    scenario,
+    run: "RunSpec",
 ) -> Optional[BatchItem]:
     """Resolve one sweep job into a :class:`BatchItem`, or None.
 
@@ -183,36 +181,20 @@ def build_batch_item(
     """
     if _load_numpy() is None:
         return None
-    if release_model is not None and not release_model.is_periodic():
+    # RunSpec normalizes periodic and no-op models to None.
+    if run.release_model is not None:
         return None
-    if dvfs is not None and dvfs.applies_to(scheme):
+    if run.dvfs is not None and run.dvfs.applies_to(scheme):
         return None
-    from ..analysis.cache import analysis_cache
-    from ..analysis.hyperperiod import analysis_horizon
-    from ..errors import UnknownSchemeError
     from ..faults.scenario import FaultScenario
     from ..faults.transient import PoissonTransientFaults
-    from ..harness.runner import SCHEME_FACTORIES
+    from ..harness.runner import scheme_factory
 
-    try:
-        factory = SCHEME_FACTORIES[scheme]
-    except KeyError as exc:
-        raise UnknownSchemeError(
-            f"unknown scheme {scheme!r}; known: {sorted(SCHEME_FACTORIES)}"
-        ) from exc
+    factory = scheme_factory(scheme)
     if any(task.mk.k > MAX_PACKED_K for task in taskset):
         return None
-    normalize_initial_history(initial_history)
     base = taskset.timebase()
-    horizon = analysis_cache().get(
-        (
-            "horizon",
-            taskset.fingerprint(),
-            base.ticks_per_unit,
-            horizon_cap_units,
-        ),
-        lambda: analysis_horizon(taskset, base, horizon_cap_units),
-    )
+    horizon = run.horizon_ticks(taskset)
     scenario = scenario if scenario is not None else FaultScenario.none()
     transient, permanent = scenario.materialize(horizon, base)
     can_fault = not getattr(transient, "never_faults", False)
@@ -262,8 +244,8 @@ def build_batch_item(
         horizon_ticks=horizon,
         timebase=base,
         permanent=permanent,
-        power_model=power_model,
-        initial_history=initial_history,
+        power_model=run.power_model,
+        initial_history=run.initial_history,
         fault_draws=fault_draws,
         fault_probability=probability if fault_draws else (),
     )

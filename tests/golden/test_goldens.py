@@ -45,7 +45,7 @@ from repro.harness.figures import fig6a, fig6b, fig6c
 from repro.harness.journal import RunJournal
 from repro.harness.protocol import ExperimentProtocol
 from repro.harness.store import load_sweep
-from repro.harness.runner import SCHEME_FACTORIES, run_scheme
+from repro.harness.runner import SCHEME_FACTORIES, RunSpec, run_scheme
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.schedulers import DistanceBasedPriority, SingleProcessorFP
@@ -160,15 +160,13 @@ def run_digests(set_name: str, leg: str) -> dict:
                 initial_history=history,
             )
         else:
-            result = run_scheme(
-                taskset,
-                scheme,
-                scenario=scenario,
+            run = RunSpec(
                 horizon_cap_units=cap,
                 release_model=release_model,
                 initial_history=history,
                 dvfs=dvfs,
-            ).result
+            )
+            result = run_scheme(taskset, scheme, scenario, run).result
         digests[scheme] = _sha256(result_to_json(result).encode("utf-8"))
     return digests
 

@@ -26,6 +26,7 @@ SCRIPT = textwrap.dedent(
     import repro.cli
     import repro.harness.figures
     import repro.service.app
+    from repro.harness.runner import RunSpec
     from repro.harness.sweep import utilization_sweep
 
     after_imports = "numpy" in sys.modules
@@ -34,7 +35,7 @@ SCRIPT = textwrap.dedent(
         schemes=["MKSS_ST", "MKSS_Selective"],
         sets_per_bin=1,
         seed=3,
-        horizon_cap_units=100,
+        run=RunSpec(horizon_cap_units=100),
         backend=sys.argv[1],
     )
     assert len(result.job_payloads) == 2, result.job_payloads

@@ -6,9 +6,12 @@ import pytest
 
 from repro.energy.power import PowerModel
 from repro.faults.scenario import FaultScenario
-from repro.harness.runner import run_scheme
+from repro.harness.runner import RunSpec, run_scheme
 from repro.harness.sweep import utilization_sweep
 from repro.workload.generator import TaskSetGenerator
+
+RUN_1000 = RunSpec(horizon_cap_units=1000)
+RUN_800 = RunSpec(horizon_cap_units=800)
 
 
 @pytest.fixture(scope="module")
@@ -21,23 +24,23 @@ class TestEnergyOrdering:
     def test_dp_below_st_on_average(self, mid_utilization_sets):
         st_total = dp_total = 0.0
         for ts in mid_utilization_sets:
-            st_total += run_scheme(ts, "MKSS_ST", horizon_cap_units=1000).total_energy
-            dp_total += run_scheme(ts, "MKSS_DP", horizon_cap_units=1000).total_energy
+            st_total += run_scheme(ts, "MKSS_ST", run=RUN_1000).total_energy
+            dp_total += run_scheme(ts, "MKSS_DP", run=RUN_1000).total_energy
         assert dp_total < st_total
 
     def test_selective_below_dp_at_mid_utilization(self, mid_utilization_sets):
         dp_total = sel_total = 0.0
         for ts in mid_utilization_sets:
-            dp_total += run_scheme(ts, "MKSS_DP", horizon_cap_units=1000).total_energy
+            dp_total += run_scheme(ts, "MKSS_DP", run=RUN_1000).total_energy
             sel_total += run_scheme(
-                ts, "MKSS_Selective", horizon_cap_units=1000
+                ts, "MKSS_Selective", run=RUN_1000
             ).total_energy
         assert sel_total < dp_total
 
     def test_selective_never_above_st(self, mid_utilization_sets):
         for ts in mid_utilization_sets:
-            st = run_scheme(ts, "MKSS_ST", horizon_cap_units=800)
-            sel = run_scheme(ts, "MKSS_Selective", horizon_cap_units=800)
+            st = run_scheme(ts, "MKSS_ST", run=RUN_800)
+            sel = run_scheme(ts, "MKSS_Selective", run=RUN_800)
             assert sel.total_energy <= st.total_energy * 1.0001
 
     def test_alternation_helps_or_matches_noalt(self, mid_utilization_sets):
@@ -45,11 +48,9 @@ class TestEnergyOrdering:
         complete; it should not lose to primary-only placement overall."""
         alt = noalt = 0.0
         for ts in mid_utilization_sets:
-            alt += run_scheme(
-                ts, "MKSS_Selective", horizon_cap_units=800
-            ).total_energy
+            alt += run_scheme(ts, "MKSS_Selective", run=RUN_800).total_energy
             noalt += run_scheme(
-                ts, "MKSS_Selective_NoAlt", horizon_cap_units=800
+                ts, "MKSS_Selective_NoAlt", run=RUN_800
             ).total_energy
         assert alt <= noalt * 1.05
 
@@ -60,10 +61,10 @@ class TestFaultScenarioOrdering:
         for index, ts in enumerate(mid_utilization_sets):
             scenario = FaultScenario.permanent_only(seed=index)
             st_total += run_scheme(
-                ts, "MKSS_ST", scenario=scenario, horizon_cap_units=800
+                ts, "MKSS_ST", scenario, RUN_800
             ).total_energy
             sel_total += run_scheme(
-                ts, "MKSS_Selective", scenario=scenario, horizon_cap_units=800
+                ts, "MKSS_Selective", scenario, RUN_800
             ).total_energy
         assert sel_total < st_total
 
@@ -74,7 +75,7 @@ class TestSweepShape:
             bins=[(0.4, 0.5), (0.7, 0.8)],
             sets_per_bin=5,
             seed=99,
-            horizon_cap_units=800,
+            run=RUN_800,
         )
         assert sweep.bins, "bins must be populated"
         for bucket in sweep.bins:

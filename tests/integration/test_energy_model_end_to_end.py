@@ -8,7 +8,7 @@ import pytest
 
 from repro.energy.accounting import energy_of
 from repro.energy.power import PowerModel
-from repro.harness.runner import PAPER_SCHEMES, run_scheme
+from repro.harness.runner import PAPER_SCHEMES, RunSpec, run_scheme
 from repro.schedulers import MKSSDualPriority
 from repro.schedulers.base import run_policy
 
@@ -29,15 +29,20 @@ class TestPaperModelAccounting:
         """Figure 1's schedule: 15 busy units; the long trailing gaps sleep
         (free), the sub-1ms gap on the spare idles at 0.1."""
         outcome = run_scheme(
-            fig1, "MKSS_DP", horizon_cap_units=20,
-            power_model=PowerModel.paper_default(),
+            fig1,
+            "MKSS_DP",
+            run=RunSpec(
+                horizon_cap_units=20, power_model=PowerModel.paper_default()
+            ),
         )
         spare = outcome.energy.per_processor[1]
         assert spare.idle_units == Fraction(1)  # the [5,6) gap before J'12
         assert outcome.total_energy == pytest.approx(15 + 0.1)
 
     def test_transitions_counted(self, fig1):
-        outcome = run_scheme(fig1, "MKSS_DP", horizon_cap_units=20)
+        outcome = run_scheme(
+            fig1, "MKSS_DP", run=RunSpec(horizon_cap_units=20)
+        )
         total_transitions = sum(
             p.transition_count for p in outcome.energy.per_processor.values()
         )
@@ -46,7 +51,9 @@ class TestPaperModelAccounting:
     def test_all_schemes_partition_and_order(self, fig5):
         totals = {}
         for scheme in PAPER_SCHEMES:
-            outcome = run_scheme(fig5, scheme, horizon_cap_units=30)
+            outcome = run_scheme(
+                fig5, scheme, run=RunSpec(horizon_cap_units=30)
+            )
             totals[scheme] = outcome.total_energy
             for entry in outcome.energy.per_processor.values():
                 assert (
@@ -64,8 +71,9 @@ class TestPaperModelAccounting:
             transition_energy=0.2,
             break_even=Fraction(2),
         )
-        outcome = run_scheme(
-            fig1, "MKSS_DP", horizon_cap_units=20, power_model=leaky
+        run = RunSpec(horizon_cap_units=20, power_model=leaky)
+        outcome = run_scheme(fig1, "MKSS_DP", run=run)
+        baseline = run_scheme(
+            fig1, "MKSS_DP", run=RunSpec(horizon_cap_units=20)
         )
-        baseline = run_scheme(fig1, "MKSS_DP", horizon_cap_units=20)
         assert outcome.total_energy > baseline.total_energy

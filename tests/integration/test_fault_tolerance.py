@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.scenario import FaultScenario
-from repro.harness.runner import PAPER_SCHEMES, run_scheme
+from repro.harness.runner import PAPER_SCHEMES, RunSpec, run_scheme
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.sim.engine import PRIMARY, SPARE
@@ -25,7 +25,7 @@ class TestPermanentFaultTakeover:
     ):
         scenario = FaultScenario.permanent_only(processor=processor, tick=137)
         outcome = run_scheme(
-            workload, scheme, scenario=scenario, horizon_cap_units=1000
+            workload, scheme, scenario, RunSpec(horizon_cap_units=1000)
         )
         assert outcome.metrics.mk_violations == 0
 
@@ -33,7 +33,7 @@ class TestPermanentFaultTakeover:
         scenario = FaultScenario.permanent_only(processor=PRIMARY, tick=100)
         outcome = run_scheme(
             workload, "MKSS_Selective", scenario=scenario,
-            horizon_cap_units=600,
+            run=RunSpec(horizon_cap_units=600),
         )
         late = [
             s
@@ -56,7 +56,7 @@ class TestPermanentFaultTakeover:
         for seed in range(5):
             scenario = FaultScenario.permanent_only(seed=seed)
             outcome = run_scheme(
-                workload, scheme, scenario=scenario, horizon_cap_units=600
+                workload, scheme, scenario, RunSpec(horizon_cap_units=600)
             )
             assert outcome.metrics.mk_violations == 0, seed
 
@@ -69,7 +69,7 @@ class TestTransientFaults:
         ts = TaskSet([Task(10, 10, 2, 1, 2), Task(20, 20, 3, 1, 3)])
         scenario = FaultScenario(transient_rate=0.01, seed=5)
         outcome = run_scheme(
-            ts, "MKSS_ST", scenario=scenario, horizon_cap_units=2000
+            ts, "MKSS_ST", scenario, RunSpec(horizon_cap_units=2000)
         )
         # ST runs every mandatory job twice; a single transient cannot
         # produce a miss, and double-faults are rare at this rate.
@@ -79,7 +79,7 @@ class TestTransientFaults:
         scenario = FaultScenario.permanent_and_transient(seed=3)
         outcome = run_scheme(
             workload, "MKSS_Selective", scenario=scenario,
-            horizon_cap_units=1000,
+            run=RunSpec(horizon_cap_units=1000),
         )
         assert outcome.metrics.transient_faults <= 2
         assert outcome.metrics.mk_violations == 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.runner import PAPER_SCHEMES, run_scheme
+from repro.harness.runner import PAPER_SCHEMES, RunSpec, run_scheme
 from repro.workload.generator import GeneratorConfig, TaskSetGenerator
 
 
@@ -27,7 +27,9 @@ def generated_sets():
 @pytest.mark.parametrize("scheme", PAPER_SCHEMES + ("MKSS_Greedy",))
 def test_no_scheme_violates_mk_on_generated_sets(scheme, generated_sets):
     for taskset in generated_sets:
-        outcome = run_scheme(taskset, scheme, horizon_cap_units=1000)
+        outcome = run_scheme(
+            taskset, scheme, run=RunSpec(horizon_cap_units=1000)
+        )
         assert outcome.metrics.mk_violations == 0, (
             scheme,
             [t.paper_tuple() for t in taskset],
@@ -38,7 +40,9 @@ def test_selective_mandatory_jobs_always_duplicated(generated_sets):
     """Every job classified mandatory must have had a backup planned
     (fault-free scenario)."""
     for taskset in generated_sets:
-        outcome = run_scheme(taskset, "MKSS_Selective", horizon_cap_units=500)
+        outcome = run_scheme(
+            taskset, "MKSS_Selective", run=RunSpec(horizon_cap_units=500)
+        )
         trace = outcome.result.trace
         backup_keys = {
             (s.task_index, s.job_index)
@@ -53,7 +57,9 @@ def test_selective_mandatory_jobs_always_duplicated(generated_sets):
 
 def test_skipped_jobs_never_execute(generated_sets):
     for taskset in generated_sets:
-        outcome = run_scheme(taskset, "MKSS_Selective", horizon_cap_units=500)
+        outcome = run_scheme(
+            taskset, "MKSS_Selective", run=RunSpec(horizon_cap_units=500)
+        )
         trace = outcome.result.trace
         executed = {(s.task_index, s.job_index) for s in trace.segments}
         for record in trace.records.values():

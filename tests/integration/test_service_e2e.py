@@ -110,6 +110,7 @@ class Server:
     def kill(self):
         self.proc.send_signal(signal.SIGKILL)
         self.proc.wait(timeout=10)
+        self.proc.stdout.close()
 
     def stop(self):
         if self.proc.poll() is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.scenario import FaultScenario
-from repro.harness.runner import run_scheme
+from repro.harness.runner import RunSpec, run_scheme
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 
@@ -52,14 +52,14 @@ def workload():
 
 def test_fixed_selective_satisfies_mk(workload):
     outcome = run_scheme(
-        workload, "MKSS_Selective", scenario=FAULT, horizon_cap_units=1000
+        workload, "MKSS_Selective", FAULT, RunSpec(horizon_cap_units=1000)
     )
     assert outcome.metrics.mk_violations == 0
 
 
 def test_fixed_hybrid_satisfies_mk(workload):
     outcome = run_scheme(
-        workload, "MKSS_Hybrid", scenario=FAULT, horizon_cap_units=1000
+        workload, "MKSS_Hybrid", FAULT, RunSpec(horizon_cap_units=1000)
     )
     assert outcome.metrics.mk_violations == 0
 
@@ -98,6 +98,6 @@ def test_theta_offsets_post_fault_do_miss(workload):
 def test_all_paper_schemes_hold_on_counterexample(workload):
     for scheme in ("MKSS_ST", "MKSS_DP", "MKSS_Greedy"):
         outcome = run_scheme(
-            workload, scheme, scenario=FAULT, horizon_cap_units=1000
+            workload, scheme, FAULT, RunSpec(horizon_cap_units=1000)
         )
         assert outcome.metrics.mk_violations == 0, scheme

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.scenario import FaultScenario
-from repro.harness.runner import SCHEME_FACTORIES
+from repro.harness.runner import SCHEME_FACTORIES, RunSpec
 from repro.harness.validate import audit_scheme
 from repro.workload.generator import TaskSetGenerator
 
@@ -50,7 +50,7 @@ def test_no_issues_on_generated_workloads(scheme, seed):
         taskset,
         scheme,
         scenario=_scenario(seed),
-        horizon_cap_units=300,
+        run=RunSpec(horizon_cap_units=300),
     )
     assert report.ok, [
         (audit.mode, issue.kind, issue.detail)

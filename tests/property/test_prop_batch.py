@@ -41,7 +41,7 @@ from repro.errors import ConfigurationError
 from repro.faults.scenario import FaultScenario
 from repro.faults.transient import PoissonTransientFaults
 from repro.harness.events import EventLog
-from repro.harness.runner import SCHEME_FACTORIES, run_scheme
+from repro.harness.runner import SCHEME_FACTORIES, RunSpec, run_scheme
 from repro.harness.sweep import utilization_sweep
 from repro.harness.validate import audit_scheme
 from repro.model.job import JobOutcome
@@ -117,7 +117,7 @@ class TestBatchScalarAgreement:
         horizon = (150, 300, 600)[seed % 3]
         scenario = scenario_for(seed)
         item = build_batch_item(
-            taskset, scheme, scenario, horizon_cap_units=horizon
+            taskset, scheme, scenario, run=RunSpec(horizon_cap_units=horizon)
         )
         assert item is not None, "permanent-only jobs must be batchable"
         batch_result = run_batch([item])[0]
@@ -132,7 +132,7 @@ class TestBatchScalarAgreement:
                 taskset,
                 scheme,
                 scenario=scenario,
-                horizon_cap_units=horizon,
+                run=RunSpec(horizon_cap_units=horizon),
                 **kwargs,
             )
             if mode == "trace":
@@ -155,7 +155,7 @@ class TestBatchScalarAgreement:
             scheme = SCHEMES[seed % len(SCHEMES)]
             scenario = scenario_for(seed)
             item = build_batch_item(
-                taskset, scheme, scenario, horizon_cap_units=250
+                taskset, scheme, scenario, run=RunSpec(horizon_cap_units=250)
             )
             assert item is not None
             items.append(item)
@@ -169,7 +169,7 @@ class TestBatchScalarAgreement:
                 taskset,
                 scheme,
                 scenario=scenario,
-                horizon_cap_units=250,
+                run=RunSpec(horizon_cap_units=250),
                 collect_trace=False,
             )
             assert stats_view(batch_result) == stats_view(scalar.result), (
@@ -209,8 +209,7 @@ class TestBatchScalarAgreement:
                 taskset,
                 scheme,
                 scenario,
-                horizon_cap_units=500,
-                initial_history=history,
+                run=RunSpec(horizon_cap_units=500, initial_history=history),
             )
             assert item is not None
             items.append(item)
@@ -219,9 +218,10 @@ class TestBatchScalarAgreement:
                     taskset,
                     scheme,
                     scenario=scenario,
-                    horizon_cap_units=500,
+                    run=RunSpec(
+                        horizon_cap_units=500, initial_history=history
+                    ),
                     collect_trace=False,
-                    initial_history=history,
                 ).result
             )
         assert {len(item.taskset) for item in items} >= {2, 10}
@@ -262,8 +262,7 @@ class TestTransientAgreement:
                 taskset,
                 scheme,
                 scenario,
-                horizon_cap_units=200,
-                initial_history=history,
+                run=RunSpec(horizon_cap_units=200, initial_history=history),
             )
             assert item is not None, "Poisson transients must be batchable"
             items.append(item)
@@ -271,9 +270,8 @@ class TestTransientAgreement:
                 taskset,
                 scheme,
                 scenario=scenario,
-                horizon_cap_units=200,
+                run=RunSpec(horizon_cap_units=200, initial_history=history),
                 collect_trace=False,
-                initial_history=history,
             )
             expected.append(
                 (
@@ -340,7 +338,9 @@ class PinnedPolicy(ProfiledPolicy):
 def _pinned_runs(monkeypatch, policy, taskset, scenario):
     """(kernel result, engine stats result, engine trace result)."""
     monkeypatch.setitem(SCHEME_FACTORIES, policy.name, policy)
-    item = build_batch_item(taskset, policy.name, scenario, horizon_cap_units=20)
+    item = build_batch_item(
+        taskset, policy.name, scenario, run=RunSpec(horizon_cap_units=20)
+    )
     assert item is not None
     kernel = run_batch([item])[0]
     runs = [
@@ -348,7 +348,7 @@ def _pinned_runs(monkeypatch, policy, taskset, scenario):
             taskset,
             policy.name,
             scenario=scenario,
-            horizon_cap_units=20,
+            run=RunSpec(horizon_cap_units=20),
             collect_trace=collect,
         ).result
         for collect in (False, True)
@@ -476,7 +476,10 @@ class TestPinnedTransientCases:
         scenario = FaultScenario.permanent_and_transient(seed=1, rate=0.02)
         assert (
             build_batch_item(
-                taskset, "ReExecution_FP", scenario, horizon_cap_units=100
+                taskset,
+                "ReExecution_FP",
+                scenario,
+                RunSpec(horizon_cap_units=100),
             )
             is None
         )
@@ -485,7 +488,7 @@ class TestPinnedTransientCases:
                 taskset,
                 "ReExecution_FP",
                 FaultScenario.permanent_only(seed=1),
-                horizon_cap_units=100,
+                run=RunSpec(horizon_cap_units=100),
             )
             is not None
         )
@@ -559,19 +562,19 @@ class TestProfileVocabulary:
             FaultScenario.permanent_only(seed=70 + seed, processor=1),
         )[seed % 3]
         item = build_batch_item(
-            taskset, policy.name, scenario, horizon_cap_units=200
+            taskset, policy.name, scenario, run=RunSpec(horizon_cap_units=200)
         )
         assert item is not None
         scalar = run_scheme(
             taskset,
             policy.name,
             scenario=scenario,
-            horizon_cap_units=200,
+            run=RunSpec(horizon_cap_units=200),
             collect_trace=False,
         )
         assert stats_view(run_batch([item])[0]) == stats_view(scalar.result)
         report = audit_scheme(
-            taskset, policy.name, scenario=scenario, horizon_cap_units=200
+            taskset, policy.name, scenario, RunSpec(horizon_cap_units=200)
         )
         assert report.ok, [issue.kind for issue in report.issues]
 
@@ -591,7 +594,7 @@ SWEEP_KW = dict(
     bins=[(0.3, 0.4), (0.7, 0.8)],
     sets_per_bin=2,
     seed=42,
-    horizon_cap_units=250,
+    run=RunSpec(horizon_cap_units=250),
 )
 
 
@@ -750,7 +753,9 @@ class TestNumpyAbsence:
         monkeypatch.setattr(batch_mod, "_np", None)
         taskset = TaskSetGenerator(seed=1).generate(0.4)
         assert (
-            build_batch_item(taskset, SCHEMES[0], horizon_cap_units=100)
+            build_batch_item(
+                taskset, SCHEMES[0], None, run=RunSpec(horizon_cap_units=100)
+            )
             is None
         )
 

@@ -22,6 +22,7 @@ some task sets (that finding is the triage knob's measurement).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.energy.dvfs import DVFSConfig, SpeedPlan, speed_plan_for
 from repro.energy.dvs import DVSModel
 from repro.energy.power import PowerModel
 from repro.faults.scenario import FaultScenario
-from repro.harness.runner import run_scheme
+from repro.harness.runner import RunSpec, run_scheme
 from repro.harness.sweep import utilization_sweep
 from repro.harness.validate import audit_scheme
 from repro.model.task import Task
@@ -43,8 +44,8 @@ DVFS_KW = dict(
     bins=[(0.2, 0.3), (0.4, 0.5)],
     sets_per_bin=2,
     seed=77,
-    horizon_cap_units=250,
 )
+RUN = RunSpec(horizon_cap_units=250)
 
 SCHEMES = ("MKSS_ST", "MKSS_DP", "MKSS_Selective")
 
@@ -82,10 +83,10 @@ class TestNoOpIdentity:
         fingerprint header, as if the knob were never passed."""
         bare = tmp_path / "bare.jsonl"
         noop = tmp_path / "noop.jsonl"
-        utilization_sweep(journal_path=str(bare), **DVFS_KW)
+        utilization_sweep(journal_path=str(bare), run=RUN, **DVFS_KW)
         utilization_sweep(
             journal_path=str(noop),
-            dvfs=DVFSConfig(static_power=2.0),
+            run=replace(RUN, dvfs=DVFSConfig(static_power=2.0)),
             **DVFS_KW,
         )
         assert journal_rows(noop) == journal_rows(bare)
@@ -95,9 +96,11 @@ class TestNoOpIdentity:
         silent no-op."""
         bare = tmp_path / "bare.jsonl"
         dvfs = tmp_path / "dvfs.jsonl"
-        utilization_sweep(journal_path=str(bare), **DVFS_KW)
+        utilization_sweep(journal_path=str(bare), run=RUN, **DVFS_KW)
         utilization_sweep(
-            journal_path=str(dvfs), dvfs=DVFSConfig(), **DVFS_KW
+            journal_path=str(dvfs),
+            run=replace(RUN, dvfs=DVFSConfig()),
+            **DVFS_KW,
         )
         bare_rows, dvfs_rows = journal_rows(bare), journal_rows(dvfs)
         assert bare_rows != dvfs_rows
@@ -109,12 +112,15 @@ class TestNoOpIdentity:
         """A config scoped to other schemes leaves this scheme's run
         (ledger and energy report) exactly as without the knob."""
         taskset = slack_taskset()
-        bare = run_scheme(taskset, "MKSS_Selective", horizon_cap_units=120)
+        bare = run_scheme(
+            taskset, "MKSS_Selective", run=RunSpec(horizon_cap_units=120)
+        )
         scoped = run_scheme(
             taskset,
             "MKSS_Selective",
-            horizon_cap_units=120,
-            dvfs=DVFSConfig(schemes=("MKSS_ST",)),
+            run=RunSpec(
+                horizon_cap_units=120, dvfs=DVFSConfig(schemes=("MKSS_ST",))
+            ),
         )
         assert scoped.result.speed_plan is None
         assert result_ledger(scoped.result) == result_ledger(bare.result)
@@ -123,9 +129,11 @@ class TestNoOpIdentity:
     def test_planless_taskset_runs_identically(self, fig5):
         """A loaded set (no slack, plan None) under an active config is
         byte-identical to the bare run."""
-        bare = run_scheme(fig5, "MKSS_ST", horizon_cap_units=40)
+        bare = run_scheme(fig5, "MKSS_ST", run=RunSpec(horizon_cap_units=40))
         dvfs = run_scheme(
-            fig5, "MKSS_ST", horizon_cap_units=40, dvfs=DVFSConfig()
+            fig5,
+            "MKSS_ST",
+            run=RunSpec(horizon_cap_units=40, dvfs=DVFSConfig()),
         )
         assert dvfs.result.speed_plan is None
         assert result_ledger(dvfs.result) == result_ledger(bare.result)
@@ -139,14 +147,10 @@ class TestCrossModeIdentity:
     @pytest.mark.parametrize("regime", ["none", "permanent", "transient"])
     def test_trace_stats_ledgers_identical(self, scheme, regime):
         taskset = slack_taskset()
-        config = DVFSConfig()
-        kw = dict(
-            scenario=scenario_for(regime),
-            horizon_cap_units=240,
-            dvfs=config,
-        )
-        trace = run_scheme(taskset, scheme, collect_trace=True, **kw)
-        stats = run_scheme(taskset, scheme, collect_trace=False, **kw)
+        scenario = scenario_for(regime)
+        run = RunSpec(horizon_cap_units=240, dvfs=DVFSConfig())
+        trace = run_scheme(taskset, scheme, scenario, run)
+        stats = run_scheme(taskset, scheme, scenario, run, collect_trace=False)
         assert trace.result.speed_plan is not None
         assert result_ledger(stats.result) == result_ledger(trace.result)
         assert stats.energy == trace.energy
@@ -159,12 +163,14 @@ class TestCrossModeIdentity:
         batch_path = tmp_path / "batch.jsonl"
         config = DVFSConfig()
         pool = utilization_sweep(
-            journal_path=str(pool_path), dvfs=config, **DVFS_KW
+            journal_path=str(pool_path),
+            run=replace(RUN, dvfs=config),
+            **DVFS_KW,
         )
         batch = utilization_sweep(
             journal_path=str(batch_path),
             backend="batch",
-            dvfs=config,
+            run=replace(RUN, dvfs=config),
             **DVFS_KW,
         )
         assert journal_rows(batch_path) == journal_rows(pool_path)
@@ -189,14 +195,13 @@ class TestConformance:
                     taskset,
                     scheme,
                     scenario=scenario_for(regime, seed=seed),
-                    horizon_cap_units=300,
-                    dvfs=config,
+                    run=RunSpec(horizon_cap_units=300, dvfs=config),
                 )
                 assert report.ok, report.issues
 
     def test_validate_sampling_passes_in_sweeps(self):
         sweep = utilization_sweep(
-            validate=2, dvfs=DVFSConfig(), **DVFS_KW
+            validate=2, run=replace(RUN, dvfs=DVFSConfig()), **DVFS_KW
         )
         assert not sweep.validation_issues
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.runner import run_scheme
+from repro.harness.runner import RunSpec, run_scheme
 from repro.model.history import (
     INITIAL_HISTORY_MODES,
     MKHistory,
@@ -134,15 +134,14 @@ class TestBatchAgreement:
         scheme = schemes[seed % len(schemes)]
         item = build_batch_item(
             taskset, scheme, None,
-            horizon_cap_units=300, initial_history=mode,
+            run=RunSpec(horizon_cap_units=300, initial_history=mode),
         )
         assert item is not None
         energy, violations = run_batch_payloads([item])[0]
         scalar = run_scheme(
             taskset, scheme,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300, initial_history=mode),
             collect_trace=False,
-            initial_history=mode,
         )
         assert energy == scalar.total_energy
         assert violations == scalar.metrics.mk_violations
@@ -153,10 +152,10 @@ class TestBatchAgreement:
 
         taskset = TaskSetGenerator(seed=9100).generate(0.4)
         implicit = build_batch_item(
-            taskset, "MKSS_Selective", None, horizon_cap_units=200
+            taskset, "MKSS_Selective", None, run=RunSpec(horizon_cap_units=200)
         )
         explicit = build_batch_item(
             taskset, "MKSS_Selective", None,
-            horizon_cap_units=200, initial_history="met",
+            run=RunSpec(horizon_cap_units=200, initial_history="met"),
         )
         assert implicit.initial_history == explicit.initial_history == "met"

@@ -18,10 +18,12 @@ and its timeline plumbing:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.cache import analysis_cache
+from repro.harness.runner import RunSpec
 from repro.harness.sweep import utilization_sweep
 from repro.schedulers import MKSSDualPriority, MKSSSelective, MKSSStatic
 from repro.schedulers.base import run_policy
@@ -246,8 +248,8 @@ SWEEP_KW = dict(
     bins=[(0.3, 0.4), (0.6, 0.7)],
     sets_per_bin=2,
     seed=91,
-    horizon_cap_units=250,
 )
+RUN = RunSpec(horizon_cap_units=250)
 
 
 def journal_rows(path):
@@ -269,11 +271,12 @@ class TestSweepIntegration:
         """Explicit periodic model: same journal bytes as no model."""
         bare = tmp_path / "bare.jsonl"
         explicit = tmp_path / "explicit.jsonl"
-        utilization_sweep(journal_path=str(bare), **SWEEP_KW)
+        utilization_sweep(journal_path=str(bare), run=RUN, **SWEEP_KW)
         utilization_sweep(
             journal_path=str(explicit),
-            release_model=ReleaseModel(),
-            initial_history="met",
+            run=replace(
+                RUN, release_model=ReleaseModel(), initial_history="met"
+            ),
             **SWEEP_KW,
         )
         assert journal_rows(explicit) == journal_rows(bare)
@@ -286,15 +289,13 @@ class TestSweepIntegration:
         batch_path = tmp_path / "batch.jsonl"
         pool = utilization_sweep(
             journal_path=str(pool_path),
-            release_model=model,
-            initial_history="rpattern",
+            run=replace(RUN, release_model=model, initial_history="rpattern"),
             **SWEEP_KW,
         )
         batch = utilization_sweep(
             journal_path=str(batch_path),
             backend="batch",
-            release_model=model,
-            initial_history="rpattern",
+            run=replace(RUN, release_model=model, initial_history="rpattern"),
             **SWEEP_KW,
         )
         assert journal_rows(batch_path) == journal_rows(pool_path)
@@ -306,18 +307,27 @@ class TestSweepIntegration:
         """The conformance auditor holds on sporadic sweeps too."""
         sweep = utilization_sweep(
             validate=2,
-            release_model=ReleaseModel.preset("light", seed=1),
-            initial_history="miss",
+            run=replace(
+                RUN,
+                release_model=ReleaseModel.preset("light", seed=1),
+                initial_history="miss",
+            ),
             **SWEEP_KW,
         )
         assert not sweep.validation_issues
 
     def test_different_release_seeds_change_results(self):
         first = utilization_sweep(
-            release_model=ReleaseModel.preset("heavy", seed=0), **SWEEP_KW
+            run=replace(
+                RUN, release_model=ReleaseModel.preset("heavy", seed=0)
+            ),
+            **SWEEP_KW,
         )
         second = utilization_sweep(
-            release_model=ReleaseModel.preset("heavy", seed=1), **SWEEP_KW
+            run=replace(
+                RUN, release_model=ReleaseModel.preset("heavy", seed=1)
+            ),
+            **SWEEP_KW,
         )
         assert [b.mean_energy for b in first.bins] != [
             b.mean_energy for b in second.bins

@@ -11,9 +11,8 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.faults.scenario import FaultScenario
-from repro.harness.runner import SCHEME_FACTORIES, run_scheme
+from repro.harness.runner import SCHEME_FACTORIES, RunSpec, run_scheme
 from repro.harness.validate import (
     AUDIT_MODES,
     AuditReport,
@@ -33,6 +32,9 @@ from repro.sim.validation import (
 )
 
 
+RUN_20 = RunSpec(horizon_cap_units=20)
+
+
 def _kinds(issues):
     return sorted(issue.kind for issue in issues)
 
@@ -48,44 +50,35 @@ def _replace_segment(trace, match, **changes):
 class TestConformanceSpec:
     def test_every_scheme_declares_a_suite(self, fig1):
         for scheme in SCHEME_FACTORIES:
-            spec = conformance_spec(fig1, scheme, 20)
+            spec = conformance_spec(fig1, scheme, RUN_20)
             assert spec is not None
             assert spec.scheme
             assert len(spec.tasks) == len(fig1)
 
     def test_unknown_scheme_rejected(self, fig1):
         with pytest.raises(KeyError):
-            conformance_spec(fig1, "NoSuchScheme", 20)
+            conformance_spec(fig1, "NoSuchScheme", RUN_20)
 
 
 class TestCleanRunsAudit:
     @pytest.mark.parametrize("scheme", sorted(SCHEME_FACTORIES))
     def test_fig1_clean_in_all_modes(self, fig1, scheme):
-        report = audit_scheme(fig1, scheme, horizon_cap_units=20)
+        report = audit_scheme(fig1, scheme, run=RUN_20)
         assert isinstance(report, AuditReport)
         assert [audit.mode for audit in report.modes] == list(AUDIT_MODES)
         assert report.ok, _kinds(report.issues)
-
-    def test_unknown_mode_rejected(self, fig1):
-        with pytest.raises(ConfigurationError):
-            audit_scheme(fig1, "MKSS_ST", modes=("trace", "warp"))
-
-    def test_mode_subset_respected(self, fig1):
-        report = audit_scheme(fig1, "MKSS_ST", horizon_cap_units=20,
-                              modes=("stats",))
-        assert [audit.mode for audit in report.modes] == ["stats"]
 
 
 class TestSeededMutations:
     """Each mutation must trip exactly its own issue kind."""
 
     def _dp_run(self, fig1):
-        outcome = run_scheme(fig1, "MKSS_DP", horizon_cap_units=20)
-        return outcome, conformance_spec(fig1, "MKSS_DP", 20)
+        outcome = run_scheme(fig1, "MKSS_DP", run=RUN_20)
+        return outcome, conformance_spec(fig1, "MKSS_DP", RUN_20)
 
     def _selective_run(self, fig1):
-        outcome = run_scheme(fig1, "MKSS_Selective", horizon_cap_units=20)
-        return outcome, conformance_spec(fig1, "MKSS_Selective", 20)
+        outcome = run_scheme(fig1, "MKSS_Selective", run=RUN_20)
+        return outcome, conformance_spec(fig1, "MKSS_Selective", RUN_20)
 
     def test_backup_shifted_before_postponed_release(self, fig1):
         # MKSS_DP postpones tau1's backups by theta = 1: J12's backup
@@ -128,9 +121,9 @@ class TestSeededMutations:
             fig1,
             "MKSS_DP",
             scenario=FaultScenario.permanent_only(processor=0, tick=4),
-            horizon_cap_units=20,
+            run=RUN_20,
         )
-        spec = conformance_spec(fig1, "MKSS_DP", 20)
+        spec = conformance_spec(fig1, "MKSS_DP", RUN_20)
         assert not audit_result(outcome.result, spec)
         segments = [
             s for s in outcome.result.trace.segments
@@ -159,8 +152,12 @@ class TestSeededMutations:
         # optionals between the processors.  The no-alternation ablation
         # runs all of them on the primary, which the Selective profile
         # must flag as misplaced -- and nothing else.
-        outcome = run_scheme(fig3, "MKSS_Selective_NoAlt", horizon_cap_units=25)
-        spec = conformance_spec(fig3, "MKSS_Selective", 25)
+        outcome = run_scheme(
+            fig3, "MKSS_Selective_NoAlt", run=RunSpec(horizon_cap_units=25)
+        )
+        spec = conformance_spec(
+            fig3, "MKSS_Selective", RunSpec(horizon_cap_units=25)
+        )
         issues = audit_result(outcome.result, spec)
         assert issues
         assert set(_kinds(issues)) == {"optional-processor"}
@@ -174,9 +171,9 @@ class TestSeededMutations:
             fig1,
             "MKSS_Selective",
             scenario=FaultScenario.permanent_only(processor=1, tick=10),
-            horizon_cap_units=20,
+            run=RUN_20,
         )
-        spec = conformance_spec(fig1, "MKSS_Selective", 20)
+        spec = conformance_spec(fig1, "MKSS_Selective", RUN_20)
         record = outcome.result.trace.records[(0, 3)]
         assert (record.release, record.flexibility_degree) == (10, 1)
         assert record.classified_as == "skipped"
@@ -230,9 +227,9 @@ class TestSeededMutations:
         assert _kinds(audit_result(outcome.result, spec)) == ["fd-mismatch"]
 
     def test_stats_counter_tamper_diverges(self, fig1):
-        reference = run_scheme(fig1, "MKSS_DP", horizon_cap_units=20)
+        reference = run_scheme(fig1, "MKSS_DP", run=RUN_20)
         stats_run = run_scheme(
-            fig1, "MKSS_DP", horizon_cap_units=20, collect_trace=False
+            fig1, "MKSS_DP", run=RUN_20, collect_trace=False
         )
         stats_run.result.stats.effective += 1
         issues = compare_ledgers(
@@ -272,8 +269,12 @@ class TestSeededMutations:
         # the mains in priority order, the reverse of their start order,
         # so the scan must report each wait's inversions in that order.
         taskset = TaskSet([Task(10, 10, wcet, 2, 2) for wcet in (1, 2, 2, 3)])
-        outcome = run_scheme(taskset, "MKSS_ST", horizon_cap_units=40)
-        spec = conformance_spec(taskset, "MKSS_ST", 40)
+        outcome = run_scheme(
+            taskset, "MKSS_ST", run=RunSpec(horizon_cap_units=40)
+        )
+        spec = conformance_spec(
+            taskset, "MKSS_ST", RunSpec(horizon_cap_units=40)
+        )
         trace = outcome.result.trace
         reversed_order = ((7, 8), (5, 7), (3, 5), (0, 3))
         for task_index, (start, end) in enumerate(reversed_order):
@@ -346,7 +347,7 @@ class TestFaultyRunsAudit:
     )
     def test_paper_schemes_clean_under_faults(self, fig5, scheme, scenario):
         report = audit_scheme(
-            fig5, scheme, scenario=scenario, horizon_cap_units=60
+            fig5, scheme, scenario=scenario, run=RunSpec(horizon_cap_units=60)
         )
         assert report.ok, _kinds(report.issues)
 
@@ -383,6 +384,6 @@ class TestHandWrittenPolicies:
     ):
         monkeypatch.setitem(SCHEME_FACTORIES, "hand-written", factory)
         report = audit_scheme(
-            fig3, "hand-written", scenario=scenario, horizon_cap_units=60
+            fig3, "hand-written", scenario, RunSpec(horizon_cap_units=60)
         )
         assert report.ok, _kinds(report.issues)

@@ -12,9 +12,13 @@ from repro.harness.figures import (
     fig6c,
     figure6_series,
 )
+from repro.harness.protocol import ExperimentProtocol
 from repro.workload.generator import generate_binned_tasksets
 
 TINY_BINS = [(0.3, 0.4)]
+TINY = ExperimentProtocol(
+    bins=TINY_BINS, sets_per_bin=2, horizon_cap_units=300
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,16 +37,12 @@ class TestPanelDefinitions:
         assert set(FIGURE_SCENARIOS) == {"fig6a", "fig6b", "fig6c"}
 
     def test_fig6a_has_no_faults(self, tiny_pool):
-        sweep = fig6a(
-            bins=TINY_BINS, tasksets_by_bin=tiny_pool, horizon_cap_units=300
-        )
+        sweep = fig6a(protocol=TINY, tasksets_by_bin=tiny_pool)
         assert sweep.bins[0].taskset_count == 2
         assert sweep.bins[0].normalized_energy["MKSS_ST"] == pytest.approx(1.0)
 
     def test_fig6b_and_c_are_reproducible(self, tiny_pool):
-        kwargs = dict(
-            bins=TINY_BINS, tasksets_by_bin=tiny_pool, horizon_cap_units=300
-        )
+        kwargs = dict(protocol=TINY, tasksets_by_bin=tiny_pool)
         first = fig6b(**kwargs)
         second = fig6b(**kwargs)
         assert (
@@ -63,8 +63,6 @@ class TestPanelDefinitions:
         monkeypatch.setattr(
             figures_module, "generate_binned_tasksets", fake_generate
         )
-        panels = figure6_series(
-            bins=TINY_BINS, sets_per_bin=2, horizon_cap_units=300
-        )
+        panels = figure6_series(protocol=TINY)
         assert calls["count"] == 1  # one shared pool for all three panels
         assert set(panels) == {"fig6a", "fig6b", "fig6c"}

@@ -84,11 +84,12 @@ class TestValidation:
 
 class TestPowerModel:
     def test_default_break_even_is_paper_model(self):
-        assert ExperimentProtocol().uses_default_power_model()
+        # The paper's model normalizes to None, so it stays out of keys.
+        assert ExperimentProtocol().run_spec().power_model is None
 
     def test_changed_break_even_is_not_default(self):
         proto = ExperimentProtocol(break_even_units=Fraction(2))
-        assert not proto.uses_default_power_model()
+        assert proto.run_spec().power_model == proto.power_model()
         assert proto.power_model().break_even == proto.break_even_units
 
 

@@ -6,7 +6,12 @@ import pytest
 
 from repro.energy.power import PowerModel
 from repro.faults.scenario import FaultScenario
-from repro.harness.runner import PAPER_SCHEMES, SCHEME_FACTORIES, run_scheme
+from repro.harness.runner import (
+    PAPER_SCHEMES,
+    SCHEME_FACTORIES,
+    RunSpec,
+    run_scheme,
+)
 
 
 class TestSchemeRegistry:
@@ -52,12 +57,14 @@ class TestRunScheme:
         assert outcome.result.policy_name == "MKSS_ST"
 
     def test_horizon_cap_respected(self, fig1):
-        outcome = run_scheme(fig1, "MKSS_ST", horizon_cap_units=10)
+        outcome = run_scheme(
+            fig1, "MKSS_ST", run=RunSpec(horizon_cap_units=10)
+        )
         assert outcome.result.horizon_ticks == 10
 
     def test_active_only_power_model(self, fig1):
         outcome = run_scheme(
-            fig1, "MKSS_DP", power_model=PowerModel.active_only()
+            fig1, "MKSS_DP", run=RunSpec(power_model=PowerModel.active_only())
         )
         assert outcome.total_energy == pytest.approx(15.0)
 
@@ -67,8 +74,12 @@ class TestRunScheme:
         assert outcome.result.permanent_fault == (0, 3)
 
     def test_selective_beats_st_on_fig1(self, fig1):
-        st = run_scheme(fig1, "MKSS_ST", power_model=PowerModel.active_only())
+        st = run_scheme(
+            fig1, "MKSS_ST", run=RunSpec(power_model=PowerModel.active_only())
+        )
         sel = run_scheme(
-            fig1, "MKSS_Selective", power_model=PowerModel.active_only()
+            fig1,
+            "MKSS_Selective",
+            run=RunSpec(power_model=PowerModel.active_only()),
         )
         assert sel.total_energy < st.total_energy

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.harness.runner import RunSpec
 from repro.harness.store import (
     compare_sweeps,
     load_sweep,
@@ -200,7 +201,7 @@ class TestResumedSweepPersistence:
             bins=[(0.3, 0.4)],
             sets_per_bin=2,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
         )
         journal = str(tmp_path / "sweep.jsonl")
         uninterrupted = utilization_sweep(journal_path=journal, **kwargs)

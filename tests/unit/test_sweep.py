@@ -16,6 +16,7 @@ from repro.harness.events import (
     EventLog,
 )
 from repro.harness.journal import RunJournal
+from repro.harness.runner import RunSpec
 from repro.harness.sweep import (
     DROPPED,
     OK,
@@ -36,7 +37,7 @@ def small_sweep():
         bins=[(0.3, 0.4), (0.6, 0.7)],
         sets_per_bin=3,
         seed=77,
-        horizon_cap_units=500,
+        run=RunSpec(horizon_cap_units=500),
     )
 
 
@@ -80,10 +81,13 @@ class TestUtilizationSweep:
         bins = [(0.3, 0.4)]
         pool = generate_binned_tasksets(bins, sets_per_bin=2, seed=13)
         sequential = utilization_sweep(
-            bins, tasksets_by_bin=pool, horizon_cap_units=300
+            bins, tasksets_by_bin=pool, run=RunSpec(horizon_cap_units=300)
         )
         parallel = utilization_sweep(
-            bins, tasksets_by_bin=pool, horizon_cap_units=300, workers=2
+            bins,
+            tasksets_by_bin=pool,
+            run=RunSpec(horizon_cap_units=300),
+            workers=2,
         )
         assert [b.mean_energy for b in sequential.bins] == [
             b.mean_energy for b in parallel.bins
@@ -104,7 +108,7 @@ class TestUtilizationSweep:
             bins=[(0.3, 0.4)],
             sets_per_bin=2,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
             scenario_factory=factory,
         )
         assert calls == [0, 1]
@@ -307,7 +311,7 @@ class TestDropAsPair:
             bins=[(0.3, 0.4)],
             sets_per_bin=3,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
             max_retries=0,
             events=log,
         )
@@ -329,7 +333,7 @@ class TestDropAsPair:
             bins=[(0.3, 0.4)],
             sets_per_bin=2,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
         )
         real = sweep_module._run_one
         state = {"count": 0}
@@ -346,7 +350,7 @@ class TestDropAsPair:
             bins=[(0.3, 0.4)],
             sets_per_bin=3,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
             max_retries=0,
         )
         # dropping set 2 must reproduce the 2-set aggregation exactly
@@ -365,7 +369,7 @@ class TestDropAsPair:
             bins=[(0.3, 0.4)],
             sets_per_bin=2,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
             max_retries=0,
         )
         assert sweep.bins == []
@@ -381,7 +385,7 @@ class TestJournalResume:
             bins=[(0.3, 0.4)],
             sets_per_bin=2,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
         )
         full = utilization_sweep(journal_path=path, **kwargs)
         lines = open(path).read().splitlines()
@@ -418,7 +422,7 @@ class TestJournalResume:
             bins=[(0.3, 0.4)],
             sets_per_bin=2,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
             journal_path=path,
         )
         with pytest.raises(ConfigurationError, match="different sweep"):
@@ -426,7 +430,7 @@ class TestJournalResume:
                 bins=[(0.3, 0.4)],
                 sets_per_bin=2,
                 seed=78,  # different workload
-                horizon_cap_units=300,
+                run=RunSpec(horizon_cap_units=300),
                 journal_path=path,
                 resume=True,
             )
@@ -437,7 +441,7 @@ class TestJournalResume:
             bins=[(0.3, 0.4)],
             sets_per_bin=1,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
             events=log,
         )
         assert log.of_kind(RUN_START)[0].data["jobs"] == 3
@@ -455,7 +459,7 @@ class TestValidationSampling:
             bins=[(0.3, 0.4)],
             sets_per_bin=2,
             seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
             scenario_factory=lambda index: FaultScenario.permanent_only(
                 seed=4000 + index
             ),
@@ -480,65 +484,31 @@ class TestValidationSampling:
             utilization_sweep([(0.3, 0.4)], validate=-1, tasksets_by_bin={})
 
 
-class TestExecutionDrivers:
-    def test_stock_backends_resolve(self):
-        from repro.harness.sweep import SWEEP_BACKENDS, resolve_driver
-
-        for name in SWEEP_BACKENDS:
-            assert resolve_driver(name).name == name
-        assert resolve_driver("serial").inline_only
-        assert not resolve_driver("pool").inline_only
-
+class TestBackends:
     def test_unknown_backend_rejected(self):
-        from repro.harness.sweep import resolve_driver
+        from repro.service.spec import SweepSpec
 
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            resolve_driver("quantum")
         with pytest.raises(ConfigurationError, match="unknown backend"):
             utilization_sweep(
                 [(0.3, 0.4)], backend="quantum", tasksets_by_bin={}
             )
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            SweepSpec(backend="quantum")
 
-    def test_duplicate_registration_requires_replace(self):
-        from repro.harness.sweep import PoolDriver, register_driver
-
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_driver(PoolDriver())
-
-    def test_abstract_driver_not_registrable(self):
-        from repro.harness.sweep import ExecutionDriver, register_driver
-
-        with pytest.raises(ConfigurationError, match="concrete name"):
-            register_driver(ExecutionDriver())
-
-    def test_custom_driver_runs_the_sweep(self):
-        # A driver passed explicitly carries the whole sweep: same
-        # results as the stock pool path, and the request it receives
-        # exposes the jobs/keys/specs contract.
+    def test_serial_backend_runs_inline(self):
+        # ``serial`` forces one worker whatever ``workers`` asks for, and
+        # gives the pool backend's results.
         from repro.harness.store import sweep_to_dict
-        from repro.harness.sweep import PoolDriver
-
-        class RecordingDriver(PoolDriver):
-            name = "recording"
-
-            def __init__(self):
-                self.requests = []
-
-            def execute(self, request):
-                self.requests.append(request)
-                return super().execute(request)
 
         kwargs = dict(
             bins=[(0.3, 0.4)], sets_per_bin=2, seed=77,
-            horizon_cap_units=300,
+            run=RunSpec(horizon_cap_units=300),
         )
-        recording = RecordingDriver()
         log = EventLog()
-        via_driver = utilization_sweep(driver=recording, events=log, **kwargs)
-        stock = utilization_sweep(**kwargs)
-        assert len(recording.requests) == 1
-        request = recording.requests[0]
-        assert len(request.jobs) == len(request.keys) == len(request.specs)
-        assert sweep_to_dict(via_driver) == sweep_to_dict(stock)
-        # The run event names the driver that actually executed.
-        assert log.of_kind(RUN_START)[0].data["backend"] == "recording"
+        serial = utilization_sweep(
+            backend="serial", workers=2, events=log, **kwargs
+        )
+        pool = utilization_sweep(**kwargs)
+        assert sweep_to_dict(serial) == sweep_to_dict(pool)
+        start = log.of_kind(RUN_START)[0].data
+        assert (start["backend"], start["workers"]) == ("serial", 1)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.harness.events import GENERATION, EventLog
 from repro.harness.genstore import GenerationStore, generation_digest
+from repro.harness.runner import RunSpec
 from repro.harness.sweep import (
     _WORKER_BIN_TASKSETS,
     _WORKER_GEN_COUNTS,
@@ -23,7 +24,7 @@ SWEEP_KW = dict(
     schemes=SCHEMES,
     sets_per_bin=2,
     seed=11,
-    horizon_cap_units=300,
+    run=RunSpec(horizon_cap_units=300),
 )
 
 
@@ -46,7 +47,7 @@ def _generated(stats=None):
 def _genbin_job(spec_bins, bin_range, state, index, scheme="MKSS_ST"):
     return (
         "genbin", spec_bins, 2, None, 11, bin_range, state, index, scheme,
-        None, 300, None, None, "met", None,
+        None, RunSpec(horizon_cap_units=300),
     )
 
 
@@ -79,7 +80,7 @@ class TestShardedWorkerRegeneration:
                 expected = run_scheme(
                     taskset,
                     "MKSS_ST",
-                    horizon_cap_units=300,
+                    run=RunSpec(horizon_cap_units=300),
                     collect_trace=False,
                 )
                 got = _run_one(_genbin_job(spec_bins, bin_range, state, index))
@@ -101,7 +102,7 @@ class TestShardedWorkerRegeneration:
         for index in range(2):
             job = (
                 "store", root, digest, spec_bins, 2, None, 11, BINS[0],
-                index, "MKSS_ST", None, 300, None, None, "met", None,
+                index, "MKSS_ST", None, RunSpec(horizon_cap_units=300),
             )
             _run_one(job)
         assert _WORKER_GEN_COUNTS == {
@@ -117,7 +118,7 @@ class TestShardedWorkerRegeneration:
         spec_bins = tuple(tuple(b) for b in BINS)
         job = (
             "store", root, digest, spec_bins, 2, None, 11, BINS[0],
-            0, "MKSS_ST", None, 300, None, None, "met", None,
+            0, "MKSS_ST", None, RunSpec(horizon_cap_units=300),
         )
         _run_one(job)  # absent entry: silent fallback, still correct
         assert _WORKER_GEN_COUNTS["full"] == 1

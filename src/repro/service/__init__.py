@@ -2,10 +2,10 @@
 
 The harness already contains every ingredient of a service -- a
 fingerprint-keyed offline-analysis cache, a JSONL journal with
-checkpoint/resume, structured run/job events, and the fault-isolated,
-driver-pluggable :func:`~repro.harness.sweep.utilization_sweep` -- but
-historically it only ran as a one-shot CLI.  This package turns those
-seams into long-lived server state:
+checkpoint/resume, structured run/job events, and the fault-isolated
+:func:`~repro.harness.sweep.utilization_sweep` with its pool, batch and
+serial backends -- but historically it only ran as a one-shot CLI.  This
+package turns those seams into long-lived server state:
 
 * :mod:`repro.service.spec` -- the sweep-spec wire format: a validated,
   canonicalized description of one Figure-6-style sweep whose

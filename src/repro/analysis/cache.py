@@ -12,8 +12,8 @@ The cache key is ``(analysis kind, TaskSet.fingerprint(), ticks_per_unit,
 *parameters)``.  The fingerprint is the tuple of analysis-relevant task
 parameters -- exact :class:`~fractions.Fraction` values, not floats -- so
 two structurally identical task sets share entries even across separate
-:class:`~repro.model.taskset.TaskSet` objects (e.g. regenerated from the
-same seed in a worker process).
+:class:`~repro.model.taskset.TaskSet` objects (e.g. the copies a sweep
+worker unpickles, one per job).
 
 Only calls that are fully described by the key are memoized: analyses
 taking an explicit ``patterns`` argument bypass the cache, because pattern

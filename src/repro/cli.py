@@ -39,7 +39,7 @@ from .errors import ReproError
 from .harness.figures import DEFAULT_BINS, fig6a, fig6b, fig6c
 from .harness.protocol import ExperimentProtocol
 from .harness.report import format_series_table, format_table
-from .harness.runner import SCHEME_FACTORIES, RunSpec
+from .harness.runner import SCHEME_FACTORIES, RunSpec, scheme_factory
 from .harness.sweep import SWEEP_BACKENDS
 from .model.history import INITIAL_HISTORY_MODES
 from .model.task import Task
@@ -208,10 +208,6 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     taskset = _resolve_taskset(args)
     base = taskset.timebase()
-    if args.scheme not in SCHEME_FACTORIES:
-        raise ReproError(
-            f"unknown scheme {args.scheme!r}; known: {sorted(SCHEME_FACTORIES)}"
-        )
     collect_trace = args.collect_trace
     if not collect_trace:
         for flag, name in ((args.timeline, "--timeline"), (args.export, "--export")):
@@ -238,7 +234,7 @@ def cmd_simulate(args) -> int:
             )
     result = run_policy(
         taskset,
-        SCHEME_FACTORIES[args.scheme](),
+        scheme_factory(args.scheme)(),
         horizon,
         base,
         collect_trace=collect_trace,

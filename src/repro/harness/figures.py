@@ -103,6 +103,7 @@ def _run_panel(
     protocol: Optional[ExperimentProtocol],
     schemes: Sequence[str] = PAPER_SCHEMES,
     tasksets_by_bin=None,
+    reference_scheme: str = "MKSS_ST",
     workers: int = 1,
     backend: str = "pool",
     journal_path: Optional[str] = None,
@@ -117,6 +118,7 @@ def _run_panel(
     return utilization_sweep(
         bins=list(proto.bins),
         schemes=schemes,
+        reference_scheme=reference_scheme,
         scenario_factory=panel_scenario_factory(panel, proto),
         sets_per_bin=proto.sets_per_bin,
         generator_config=proto.generator,

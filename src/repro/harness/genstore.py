@@ -4,25 +4,26 @@ Task-set generation is deterministic in its spec -- (bins, sets per bin,
 generator config, seed, draw budget) -- and expensive: the admission
 loop dominates cold sweep wall clock.  The same spec is regenerated all
 over the place: every triage ablation shares most of its spec with the
-baseline, repeat service submissions share all of it, and pool workers
-used to regenerate the whole sweep *each*.  This store memoizes the
-generated corpus on disk, keyed by a digest of the spec, so any process
--- CLI sweep, triage run, server job, pool worker -- that has seen the
-spec before loads task sets instead of redrawing them.
+baseline, and repeat service submissions share all of it.  This store
+memoizes the generated corpus on disk, keyed by a digest of the spec, so
+any sweep's parent process -- CLI sweep, triage run, server job -- that
+has seen the spec before loads task sets instead of redrawing them.
+Pool workers never read it: every sweep job carries its own task set.
 
 Layout (one directory per digest, content-hashed shards)::
 
     root/<digest>/meta.json      # spec echo + shard names/counts/sha256
     root/<digest>/bin-0000.json  # {"bin": [lo, hi], "tasksets": [...]}
 
-Shards are per utilization bin so a pool worker can load exactly the
-bins its jobs reference.  Writes are atomic at the *entry* level: shards
-and meta are staged into a hidden temp directory and ``os.rename``d into
-place, so a crash mid-write leaves either the whole entry or nothing.
-Reads verify each shard against the sha256 recorded in ``meta.json``;
-any corruption (torn file, truncation, hand-editing) degrades to a
-warning plus regeneration -- mirroring the journal-header hardening, a
-damaged cache must never poison results or abort a sweep.
+Entries keep one shard per utilization bin, the layout every existing
+store was written in, so those stores still load.  Writes are atomic at
+the *entry* level: shards and meta are staged into a hidden temp
+directory and ``os.rename``d into place, so a crash mid-write leaves
+either the whole entry or nothing.  Reads verify each shard against the
+sha256 recorded in ``meta.json``; any corruption (torn file, truncation,
+hand-editing) degrades to a warning plus regeneration -- mirroring the
+journal-header hardening, a damaged cache must never poison results or
+abort a sweep.
 """
 
 from __future__ import annotations
@@ -164,37 +165,6 @@ class GenerationStore:
             return None
         self.hits += 1
         return result
-
-    def get_bin(
-        self, digest: str, bin_range: BinRange
-    ) -> Optional[List[TaskSet]]:
-        """One bin's task sets -- the worker-shard read path.
-
-        Loads and verifies only the matching shard, so a pool worker's
-        read cost scales with its own jobs, not the whole sweep.
-        """
-        wanted = (float(bin_range[0]), float(bin_range[1]))
-        try:
-            meta = self._load_meta(digest)
-            for entry in meta["shards"]:
-                recorded = entry.get("bin") if isinstance(entry, dict) else None
-                if (
-                    isinstance(recorded, (list, tuple))
-                    and len(recorded) == 2
-                    and (float(recorded[0]), float(recorded[1])) == wanted
-                ):
-                    _, tasksets = self._load_shard(digest, entry)
-                    self.hits += 1
-                    return tasksets
-        except StoreCorruption as exc:
-            if digest in self:
-                warnings.warn(
-                    f"generation store entry {digest} failed verification "
-                    f"({exc}); regenerating",
-                    stacklevel=2,
-                )
-        self.misses += 1
-        return None
 
     # -- writing -----------------------------------------------------
 

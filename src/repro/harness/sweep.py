@@ -9,13 +9,12 @@ so comparisons are paired.
 
 Parallel execution (``workers > 1``) uses one persistent process pool for
 the whole sweep -- not one pool per bin -- so worker startup is paid once
-and every worker's analysis cache stays warm across the bins.  When the
-sweep generated its own workload, workers receive compact ``(generation
-spec, bin, index, scheme)`` descriptors and regenerate the task sets
-locally (the generator is deterministic in its seed) instead of
-unpickling every TaskSet; explicitly supplied task sets are shipped
-pickled.  The ``workers=1`` path runs the same jobs inline and is exactly
-the sequential protocol.
+and every worker's analysis cache stays warm across the bins.  Every job
+is one ``(taskset, scheme, scenario, run)`` descriptor, whether the task
+sets were supplied, generated or loaded from a generation store: the
+parent holds the corpus and ships each job its task set.  The
+``workers=1`` path runs the same jobs inline and is exactly the
+sequential protocol.
 
 Sweeps never consume execution traces -- each job reduces to (energy,
 violations) -- so every job runs stats-only.  That is exact: payloads,
@@ -58,7 +57,7 @@ from ..errors import ConfigurationError, UnknownSchemeError
 from ..faults.scenario import FaultScenario
 from ..model.taskset import TaskSet
 from ..sim.validation import ValidationIssue
-from ..workload.fastgen import GenerationStats, generate_single_bin
+from ..workload.fastgen import GenerationStats
 from ..workload.generator import GeneratorConfig, generate_binned_tasksets
 from .events import (
     BATCH_PROGRESS,
@@ -115,8 +114,9 @@ def _freeze(value):
 
     Dicts become sorted ``(key, value)`` tuples and sets become sorted
     tuples, so a dict- or set-valued :class:`GeneratorConfig` field still
-    yields a hashable :func:`_config_key` (worker-side regeneration memos
-    index on it).
+    yields a hashable, canonical :func:`_config_key` (the sweep
+    fingerprint and :func:`~repro.harness.genstore.generation_digest`
+    render it).
     """
     if isinstance(value, dict):
         return tuple(
@@ -145,105 +145,6 @@ def _taskset_digest(taskset: TaskSet) -> str:
     return hashlib.sha1(blob).hexdigest()[:16]
 
 
-#: Per-worker-process workload memos.  ``_WORKER_BIN_TASKSETS`` holds one
-#: *bin* of task sets per key ``((spec key), bin_range)`` -- the sharded
-#: design: a worker materializes only the bins its own jobs reference
-#: (from the shared :class:`GenerationStore` or by replaying that bin's
-#: RNG stream), so its generation cost scales with its job shard, not
-#: the whole sweep.  Only the latest spec's bins are retained.
-#: ``_WORKER_TASKSETS`` is the legacy full-spec memo, kept as the last
-#: resort when neither a store entry nor a bin RNG state is available.
-_WORKER_BIN_TASKSETS: Dict[tuple, List[TaskSet]] = {}
-_WORKER_TASKSETS: Dict[tuple, Dict[Tuple[float, float], List[TaskSet]]] = {}
-_WORKER_STORES: Dict[str, GenerationStore] = {}
-
-#: Observability counters for tests and diagnostics: how many single
-#: bins and how many *full sweeps* this process has regenerated.
-_WORKER_GEN_COUNTS = {"bins": 0, "full": 0, "store_bins": 0}
-
-
-def _regenerated_tasksets(
-    bins: Tuple[Tuple[float, float], ...],
-    sets_per_bin: int,
-    config: Optional[GeneratorConfig],
-    seed: Optional[int],
-) -> Dict[Tuple[float, float], List[TaskSet]]:
-    key = (bins, sets_per_bin, _config_key(config), seed)
-    cached = _WORKER_TASKSETS.get(key)
-    if cached is None:
-        cached = generate_binned_tasksets(list(bins), sets_per_bin, config, seed)
-        _WORKER_GEN_COUNTS["full"] += 1
-        _WORKER_TASKSETS.clear()
-        _WORKER_TASKSETS[key] = cached
-    return cached
-
-
-def _retain_spec(spec_key: tuple) -> None:
-    """Drop memoized bins of any other spec (bounded worker memory)."""
-    for existing in list(_WORKER_BIN_TASKSETS):
-        if existing[0] != spec_key:
-            del _WORKER_BIN_TASKSETS[existing]
-
-
-def _worker_bin_tasksets(
-    bins: Tuple[Tuple[float, float], ...],
-    sets_per_bin: int,
-    config: Optional[GeneratorConfig],
-    seed: Optional[int],
-    bin_range: Tuple[float, float],
-    rng_state: Optional[tuple],
-) -> List[TaskSet]:
-    """One bin's task sets, regenerated from that bin's RNG state."""
-    spec_key = (bins, sets_per_bin, _config_key(config), seed)
-    key = (spec_key, bin_range)
-    cached = _WORKER_BIN_TASKSETS.get(key)
-    if cached is None:
-        if rng_state is None:
-            # No per-bin entry point -- fall back to the full spec.
-            return _regenerated_tasksets(bins, sets_per_bin, config, seed)[
-                bin_range
-            ]
-        _retain_spec(spec_key)
-        cached = generate_single_bin(
-            bin_range, sets_per_bin, config, rng_state=rng_state
-        )
-        _WORKER_GEN_COUNTS["bins"] += 1
-        _WORKER_BIN_TASKSETS[key] = cached
-    return cached
-
-
-def _store_bin_tasksets(
-    root: str,
-    digest: str,
-    bins: Tuple[Tuple[float, float], ...],
-    sets_per_bin: int,
-    config: Optional[GeneratorConfig],
-    seed: Optional[int],
-    bin_range: Tuple[float, float],
-) -> List[TaskSet]:
-    """One bin's task sets, loaded from the shared generation store.
-
-    A vanished or corrupt store entry degrades to full regeneration (the
-    store itself warns) -- slower, never wrong.
-    """
-    spec_key = (bins, sets_per_bin, _config_key(config), seed)
-    key = (spec_key, bin_range)
-    cached = _WORKER_BIN_TASKSETS.get(key)
-    if cached is None:
-        store = _WORKER_STORES.get(root)
-        if store is None:
-            store = _WORKER_STORES.setdefault(root, GenerationStore(root))
-        cached = store.get_bin(digest, bin_range)
-        if cached is None:
-            return _regenerated_tasksets(bins, sets_per_bin, config, seed)[
-                bin_range
-            ]
-        _retain_spec(spec_key)
-        _WORKER_GEN_COUNTS["store_bins"] += 1
-        _WORKER_BIN_TASKSETS[key] = cached
-    return cached
-
-
 #: Test-only fault injection: when this environment variable names an
 #: existing file, the first worker to claim it (by unlinking it) dies
 #: with ``os._exit``, simulating a SIGKILL/OOM mid-sweep.  Used by the
@@ -265,39 +166,14 @@ def _maybe_crash_for_tests() -> None:
 def _run_one(job: tuple) -> Tuple[float, int]:
     """Module-level worker so ProcessPoolExecutor can pickle it.
 
-    ``job`` is a descriptor tuple: a task-set source followed by the
-    tail ``(scheme, scenario, run)``, where ``run`` is the sweep's
-    :class:`~repro.harness.runner.RunSpec`.  The sources are:
-
-    * ``("set", taskset, ...)`` carries a pickled TaskSet (used for
-      explicitly supplied workloads and for the inline ``workers=1``
-      path);
-    * ``("genbin", bins, sets_per_bin, config, seed, bin_range,
-      rng_state, index, ...)`` carries the RNG state at the start of
-      that bin's fill loop, so the worker regenerates *only* the
-      referenced bin (:func:`_worker_bin_tasksets`);
-    * ``("store", store_root, digest, bins, sets_per_bin, config, seed,
-      bin_range, index, ...)`` loads the referenced bin's shard from the
-      shared :class:`GenerationStore` (:func:`_store_bin_tasksets`),
-      regenerating nothing at all on a warm store.
-
-    Every job runs stats-only: the payload needs no trace.
+    ``job`` is the descriptor ``(taskset, scheme, scenario, run)``, where
+    ``run`` is the sweep's :class:`~repro.harness.runner.RunSpec`.  Every
+    job runs stats-only: the payload needs no trace.
 
     Returns ``(total energy, mk violations)``.
     """
     _maybe_crash_for_tests()
-    kind = job[0]
-    scheme, scenario, run = job[-3:]
-    if kind == "set":
-        taskset = job[1]
-    elif kind == "genbin":
-        *source, index = job[1:-3]
-        taskset = _worker_bin_tasksets(*source)[index]
-    elif kind == "store":
-        *source, index = job[1:-3]
-        taskset = _store_bin_tasksets(*source)[index]
-    else:  # pragma: no cover - descriptors are built in this module
-        raise ConfigurationError(f"unknown sweep job kind {kind!r}")
+    taskset, scheme, scenario, run = job
     outcome = run_scheme(taskset, scheme, scenario, run, collect_trace=False)
     return outcome.total_energy, outcome.metrics.mk_violations
 
@@ -320,7 +196,6 @@ def _run_batch_chunk(items: list) -> list:
 def _execute_batch_jobs(
     jobs: Sequence[tuple],
     key_list: Sequence[str],
-    tasksets: Sequence[TaskSet],
     *,
     workers: int,
     policy: ExecutionPolicy,
@@ -339,8 +214,6 @@ def _execute_batch_jobs(
     job whose chunk failed.
     Journal rows carry the same keys and byte-identical payloads as the
     pool backend, so journals resume across backends in both directions.
-    ``tasksets`` holds each job's task set (parent-side references, not
-    copies), aligned with ``jobs``, whose descriptors may not carry it.
 
     Returns ``(tag, payload)`` per job, aligned with ``jobs`` -- the
     :func:`execute_jobs` contract.
@@ -362,7 +235,7 @@ def _execute_batch_jobs(
     items: Dict[int, Any] = {}
     scalar: List[int] = []
     for index in pending:
-        item = build_batch_item(tasksets[index], *jobs[index][-3:])
+        item = build_batch_item(*jobs[index])
         if item is None:
             scalar.append(index)
         else:
@@ -1009,10 +882,11 @@ def utilization_sweep(
             sampling.
         generation_store: a :class:`GenerationStore` (or its root path)
             memoizing generated corpora across processes and restarts.
-            A spec seen before loads task sets instead of regenerating
-            them; pool workers read only the bin shards their jobs
-            reference.  Purely an execution knob: results, journal rows,
-            and the sweep fingerprint are identical with or without it.
+            The parent loads a spec seen before instead of regenerating
+            it; pool workers never read the store, because every job
+            carries its task set.  Purely an execution knob: results,
+            journal rows, and the sweep fingerprint are identical with or
+            without it.
     """
     if reference_scheme not in schemes:
         raise ConfigurationError(
@@ -1044,7 +918,6 @@ def utilization_sweep(
 
     log = events if events is not None else EventLog()
     supplied = tasksets_by_bin is not None
-    generated_spec: Optional[tuple] = None
     fingerprint = _sweep_fingerprint(
         bins,
         schemes,
@@ -1060,15 +933,7 @@ def utilization_sweep(
         if isinstance(generation_store, str)
         else generation_store
     )
-    gen_digest: Optional[str] = None
-    gen_stats: Optional[GenerationStats] = None
     if tasksets_by_bin is None:
-        generated_spec = (
-            tuple(tuple(b) for b in bins),
-            sets_per_bin,
-            generator_config,
-            seed,
-        )
         gen_digest = generation_digest(
             bins, sets_per_bin, generator_config, seed
         )
@@ -1114,20 +979,11 @@ def utilization_sweep(
         )
     else:
         gen_event = None
-    # Workers rebuild internally generated workloads from a per-bin shard
-    # -- a store read when a GenerationStore is shared, otherwise a
-    # replay of just that bin's RNG stream (a few ints + one RNG state
-    # beat a pickled TaskSet per job); supplied workloads have no spec
-    # and are shipped pickled.
-    ship_spec = workers > 1 and generated_spec is not None
 
     jobs: List[tuple] = []
     # meta rows: (bin key, scheme, global set counter, index within bin).
     meta: List[Tuple[Tuple[float, float], str, int, int]] = []
     job_keys: List[str] = []
-    # Each job's task set, for the batch backend's parent-side
-    # batchability resolution (references, not copies).
-    job_tasksets: List[TaskSet] = []
     populated: List[Tuple[Tuple[float, float], int]] = []
     set_counter = 0
     for bin_range in bins:
@@ -1144,7 +1000,6 @@ def utilization_sweep(
             set_counter += 1
             for scheme in schemes:
                 meta.append((key, scheme, counter, index))
-                job_tasksets.append(taskset)
                 # Journal keys are worker-count independent (a sweep
                 # journaled sequentially resumes in parallel and vice
                 # versa): position for generated workloads, digest for
@@ -1157,19 +1012,7 @@ def utilization_sweep(
                     job_keys.append(
                         f"u{key[0]:g}-{key[1]:g}|set{index}|{scheme}"
                     )
-                if not ship_spec:
-                    source: tuple = ("set", taskset)
-                elif gen_store is not None and gen_digest is not None:
-                    source = ("store", gen_store.root, gen_digest,
-                              *generated_spec, key, index)
-                else:
-                    bin_state = (
-                        gen_stats.bin_states.get(key)
-                        if gen_stats is not None
-                        else None
-                    )
-                    source = ("genbin", *generated_spec, key, bin_state, index)
-                jobs.append((*source, scheme, scenario, run))
+                jobs.append((taskset, scheme, scenario, run))
 
     log.emit(
         RUN_START,
@@ -1197,9 +1040,7 @@ def utilization_sweep(
     )
     try:
         if backend == "batch":
-            results = _execute_batch_jobs(
-                jobs, job_keys, job_tasksets, **execution
-            )
+            results = _execute_batch_jobs(jobs, job_keys, **execution)
         else:
             results = execute_jobs(jobs, keys=job_keys, **execution)
     finally:

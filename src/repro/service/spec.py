@@ -273,6 +273,7 @@ class SweepSpec:
         return panel(
             protocol=self.protocol(),
             schemes=list(self.schemes),
+            reference_scheme=self.reference_scheme,
             workers=workers,
             backend=self.backend,
             journal_path=journal_path,

@@ -67,13 +67,7 @@ RawCandidate = Tuple[
 
 @dataclass
 class GenerationStats:
-    """Counters describing one generation run, for observability.
-
-    ``bin_states`` maps each bin to the RNG state at the start of its
-    fill loop -- exactly what a pool worker needs to regenerate *only*
-    that bin's task sets (see ``harness/sweep.py``'s ``genbin`` job
-    descriptors).
-    """
+    """Counters describing one generation run, for observability."""
 
     draws: int = 0
     feasible: int = 0
@@ -83,10 +77,9 @@ class GenerationStats:
     admitted: int = 0
     seconds: float = 0.0
     bin_draws: Dict[Tuple[float, float], int] = field(default_factory=dict)
-    bin_states: Dict[Tuple[float, float], tuple] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, int]:
-        """The JSON-able counters (states excluded -- they are huge)."""
+        """The JSON-able totals (per-bin draw counts excluded)."""
         return {
             "draws": self.draws,
             "feasible": self.feasible,
@@ -500,9 +493,7 @@ def generate_binned_fast(
     """The staged-pipeline equivalent of ``generate_binned_tasksets``.
 
     Byte-identical output (differential corpus in
-    ``tests/property/test_prop_fastgen.py``); additionally records
-    per-bin RNG start states into ``stats`` so pool workers can
-    regenerate a single bin without replaying the whole sweep.
+    ``tests/property/test_prop_fastgen.py``).
     """
     from .generator import GeneratorConfig
 
@@ -513,8 +504,6 @@ def generate_binned_fast(
     }
     started = time.monotonic()
     for bin_lo, bin_hi in result:
-        if stats is not None:
-            stats.bin_states[(bin_lo, bin_hi)] = rng.getstate()
         result[(bin_lo, bin_hi)] = fill_bin(
             rng, cfg, bin_lo, bin_hi, sets_per_bin, max_draws_per_bin, stats
         )
@@ -522,29 +511,3 @@ def generate_binned_fast(
         stats.seconds += time.monotonic() - started
     return result
 
-
-def generate_single_bin(
-    bin_range: Tuple[float, float],
-    sets_per_bin: int,
-    config=None,
-    rng_state: Optional[tuple] = None,
-    max_draws_per_bin: int = 5000,
-) -> List[TaskSet]:
-    """Regenerate exactly one bin of a deterministic generation.
-
-    ``rng_state`` must be the RNG state at the start of that bin's fill
-    loop within the full generation (captured in
-    :attr:`GenerationStats.bin_states`); the returned sets are then
-    identical to that generation's sets for the bin, at the cost of one
-    bin -- not one sweep -- of draws and admission tests.
-    """
-    from .generator import GeneratorConfig
-
-    cfg = config or GeneratorConfig()
-    rng = random.Random()
-    if rng_state is not None:
-        rng.setstate(rng_state)
-    bin_lo, bin_hi = bin_range
-    return fill_bin(
-        rng, cfg, float(bin_lo), float(bin_hi), sets_per_bin, max_draws_per_bin
-    )

@@ -201,7 +201,7 @@ def generate_binned_tasksets(
     differential-tested draw-for-draw identical to one
     :meth:`TaskSetGenerator.draw_raw` at a time; ``stats`` may be a
     :class:`repro.workload.fastgen.GenerationStats` to collect counters
-    and per-bin RNG states.
+    and per-bin draw counts.
     """
     from .fastgen import generate_binned_fast
 

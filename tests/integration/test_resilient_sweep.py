@@ -169,7 +169,8 @@ class TestEndToEndSweepResilience:
     def test_interrupted_parallel_sweep_resumes_identically(self, tmp_path):
         journal = str(tmp_path / "sweep.jsonl")
         uninterrupted = utilization_sweep(journal_path=journal, **SWEEP_KWARGS)
-        lines = open(journal).read().splitlines()
+        with open(journal) as handle:
+            lines = handle.read().splitlines()
         assert len(lines) == 1 + 6  # header + 2 sets x 3 schemes
         # keep the header and one completed job: a crash after >= 1 job
         with open(journal, "w") as handle:

@@ -31,7 +31,6 @@ from repro.workload.fastgen import (
     build_taskset,
     candidate_mk_utilization,
     fill_bin,
-    generate_single_bin,
     limit_denominator_int,
     make_drawer,
     quantized_wcet_units,
@@ -162,27 +161,7 @@ class TestDrawer:
             assert fast.getstate() == reference.getstate()
 
 
-class TestSingleBinShard:
-    def test_single_bin_regenerates_exactly_one_bin(self):
-        # The per-bin RNG states recorded during a full generation allow
-        # regenerating any one bin in isolation, identically.
-        stats = GenerationStats()
-        full = generate_binned_tasksets(
-            BINS, 3, None, 42, max_draws_per_bin=150, stats=stats
-        )
-        assert set(stats.bin_states) == set(full)
-        for bin_range, tasksets in full.items():
-            shard = generate_single_bin(
-                bin_range,
-                3,
-                None,
-                rng_state=stats.bin_states[bin_range],
-                max_draws_per_bin=150,
-            )
-            assert [t.fingerprint() for t in shard] == [
-                t.fingerprint() for t in tasksets
-            ]
-
+class TestGenerationStats:
     def test_stats_counters_are_consistent(self):
         stats = GenerationStats()
         full = generate_binned_tasksets(
@@ -196,7 +175,6 @@ class TestSingleBinShard:
         assert stats.seconds >= 0.0
         payload = stats.to_dict()
         assert payload["admitted"] == stats.admitted
-        assert "bin_states" not in payload  # states are not JSON material
 
 
 class TestLimitDenominator:

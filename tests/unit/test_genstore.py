@@ -62,16 +62,6 @@ class TestRoundTrip:
                 t.fingerprint() for t in tasksets
             ]
 
-    def test_get_bin_loads_single_shard(self, store, corpus):
-        digest = generation_digest(BINS, 2, None, 11)
-        store.put(digest, corpus)
-        shard = store.get_bin(digest, BINS[1])
-        assert shard is not None
-        assert [t.fingerprint() for t in shard] == [
-            t.fingerprint() for t in corpus[BINS[1]]
-        ]
-        assert store.get_bin(digest, (0.88, 0.99)) is None  # unknown bin
-
     def test_missing_digest_is_a_silent_miss(self, store, recwarn):
         assert store.get("0" * 24) is None
         assert store.misses == 1
@@ -150,14 +140,6 @@ class TestCorruptionDegradesToRegeneration:
         os.unlink(self._entry_files(store, digest)[0])
         with pytest.warns(UserWarning, match="unreadable shard"):
             assert store.get(digest) is None
-
-    def test_get_bin_on_corrupt_entry_warns_and_misses(self, store, corpus):
-        digest = self._stored(store, corpus)
-        shard = self._entry_files(store, digest)[0]
-        with open(shard, "wb") as handle:
-            handle.write(b"")
-        with pytest.warns(UserWarning, match="failed verification"):
-            assert store.get_bin(digest, BINS[0]) is None
 
     def test_wrong_count_warns_and_misses(self, store, corpus):
         digest = self._stored(store, corpus)

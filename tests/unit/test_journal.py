@@ -103,7 +103,8 @@ class TestResume:
         journal.record("a", 1)
         journal.record("a", 2)
         journal.close()
-        _, completed = started(path, resume=True)
+        journal, completed = started(path, resume=True)
+        journal.close()
         assert completed == {"a": 2}
 
 
@@ -148,7 +149,8 @@ class TestRobustness:
         journal.close()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "annotation", "note": "hi"}\n')
-        _, completed = started(path, resume=True)
+        journal, completed = started(path, resume=True)
+        journal.close()
         assert completed == {"a": 1}
 
     def test_load_missing_file(self, tmp_path):

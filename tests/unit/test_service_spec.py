@@ -189,6 +189,26 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec.from_dict({**SMALL, knob: value})
 
+    @pytest.mark.parametrize(
+        "schemes",
+        [None, ["MKSS_DP", "MKSS_Selective"]],
+        ids=["paper-schemes", "without-MKSS_ST"],
+    )
+    def test_run_normalizes_to_the_spec_reference(self, schemes):
+        payload = {
+            "faults": "none",
+            "sets_per_bin": 1,
+            "horizon_cap_units": 100,
+            "bins": [[0.1, 0.2]],
+            "reference_scheme": "MKSS_DP",
+        }
+        if schemes is not None:
+            payload["schemes"] = schemes
+        document = sweep_to_dict(SweepSpec.from_dict(payload).run())
+        assert document["reference_scheme"] == "MKSS_DP"
+        (bucket,) = document["bins"]
+        assert bucket["normalized_energy"]["MKSS_DP"] == 1.0
+
 
 class TestDefaultBackend:
     """An omitted ``backend`` picks the batch kernel for wide sweeps."""

@@ -206,7 +206,8 @@ class TestResumedSweepPersistence:
         journal = str(tmp_path / "sweep.jsonl")
         uninterrupted = utilization_sweep(journal_path=journal, **kwargs)
         # simulate a crash: keep the header and the first completed job
-        lines = open(journal).read().splitlines()
+        with open(journal) as handle:
+            lines = handle.read().splitlines()
         with open(journal, "w") as handle:
             handle.write("\n".join(lines[:2]) + "\n")
         resumed = utilization_sweep(

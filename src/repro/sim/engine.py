@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..model.history import (
@@ -169,6 +169,17 @@ class SchedulingPolicy:
         """
         return None
 
+    def reads_flexibility_degree(self, ctx: PolicyContext) -> Sequence[bool]:
+        """Per task, whether :meth:`plan_release` may read its FD.
+
+        Called on a *prepared* policy once per stats-only run, and must
+        not change the policy's state.  A stats-only run computes the
+        flexibility degree only for tasks answered True and passes 0 for
+        the rest (a trace run records every release's FD, so it computes
+        them all).  The default answers True for every task.
+        """
+        return [True] * len(ctx.taskset)
+
     def profile(self, ctx: PolicyContext):
         """The policy's release rules as data, or None.
 
@@ -280,6 +291,11 @@ class _LogicalJob:
     deadline event carries it.  ``record`` is None in stats mode;
     ``task_index`` and ``fd`` are kept directly so outcome accounting
     and recovery planning never need it.
+
+    ``copies`` and the copies' :attr:`Job.sibling` pairs are reference
+    cycles while the job is live; the engine breaks them when it retires
+    the deadline event (``copies`` becomes None), so every finished job
+    is freed by reference counting, not by the cyclic collector.
     """
 
     __slots__ = ("record", "copies", "decided", "task_index", "fd")
@@ -291,7 +307,7 @@ class _LogicalJob:
         fd: int,
     ) -> None:
         self.record = record
-        self.copies: List[Job] = []
+        self.copies: Optional[List[Job]] = []
         self.decided = False
         self.task_index = task_index
         self.fd = fd
@@ -454,13 +470,17 @@ class StandbySparingEngine:
         transient_faults = 0
         released_jobs = 0
 
-        # Per-processor busy/idle accounting (both modes; O(1) busy_ticks
-        # on the result).  ``busy_acc`` aliases stats.busy in stats mode.
-        busy_acc = stats.busy if stats is not None else [0, 0]
+        # Stats-mode idle accounting: each processor's closed idle gaps
+        # inside its energy window [0, window_end), whose complement is
+        # its busy time (derived once, at the end of the run).
         gap_counts = stats.gap_counts if stats is not None else None
         # Per-speed busy ledger (stats mode, DVFS runs only): trace runs
         # carry the speed on each segment instead.
-        speed_busy = stats.speed_busy if stats is not None else None
+        speed_busy = (
+            stats.speed_busy
+            if stats is not None and speed_plan is not None
+            else None
+        )
         gap_cursor = [0, 0]
         window_end = [horizon, horizon]
 
@@ -480,6 +500,13 @@ class StandbySparingEngine:
             for task in taskset
         ]
         filled = [0] * task_count
+        # A trace records every release's FD; a stats-only run computes
+        # it only where the policy's rules can read it.
+        reads_fd = (
+            [True] * task_count
+            if collect
+            else list(policy.reads_flexibility_degree(ctx))
+        )
 
         # Heap entries are (time, kind, seq, a, b); ``a``/``b`` are the
         # kind-specific arguments (a logical job, a copy, a processor).
@@ -604,8 +631,9 @@ class StandbySparingEngine:
                     trace.log(now, "cancel", f"{sibling.name}/{sibling.role.value}")
 
         def handle_deadline(entry: _LogicalJob, now: int) -> bool:
-            """Abandon the logical job's unfinished copies and decide it
-            missed if undecided; True when a copy was abandoned."""
+            """Abandon the logical job's unfinished copies, decide it
+            missed if undecided, and retire it (break its reference
+            cycles); True when a copy was abandoned."""
             abandoned = False
             for job in entry.copies:
                 status = job.status
@@ -615,6 +643,8 @@ class StandbySparingEngine:
                 elif status not in finished_statuses:
                     abandon_copy(job, now, "deadline passed")
                     abandoned = True
+                job.sibling = None
+            entry.copies = None
             if not entry.decided:
                 decide(entry, False, now)
             return abandoned
@@ -624,8 +654,12 @@ class StandbySparingEngine:
             nonlocal released_jobs
             release = now  # timeline entries fire exactly at their tick
             deadline = release + deadlines[task_index]
-            fd = packed_flexibility_degree(
-                words[task_index], mk_m[task_index], mk_k[task_index]
+            fd = (
+                packed_flexibility_degree(
+                    words[task_index], mk_m[task_index], mk_k[task_index]
+                )
+                if reads_fd[task_index]
+                else 0
             )
             copies, classified = plan_release(
                 ctx, task_index, job_index, release, deadline, fd
@@ -916,11 +950,16 @@ class StandbySparingEngine:
                     entry = head[3]
                     if not entry.decided:
                         break
-                    for job in entry.copies:
+                    copies = entry.copies
+                    for job in copies:
                         if job.status not in finished_statuses:
                             break
                     else:
                         heappop(heap)
+                        # Retire the job as its handler would.
+                        for job in copies:
+                            job.sibling = None
+                        entry.copies = None
                         continue
                 elif kind == _EV_ENQUEUE:
                     job = head[3]
@@ -957,15 +996,7 @@ class StandbySparingEngine:
                         if job.started_at is None:
                             job.started_at = now
                         add_segment(processor, now, end, job)
-                    if now < horizon:
-                        clipped = (end if end <= horizon else horizon) - now
-                        busy_acc[processor] += clipped
-                        if speed_busy is not None and job.speed != 1:
-                            counts = speed_busy[processor]
-                            counts[job.speed] = (
-                                counts.get(job.speed, 0) + clipped
-                            )
-                    if not collect:
+                    else:
                         gap_start = gap_cursor[processor]
                         if now > gap_start:
                             gap_end = now
@@ -976,6 +1007,15 @@ class StandbySparingEngine:
                                 length = gap_end - gap_start
                                 counts[length] = counts.get(length, 0) + 1
                         gap_cursor[processor] = end
+                        if (
+                            speed_busy is not None
+                            and job.speed != 1
+                            and now < horizon
+                        ):
+                            counts = speed_busy[processor]
+                            counts[job.speed] = counts.get(job.speed, 0) + (
+                                (end if end <= horizon else horizon) - now
+                            )
                     job.remaining -= ran
             now = next_time
             # Primary-processor completions are processed first so a main
@@ -992,15 +1032,25 @@ class StandbySparingEngine:
 
         if collect:
             trace.validate()
+            busy = [0, 0]
+            for segment in trace.segments:
+                if segment.start < horizon:
+                    end = segment.end if segment.end <= horizon else horizon
+                    busy[segment.processor] += end - segment.start
         else:
             # Close each processor's final idle gap against its energy
-            # window (the horizon, or the fault tick for a dead one).
+            # window (the horizon, or the fault tick for a dead one); the
+            # window's busy ticks are what its idle gaps leave of it.
+            busy = stats.busy
             for processor in (PRIMARY, SPARE):
                 end = window_end[processor]
                 start = gap_cursor[processor]
+                counts = gap_counts[processor]
                 if start < end:
-                    counts = gap_counts[processor]
                     counts[end - start] = counts.get(end - start, 0) + 1
+                busy[processor] = end - sum(
+                    length * count for length, count in counts.items()
+                )
         return SimulationResult(
             taskset=taskset,
             timebase=base,
@@ -1011,6 +1061,6 @@ class StandbySparingEngine:
             transient_fault_count=transient_faults,
             released_jobs=released_jobs,
             stats=stats,
-            busy_by_processor=tuple(busy_acc),
+            busy_by_processor=tuple(busy),
             speed_plan=speed_plan,
         )

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..model.job import JobRole
 from ..model.patterns import Pattern, is_window_periodic
@@ -142,6 +142,15 @@ class ProfiledPolicy(SchedulingPolicy):
 
     def profile(self, ctx: PolicyContext) -> SchemeProfile:
         return self._profile
+
+    def reads_flexibility_degree(self, ctx: PolicyContext) -> List[bool]:
+        # FD decides the FD rule's mandatory jobs and, below a nonzero
+        # fd_max, which optionals run; any other task skips every job
+        # its pattern leaves optional, whatever its FD.
+        return [
+            rules.classification == "fd" or rules.fd_max != 0
+            for rules in self._profile.tasks
+        ]
 
     def _compile(self) -> list:
         """Each task's rules as a flat tuple :meth:`plan_release` unpacks.

@@ -18,7 +18,9 @@ class RunStats:
     """Cumulative counters of one stats-only run.
 
     Attributes:
-        busy: per-processor execution ticks inside [0, horizon).
+        busy: per-processor execution ticks inside [0, horizon): what
+            the idle gaps leave of the processor's energy window, filled
+            once at the end of the run.
         gap_counts: per-processor multiset of *closed* idle-gap lengths,
             as a length -> count dict (the energy model only needs each
             gap's length, not its position).

@@ -8,12 +8,16 @@ re-derive the same quantities in :meth:`prepare`; without memoization the
 offline analysis dominates the simulation itself (it was ~60% of
 ``run_policy`` wall time on the microbenchmark workload).
 
-The cache key is ``(analysis kind, TaskSet.fingerprint(), ticks_per_unit,
-*parameters)``.  The fingerprint is the tuple of analysis-relevant task
-parameters -- exact :class:`~fractions.Fraction` values, not floats -- so
-two structurally identical task sets share entries even across separate
-:class:`~repro.model.taskset.TaskSet` objects (e.g. the copies a sweep
-worker unpickles, one per job).
+The cache key is ``(analysis kind, TaskSet.analysis_key(),
+ticks_per_unit, *parameters)``.  The analysis key is the task set's
+fingerprint -- its analysis-relevant task parameters, exactly -- as the
+numerators and denominators of each task's period, deadline and WCET
+plus its m and k, so two structurally identical task sets share entries
+even across separate :class:`~repro.model.taskset.TaskSet` objects (a
+corpus reloaded from the generation store, the copies a sweep worker
+unpickles).  Each task set builds its key once and the key hashes once,
+so a hit hashes and compares plain ints, never
+:class:`~fractions.Fraction` values.
 
 Only calls that are fully described by the key are memoized: analyses
 taking an explicit ``patterns`` argument bypass the cache, because pattern
@@ -35,7 +39,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Tuple
 
-#: Hashable cache key: (kind, fingerprint, ticks_per_unit, *parameters).
+#: Hashable cache key: (kind, analysis key, ticks_per_unit, *parameters).
 CacheKey = Tuple[Any, ...]
 
 
@@ -103,11 +107,11 @@ def analysis_cache() -> AnalysisCache:
 def shared_analysis(kind, taskset, timebase, params, compute):
     """Memoize ``compute()`` under the canonical analysis key.
 
-    The key convention -- ``(kind, TaskSet.fingerprint(), ticks_per_unit,
+    The key convention -- ``(kind, TaskSet.analysis_key(), ticks_per_unit,
     *params)`` -- is easy to get subtly wrong at call sites (forgetting the
     tick grid makes structurally equal task sets on different grids share
     an entry); this helper centralizes it.  ``params`` must be a tuple of
     hashable values that, together with the kind, fully describe the call.
     """
-    key = (kind, taskset.fingerprint(), timebase.ticks_per_unit, *params)
+    key = (kind, taskset.analysis_key(), timebase.ticks_per_unit, *params)
     return _CACHE.get(key, compute)

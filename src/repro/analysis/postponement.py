@@ -178,7 +178,7 @@ def task_postponement_intervals(
         # carry behaviour and bypass the cache.
         key = (
             "postponement",
-            taskset.fingerprint(),
+            taskset.analysis_key(),
             base.ticks_per_unit,
             horizon_ticks,
             floor_at_promotion,

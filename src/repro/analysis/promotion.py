@@ -56,7 +56,7 @@ def promotion_times(
     """Promotion times for every task, highest priority first."""
     base = timebase or taskset.timebase()
     if patterns is None:
-        key = ("promotion", taskset.fingerprint(), base.ticks_per_unit)
+        key = ("promotion", taskset.analysis_key(), base.ticks_per_unit)
         cached = analysis_cache().get(
             key,
             lambda: [

@@ -76,7 +76,7 @@ def response_times(
     raises before anything is stored, so errors are never cached).
     """
     base = timebase or taskset.timebase()
-    key = ("rta", taskset.fingerprint(), base.ticks_per_unit)
+    key = ("rta", taskset.analysis_key(), base.ticks_per_unit)
     cached = analysis_cache().get(
         key,
         lambda: [response_time(taskset, i, base) for i in range(len(taskset))],
@@ -143,7 +143,7 @@ def response_times_mandatory(
     """
     base = timebase or taskset.timebase()
     if patterns is None:
-        key = ("rta-mandatory", taskset.fingerprint(), base.ticks_per_unit)
+        key = ("rta-mandatory", taskset.analysis_key(), base.ticks_per_unit)
         cached = analysis_cache().get(
             key,
             lambda: [

@@ -129,7 +129,7 @@ class RunSpec:
         return analysis_cache().get(
             (
                 "horizon",
-                taskset.fingerprint(),
+                taskset.analysis_key(),
                 base.ticks_per_unit,
                 self.horizon_cap_units,
             ),
@@ -194,7 +194,7 @@ def run_scheme(
         speed_plan = analysis_cache().get(
             (
                 "dvfs-plan",
-                taskset.fingerprint(),
+                taskset.analysis_key(),
                 base.ticks_per_unit,
                 run.horizon_cap_units,
                 dvfs.cache_key(),

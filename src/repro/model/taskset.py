@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ModelError
 from ..timebase import TimeBase
@@ -22,10 +22,34 @@ def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
 
 
+class AnalysisKey:
+    """A task set's fingerprint in exact integers, hashed once.
+
+    The numerator and denominator of each task's period, deadline and
+    WCET, then its m and k, in priority order.  Two keys are equal
+    exactly when the fingerprints are, but a key hashes and compares as
+    plain ints, never as :class:`~fractions.Fraction` values.
+    """
+
+    __slots__ = ("values", "_hash")
+
+    def __init__(self, values: Tuple[int, ...]) -> None:
+        self.values = values
+        self._hash = hash(values)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AnalysisKey):
+            return NotImplemented
+        return self.values == other.values
+
+
 class TaskSet:
     """An immutable, priority-ordered set of periodic tasks."""
 
-    __slots__ = ("_tasks", "_fingerprint")
+    __slots__ = ("_tasks", "_fingerprint", "_key", "_timebase")
 
     def __init__(self, tasks: Iterable[Task]) -> None:
         task_list: List[Task] = list(tasks)
@@ -35,6 +59,8 @@ class TaskSet:
             if not isinstance(task, Task):
                 raise ModelError(f"element {position} is not a Task: {task!r}")
         self._fingerprint: "tuple | None" = None
+        self._key: Optional[AnalysisKey] = None
+        self._timebase: Optional[TimeBase] = None
         self._tasks = tuple(
             task if task.name else Task(
                 task.period, task.deadline, task.wcet, task.mk,
@@ -76,6 +102,22 @@ class TaskSet:
             )
             self._fingerprint = fp
         return fp
+
+    def analysis_key(self) -> AnalysisKey:
+        """The :meth:`fingerprint` as the key of this set's
+        :mod:`repro.analysis.cache` entries: exact integers, hashed once
+        (memoized).  A set reloaded from the generation store finds the
+        original's entries without any Fraction hashing or comparison.
+        """
+        key = self._key
+        if key is None:
+            values: List[int] = []
+            for task in self._tasks:
+                for value in (task.period, task.deadline, task.wcet):
+                    values += (value.numerator, value.denominator)
+                values += (task.mk.m, task.mk.k)
+            key = self._key = AnalysisKey(tuple(values))
+        return key
 
     def priority_of(self, task: Task) -> int:
         """Index (= priority level) of a task; 0 is the highest priority."""
@@ -122,11 +164,18 @@ class TaskSet:
         return base.from_ticks(ticks)
 
     def timebase(self) -> TimeBase:
-        """The coarsest tick grid exactly representing all task parameters."""
-        values = []
-        for task in self._tasks:
-            values.extend((task.period, task.deadline, task.wcet))
-        return TimeBase.for_values(values)
+        """The coarsest tick grid exactly representing all task parameters.
+
+        Memoized: every caller shares one :class:`TimeBase`, which only
+        its constructor assigns.
+        """
+        base = self._timebase
+        if base is None:
+            values = []
+            for task in self._tasks:
+                values.extend((task.period, task.deadline, task.wcet))
+            base = self._timebase = TimeBase.for_values(values)
+        return base
 
     def __repr__(self) -> str:
         inner = ", ".join(str(task) for task in self._tasks)

@@ -6,7 +6,8 @@ module for the front (batch items, fallback rules, payloads).
 The loop is bound by per-call numpy overhead, not by the work inside a
 call (a batch holds ~100 simulations of ~10 tasks), so the layout is
 chosen to make each lockstep iteration issue as few numpy calls as
-possible.
+possible, and the loop's constants are 0-d arrays: an operation with a
+Python int operand costs about twice one with an array operand.
 
 Array layout
 ------------
@@ -42,6 +43,16 @@ processor (``[2, 2N + 1, S]``, INF on the processor a copy is not bound
 to), so one masked min both orders and locates every processor's pick.
 A run slot stores its copy's row, and the advance step subtracts the
 elapsed time through one flat index per slot.
+
+A simulation finishes when its event column holds nothing past its
+``now``; that iteration's decide records its last skipped releases, and
+nothing touches its column after that.  Once the finished columns are a
+quarter of the width, they retire at the end of the iteration: their
+counters go to
+result arrays of the original width, every per-simulation table keeps
+only the live columns, and the flat views and width-dependent operands
+are re-derived.  Idle-gap keys keep the original ``processor * S0 +
+sim`` encoding and ``progress`` reports against the original width.
 
 Per-task rules (period, deadline, WCET, (m,k), classification, the
 scheme profile's processors and offsets) are one ``[N * S, F]`` table,
@@ -191,23 +202,21 @@ class Ledger:
     """
 
     def __init__(self, kernel: "_Kernel") -> None:
-        self.S = kernel.S
+        self.S = kernel.S0
         self.iterations = kernel.iterations
         released = kernel.releases
-        classes = kernel.class_c.sum(axis=1)
-        effective = kernel.effective_c.sum(axis=0)
+        classes = kernel.out_class
+        effective = kernel.out_effective
         self.released = released.tolist()
         self.effective = effective.tolist()
         self.missed = (released - effective).tolist()
         self.mandatory = classes[0].tolist()
         self.optional = classes[1].tolist()
         self.skipped = (released - classes.sum(axis=0)).tolist()
-        self.violations = kernel.violations.T.tolist()
+        self.violations = kernel.out_violations.T.tolist()
         self.task_count = kernel.task_count.tolist()
-        self.faults = (
-            kernel.fault_count.tolist() if kernel.can_fault else [0] * kernel.S
-        )
-        self.window_end = kernel.window_end
+        self.faults = kernel.out_faults.tolist()
+        self.window_end = kernel.out_window
         self.gap_span = kernel.gap_span
         self.gap_chunks = kernel.closed_gaps()
 
@@ -283,7 +292,7 @@ class _Kernel:
         S = len(items)
         N = max(len(item.taskset) for item in items)
         Wc = 2 * N + 1
-        self.S, self.N, self.Wc = S, N, Wc
+        self.S0, self.S, self.N, self.Wc = S, S, N, Wc
         # Event-table row sections (see the module docstring).
         self.DL = Wc
         self.REL = Wc + N
@@ -389,12 +398,7 @@ class _Kernel:
         self.max_iterations = 8 * (int(self.releases.max()) + 2) + 64
         # Simulation-minor from here on: row t, column sim.
         self.rules = np.ascontiguousarray(rules.transpose(1, 0, 2))
-        self.rules2 = self.rules.reshape(N * S, _FIELDS)
         self.postfault = np.ascontiguousarray(postfault.transpose(1, 0, 2))
-        self.shifts = np.arange(max_k, dtype=i64)
-        self.opt_step = N * Wc  # key step of one flexibility degree
-        self.held_base = N * Wc  # key of a held optional, plus its row
-        self.opt_floor = (N + 1) * Wc  # smallest optional key
 
         # -- the event table and the copy table ---------------------------
         self.ev = np.full((self.FLT + 1, S), INF, dtype=i64)
@@ -410,62 +414,45 @@ class _Kernel:
             self.pkey[p, N : 2 * N] = np.where(
                 backup_proc.T == p, backup_key, INF
             )
-        # Views: event sections, copy keys per processor.
-        self.enq = self.ev[:Wc]
-        self.enq_a = self.ev[:N]
-        self.enq_b = self.ev[N : 2 * N]
-        self.cur_dl = self.ev[self.DL : self.DL + N]
-        self.next_rel = self.ev[self.REL : self.REL + N]
-        self.run_end = self.ev[self.RUN : self.RUN + 2]
-        self.fault_tick = self.ev[self.FLT]
-        # Flat views: `take` and fancy stores on flat indices are much
-        # cheaper than 2-D fancy indexing in the hot loop.
-        self.ev_f = self.ev.reshape(-1)
-        self.rem_f = self.rem.reshape(-1)
-        self.cdl_f = self.cdl.reshape(-1)
-        self.pkey_f = self.pkey.reshape(-1)
-        self.NS = N * S
-        # Offsets of a copy's key on processor 0 and 1 in ``pkey_f``.
         self.proc_rows = np.array([[0], [1]], dtype=i64)
-        self.proc_off = self.proc_rows * (Wc * S)
 
         # -- dynamic per-task state -----------------------------------------
         self.hist = np.ascontiguousarray(hist.T)
-        self.hist_f = self.hist.reshape(-1)
         # Outcomes still to record before the violation tracker's first
         # closed window (the tracker starts empty).
         self.unfilled = self.rules[:, :, _K].copy()
-        self.unfilled_f = self.unfilled.reshape(-1)
         # Each task's next optional's processor (alternation state).
         self.odyn = np.ascontiguousarray(opt_proc.T)
-        self.odyn_f = self.odyn.reshape(-1)
         self.outcome = np.zeros((N, S), dtype=np.int8)
-        self.outcome_f = self.outcome.reshape(-1)
         self.class_c = np.zeros((2, N, S), dtype=i64)  # mandatory, optional
-        self.class_f = self.class_c.reshape(-1)
         self.effective_c = np.zeros((N, S), dtype=i64)
-        self.effective_f = self.effective_c.reshape(-1)
         self.violations = np.zeros((N, S), dtype=i64)
-        self.violations_f = self.violations.reshape(-1)
 
         # -- per-simulation state -------------------------------------------
         # One tick before time 0, so the scan sees the releases at 0.
         self.now = np.full(S, -1, dtype=i64)
-        self.sim_ix = np.arange(S, dtype=i64)
         self.sticky = sticky
-        self.any_sticky = bool(sticky.any())
-        # Run slots, [processor, sim]: running flag, copy row, flat index.
+        # Run slots, [processor, sim]: running flag, copy row.
         self.running = np.zeros((2, S), dtype=bool)
         self.run_row = np.full((2, S), 2 * N, dtype=i64)
-        self.run_ix = self.run_row * S + self.sim_ix
         self.gap_start = np.zeros((2, S), dtype=i64)
         self.window_end = np.stack([self.horizon, self.horizon])
-        # Closed idle gaps, one int64 key each: (processor * S + sim) *
-        # gap_span + length (a gap never outlasts its horizon), kept as
-        # per-iteration chunks and counted into multisets at the end.
+        # Closed idle gaps, one int64 key each: (processor * S0 + sim) *
+        # gap_span + length, by original simulation index (a gap never
+        # outlasts its horizon), kept as per-iteration chunks and counted
+        # into multisets at the end.
         self.gap_span = int(self.horizon.max()) + 1
         self.gap_chunks: List[object] = []
         self.iterations = 0
+        # Each column's original simulation index, and the counters of
+        # retired columns at that index.
+        self.orig = np.arange(S, dtype=i64)
+        self.out_class = np.zeros((2, S), dtype=i64)
+        self.out_effective = np.zeros(S, dtype=i64)
+        self.out_violations = np.zeros((N, S), dtype=i64)
+        self.out_faults = np.zeros(S, dtype=i64)
+        self.out_window = np.zeros((2, S), dtype=i64)
+        self.out_gap_start = np.zeros((2, S), dtype=i64)
 
         # -- transient faults (only when some draw can fault) -----------
         self.can_fault = any(item.fault_draws for item in items)
@@ -474,12 +461,12 @@ class _Kernel:
             # completion index (closed by an INF sentinel); ``drawn`` is
             # how many draws each run has made, ``cand_next`` the index
             # of its next candidate.
-            fault_p = np.zeros((N, S))
+            self.fault_p = np.zeros((N, S))
             keys: List[int] = []
             draws: List[float] = []
             for s, item in enumerate(items):
                 if item.fault_draws:
-                    fault_p[: len(item.fault_probability), s] = (
+                    self.fault_p[: len(item.fault_probability), s] = (
                         item.fault_probability
                     )
                 for at, draw in item.fault_draws:
@@ -487,20 +474,82 @@ class _Kernel:
                     draws.append(draw)
             keys.append(INF)
             draws.append(1.0)
-            self.fault_p_f = fault_p.reshape(-1)
             self.cand_key = np.array(keys, dtype=i64)
             self.cand_u = np.array(draws)
-            self.draw_base = self.sim_ix * _DRAW_SPAN
             self.drawn = np.zeros(S, dtype=i64)
-            self.cand_next = self._next_candidate()
             self.fault_count = np.zeros(S, dtype=i64)
+
+        # Loop operands as 0-d arrays: a binary operation or np.where
+        # with a Python int operand costs about twice one with an array.
+        # int8 where they meet the outcome marks, which would otherwise
+        # promote.
+        self.inf = np.array(INF, dtype=i64)
+        self.zero = np.array(0, dtype=i64)
+        self.one = np.array(1, dtype=i64)
+        self.n_op = np.array(N, dtype=i64)
+        self.wc_op = np.array(Wc, dtype=i64)
+        self.sink = np.array(2 * N, dtype=i64)  # the never-live copy row
+        self.opt_step = np.array(N * Wc, dtype=i64)  # key step of one FD
+        self.held_base = self.opt_step  # key of a held optional, plus its row
+        self.opt_floor = np.array((N + 1) * Wc, dtype=i64)  # least optional key
+        self.span_op = np.array(_DRAW_SPAN, dtype=i64)
+        self.shifts = np.arange(max_k, dtype=i64)
+        self.met = np.array(MET, dtype=np.int8)
+        self.missed = np.array(MISSED, dtype=np.int8)
+        self.cleared = np.array(0, dtype=np.int8)
+        self._derive()
+        if self.can_fault:
+            self.cand_next = self._next_candidate()
+
+    def _derive(self) -> None:
+        """The views, flat views and width-dependent operands of the
+        tables; rebuilt whenever columns retire."""
+        np = self.np
+        N, S, Wc = self.N, self.S, self.Wc
+        ev = self.ev
+        # Views: event sections.
+        self.enq = ev[:Wc]
+        self.enq_a = ev[:N]
+        self.enq_b = ev[N : 2 * N]
+        self.cur_dl = ev[self.DL : self.DL + N]
+        self.next_rel = ev[self.REL : self.REL + N]
+        self.run_end = ev[self.RUN : self.RUN + 2]
+        self.fault_tick = ev[self.FLT]
+        # Flat views: `take` and fancy stores on flat indices are much
+        # cheaper than 2-D fancy indexing in the hot loop.
+        self.ev_f = ev.reshape(-1)
+        self.rem_f = self.rem.reshape(-1)
+        self.cdl_f = self.cdl.reshape(-1)
+        self.pkey_f = self.pkey.reshape(-1)
+        self.rules2 = self.rules.reshape(N * S, _FIELDS)
+        self.hist_f = self.hist.reshape(-1)
+        self.unfilled_f = self.unfilled.reshape(-1)
+        self.odyn_f = self.odyn.reshape(-1)
+        self.outcome_f = self.outcome.reshape(-1)
+        self.class_f = self.class_c.reshape(-1)
+        self.effective_f = self.effective_c.reshape(-1)
+        self.violations_f = self.violations.reshape(-1)
+        self.sim_ix = np.arange(S, dtype=np.int64)
+        self.run_ix = self.run_row * S + self.sim_ix
+        self.any_sticky = bool(self.sticky.any())
+        # Offsets of a copy's key on processor 0 and 1 in ``pkey_f``.
+        self.proc_off = self.proc_rows * (Wc * S)
+        # The row of each slot's gaps in the original-width encoding.
+        self.gap_row = (self.proc_rows * self.S0 + self.orig) * self.gap_span
+        self.s_op = np.array(S, dtype=np.int64)
+        self.NS = np.array(N * S, dtype=np.int64)
+        self.dl_off = np.array(self.DL * S, dtype=np.int64)
+        self.rel_off = np.array(self.REL * S, dtype=np.int64)
+        if self.can_fault:
+            self.fault_p_f = self.fault_p.reshape(-1)
+            self.draw_base = self.sim_ix * _DRAW_SPAN
 
     # -- the lockstep loop ----------------------------------------------
 
     def run(self, progress: Optional[Callable[[int, int, int], None]]) -> None:
         np = self.np
-        S = self.S
-        ev = self.ev
+        S0 = self.S0
+        inf = self.inf
         done_reported = 0
         iterations = 0
         while True:
@@ -513,13 +562,14 @@ class _Kernel:
             # 1. Each simulation's own next event: the earliest tick in
             # its event column past now (queued copies sit at or before
             # it).
+            ev = self.ev
             old_now = self.now
-            nt = np.where(ev > old_now, ev, INF).min(axis=0)
-            act = nt < INF
+            nt = np.where(ev > old_now, ev, inf).min(axis=0)
+            act = nt < inf
             active = int(np.count_nonzero(act))
-            if progress is not None and S - active > done_reported:
-                done_reported = S - active
-                progress(done_reported, S, iterations)
+            if progress is not None and S0 - active > done_reported:
+                done_reported = S0 - active
+                progress(done_reported, S0, iterations)
             if not active:
                 break
             now = np.where(act, nt, old_now)
@@ -536,10 +586,10 @@ class _Kernel:
             # included) and mark the job missed.
             dead = self.cur_dl == now
             if dead.any():
-                self.enq_a[dead] = INF
-                self.enq_b[dead] = INF
-                self.cur_dl[dead] = INF
-                self.outcome[dead] = MISSED
+                self.enq_a[dead] = inf
+                self.enq_b[dead] = inf
+                self.cur_dl[dead] = inf
+                self.outcome[dead] = self.missed
             # 6. One decide for this iteration's outcomes, ahead of the
             # release round (a same-tick release of the same task must
             # read the updated history).
@@ -548,9 +598,16 @@ class _Kernel:
             self._release(now)
             # 8. Dispatch (fresh min == engine displacement + pick).
             self._dispatch(now)
+            # 9. Retire the finished columns once they are a quarter of
+            # the width.  A column finishes in the iteration after its
+            # last event, whose decide (6) recorded its last skipped
+            # releases; nothing touches it after that.
+            if 4 * active <= 3 * self.S:
+                self._retire(act)
         self.iterations = iterations
         # The last round's skipped releases.
         self._decide()
+        self._store(slice(None))
 
     def _advance(self, old_now, now) -> None:
         """Charge the elapsed time to the running copies.
@@ -563,12 +620,9 @@ class _Kernel:
         np = self.np
         running = self.running
         glen = np.minimum(old_now, self.window_end) - self.gap_start
-        close = running & (glen > 0)
+        close = running & (glen > self.zero)
         if close.any():
-            # flatnonzero of a [2, S] mask is processor * S + sim.
-            self.gap_chunks.append(
-                np.flatnonzero(close) * self.gap_span + glen[close]
-            )
+            self.gap_chunks.append(self.gap_row[close] + glen[close])
         self.gap_start = np.where(running, now, self.gap_start)
         # Idle slots point at the sink row, which absorbs the charge.
         self.rem_f[self.run_ix] -= now - old_now
@@ -582,14 +636,13 @@ class _Kernel:
         processor; it marks the same job met again, which is one
         decision.
         """
-        np = self.np
         comp = self.run_end == now
         if not comp.any():
             return
-        N, S = self.N, self.S
+        inf = self.inf
         sims = comp.nonzero()[1]
         row = self.run_row[comp]
-        ts = row % N * S + sims
+        ts = row % self.n_op * self.s_op + sims
         if self.can_fault:
             bad = self._faulted(comp, sims, ts)
             if bad is not None:
@@ -597,18 +650,18 @@ class _Kernel:
                 # live; only an optional's job (finite feasibility
                 # deadline) is decided (missed) now, a mandatory one
                 # waits for its other copy or its deadline.
-                own = (row * S + sims)[bad]
-                self.ev_f[own] = INF
-                fo = ts[bad][self.cdl_f.take(own) != INF]
-                self.ev_f[fo + self.DL * S] = INF
-                self.outcome_f[fo] = MISSED
+                own = (row * self.s_op + sims)[bad]
+                self.ev_f[own] = inf
+                fo = ts[bad][self.cdl_f.take(own) != inf]
+                self.ev_f[fo + self.dl_off] = inf
+                self.outcome_f[fo] = self.missed
                 ts = ts[~bad]
-        self.ev_f[ts] = INF
-        self.ev_f[ts + self.NS] = INF
+        self.ev_f[ts] = inf
+        self.ev_f[ts + self.NS] = inf
         # Clear the deadline now: the deadline scan below must not
         # re-decide a job that completed at its deadline tick.
-        self.ev_f[ts + self.DL * S] = INF
-        self.outcome_f[ts] = MET
+        self.ev_f[ts + self.dl_off] = inf
+        self.outcome_f[ts] = self.met
 
     def _faulted(self, comp, sims, ts):
         """Draw for each completing copy; a mask of the faulted ones.
@@ -624,7 +677,7 @@ class _Kernel:
             return None
         at = (self.drawn + comp.cumsum(axis=0) - comp)[comp]
         self.drawn = drawn
-        key = sims * _DRAW_SPAN + at
+        key = sims * self.span_op + at
         pos = np.searchsorted(self.cand_key, key)
         bad = (self.cand_key.take(pos) == key) & (
             self.cand_u.take(pos) < self.fault_p_f.take(ts)
@@ -651,6 +704,52 @@ class _Kernel:
             self.rules[:, s, _PF] = self.postfault[:, s]
             self.odyn[:, s] = 1 - dead
 
+    # -- retiring finished simulations ------------------------------------
+
+    def _retire(self, keep) -> None:
+        """Drop the finished columns from every per-simulation table.
+
+        Their counters go to the original-width results first; the
+        candidate draws of the kept columns are re-keyed to their new
+        column indices.  Each table keeps its buffer (see
+        ``_COLUMNS``).
+        """
+        np = self.np
+        self._store(~keep)
+        cols = keep.nonzero()[0]
+        if self.can_fault:
+            # Kept columns keep their order, so the re-keyed candidates
+            # stay sorted for the searchsorted lookups.
+            new = np.full(self.S, -1, dtype=np.int64)
+            new[cols] = np.arange(cols.size)
+            keys = self.cand_key[:-1]
+            col = new.take(keys // _DRAW_SPAN)
+            kept = col >= 0
+            self.cand_key = np.append(
+                col[kept] * _DRAW_SPAN + keys[kept] % _DRAW_SPAN, INF
+            )
+            self.cand_u = np.append(self.cand_u[:-1][kept], 1.0)
+        columns = _COLUMNS + (_FAULT_COLUMNS if self.can_fault else ())
+        for name, axis in columns:
+            table = getattr(self, name)
+            kept = table.take(cols, axis=axis)
+            front = table.reshape(-1)[: kept.size].reshape(kept.shape)
+            front[...] = kept
+            setattr(self, name, front)
+        self.S = int(cols.size)
+        self._derive()
+
+    def _store(self, cols) -> None:
+        """Copy columns' counters to their original simulation index."""
+        sims = self.orig[cols]
+        self.out_class[:, sims] = self.class_c[:, :, cols].sum(axis=1)
+        self.out_effective[sims] = self.effective_c[:, cols].sum(axis=0)
+        self.out_violations[:, sims] = self.violations[:, cols]
+        self.out_window[:, sims] = self.window_end[:, cols]
+        self.out_gap_start[:, sims] = self.gap_start[:, cols]
+        if self.can_fault:
+            self.out_faults[sims] = self.fault_count[cols]
+
     # -- history machinery ----------------------------------------------
 
     def _decide(self) -> None:
@@ -663,14 +762,14 @@ class _Kernel:
         ts = np.flatnonzero(self.outcome)
         if not ts.size:
             return
-        met = self.outcome_f.take(ts) == MET
-        self.outcome_f[ts] = 0
+        met = self.outcome_f.take(ts) == self.met
+        self.outcome_f[ts] = self.cleared
         rules = self.rules2[ts]
-        window = ((self.hist_f.take(ts) << 1) | met) & rules[:, _KMASK]
+        window = ((self.hist_f.take(ts) << self.one) | met) & rules[:, _KMASK]
         self.hist_f[ts] = window
-        unfilled = self.unfilled_f.take(ts) - 1
+        unfilled = self.unfilled_f.take(ts) - self.one
         self.unfilled_f[ts] = unfilled
-        self.violations_f[ts] += (unfilled <= 0) & (
+        self.violations_f[ts] += (unfilled <= self.zero) & (
             np.bitwise_count(window) < rules[:, _M]
         )
         self.effective_f[ts] += met
@@ -688,45 +787,45 @@ class _Kernel:
         t, sims = (self.next_rel == now).nonzero()
         if not t.size:
             return
-        S = self.S
-        ts = t * S + sims
+        inf, zero, one = self.inf, self.zero, self.one
+        ts = t * self.s_op + sims
         rnow = now.take(sims)
         (
             P, D, C, K, K1, M, _, FD, PAT, LAST, MKEY, OKEY,
             FDMAX, MPROC, MOFF, BOFF, ALT,
         ) = self.rules2[ts].T  # fmt: skip
-        self.ev_f[ts + self.REL * S] = np.where(rnow < LAST, rnow + P, INF)
+        self.ev_f[ts + self.rel_off] = np.where(rnow < LAST, rnow + P, inf)
         # Flexibility degree (MKHistory.flexibility_degree): k minus the
         # position of the m-th newest success, 0 when the window holds
         # fewer than m (a success in the window's oldest bit, outside
         # the k-1 outcomes the degree reads, also gives 0).
-        bits = (self.hist_f.take(ts)[:, None] >> self.shifts) & 1
+        bits = (self.hist_f.take(ts)[:, None] >> self.shifts) & one
         before = (bits.cumsum(axis=1) < M[:, None]).sum(axis=1)
-        fd = np.maximum(K1 - before, 0)
+        fd = np.maximum(K1 - before, zero)
         phase = rnow // P % K
-        mand = np.where(FD, fd == 0, ((PAT >> phase) & 1) == 1)
+        mand = np.where(FD, fd == zero, ((PAT >> phase) & one) == one)
         opt = ~mand & (fd <= FDMAX)
         keep = mand | opt
         self.class_f[ts + opt * self.NS] += keep
         # A skipped job is decided missed in the next iteration.
         self.outcome_f[ts] = ~keep
         dl = rnow + D
-        self.ev_f[ts + self.DL * S] = np.where(keep, dl, INF)
+        self.ev_f[ts + self.dl_off] = np.where(keep, dl, inf)
         # Copy A: the main, or the optional on its (alternating)
         # processor.
-        self.ev_f[ts] = np.where(keep, rnow + MOFF * mand, INF)
+        self.ev_f[ts] = np.where(keep, rnow + MOFF * mand, inf)
         self.rem_f[ts] = C
-        self.cdl_f[ts] = np.where(opt, dl, INF)
+        self.cdl_f[ts] = np.where(opt, dl, inf)
         nxt = self.odyn_f.take(ts)
         proc = np.where(mand, MPROC, nxt)
         self.odyn_f[ts] = nxt ^ (opt & ALT)
         key = np.where(mand, MKEY, OKEY + fd * self.opt_step)
         self.pkey_f[ts + self.proc_off] = np.where(
-            proc == self.proc_rows, key, INF
+            proc == self.proc_rows, key, inf
         )
         # Copy B: the backup, postponed by its offset.
         tb = ts + self.NS
-        self.ev_f[tb] = np.where(mand & (BOFF >= 0), rnow + BOFF, INF)
+        self.ev_f[tb] = np.where(mand & (BOFF >= zero), rnow + BOFF, inf)
         self.rem_f[tb] = C
 
     def _dispatch(self, now) -> None:
@@ -740,21 +839,22 @@ class _Kernel:
         low digit is its row.
         """
         np = self.np
+        inf = self.inf
         ok = (self.enq <= now) & (now + self.rem <= self.cdl)
-        best = np.where(ok, self.pkey, INF).min(axis=1)
-        has = best < INF
-        row = best % self.Wc
+        best = np.where(ok, self.pkey, inf).min(axis=1)
+        has = best < inf
+        row = best % self.wc_op
         if self.any_sticky:
             # A freshly dispatched optional becomes the held job under
             # the non-preemptive rule: it resumes ahead of the other
             # optionals while it stays feasible.
             fresh = has & (best >= self.opt_floor) & self.sticky
             if fresh.any():
-                held = (row * self.S + self.sim_ix + self.proc_off)[fresh]
+                held = (row * self.s_op + self.sim_ix + self.proc_off)[fresh]
                 self.pkey_f[held] = self.held_base + row[fresh]
-        row = np.where(has, row, 2 * self.N)
-        run_ix = row * self.S + self.sim_ix
-        self.run_end[...] = np.where(has, now + self.rem_f.take(run_ix), INF)
+        row = np.where(has, row, self.sink)
+        run_ix = row * self.s_op + self.sim_ix
+        self.run_end[...] = np.where(has, now + self.rem_f.take(run_ix), inf)
         self.running, self.run_row, self.run_ix = has, row, run_ix
 
     # -- results ----------------------------------------------------------
@@ -767,11 +867,31 @@ class _Kernel:
         horizon-long gap) and hands the chunk list over.
         """
         np = self.np
-        last = self.window_end - self.gap_start
+        last = self.out_window - self.out_gap_start
         tail = last > 0
         if tail.any():
+            # flatnonzero of a [2, S0] mask is processor * S0 + sim.
             self.gap_chunks.append(
                 np.flatnonzero(tail) * self.gap_span + last[tail]
             )
         chunks, self.gap_chunks = self.gap_chunks, []
         return chunks
+
+
+#: Every per-simulation table, with the axis that holds its columns.
+#: Retiring columns compacts the kept ones into the front of each
+#: table's own buffer.  Narrower tables allocated beside the old ones,
+#: which their views keep alive until they are re-derived, would hold
+#: the state twice (0.5 MB more peak RSS in a cold ``fig6b`` sweep
+#: unit).  The fronts stay C-contiguous, so the flat views stay views.
+_COLUMNS = (
+    ("ev", 1), ("rem", 1), ("cdl", 1), ("pkey", 2), ("rules", 1),
+    ("postfault", 1), ("hist", 1), ("unfilled", 1), ("odyn", 1),
+    ("outcome", 1), ("class_c", 2), ("effective_c", 1), ("violations", 1),
+    ("now", 0), ("sticky", 0), ("running", 1), ("run_row", 1),
+    ("gap_start", 1), ("window_end", 1), ("horizon", 0), ("fault_proc", 0),
+    ("orig", 0),
+)  # fmt: skip
+_FAULT_COLUMNS = (
+    ("fault_p", 1), ("drawn", 0), ("cand_next", 0), ("fault_count", 0),
+)  # fmt: skip

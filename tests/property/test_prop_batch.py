@@ -13,6 +13,8 @@ fire, plus one pinned run per fault rule the kernel copies from the
 engine (same-tick sibling draws, processor 0 drawing before processor
 1, a faulted main's live backup, a faulted post-fault main or optional
 decided missed) and for a skipped release that is a run's last event.
+One call whose runs end far apart checks that the kernel's retirement
+of finished simulations from its tables loses no counter.
 
 They also pin the harness composition: a ``backend="batch"`` sweep must
 produce byte-identical journal rows to the pool backend, resume a
@@ -357,8 +359,23 @@ def _pinned_runs(monkeypatch, policy, taskset, scenario):
     return kernel, runs[0], runs[1]
 
 
+class PatternedPolicy(PinnedPolicy):
+    """Every task on its E-pattern, each backup beside its main."""
+
+    name = "pinned-patterns"
+
+    def prepare(self, ctx):
+        self.adopt_rules(
+            TaskProfile("pattern", pattern=EPattern(task.mk), backup_offset=0)
+            for task in ctx.taskset
+        )
+
+
 #: One task whose every job is mandatory (FD = 0 under (2,2)), C = 3.
 ALWAYS_MANDATORY = TaskSet([Task(10, 10, 3, 2, 2)])
+#: One (1,6) task, C = 3, whose E-pattern runs job 1 and skips jobs 2-6
+#: of its 60-unit horizon.
+SKIPPING = TaskSet([Task(10, 10, 3, 1, 6)])
 
 
 class TestPinnedTransientCases:
@@ -448,22 +465,13 @@ class TestPinnedTransientCases:
         assert trace.trace.records[(1, 1)].outcome == JobOutcome.EFFECTIVE
 
     def test_last_skipped_release_is_decided(self, monkeypatch):
-        class Patterned(PinnedPolicy):
-            def prepare(self, ctx):
-                self.adopt_rules(
-                    TaskProfile(
-                        "pattern", pattern=EPattern(task.mk), backup_offset=0
-                    )
-                    for task in ctx.taskset
-                )
-
         # (1,2) E-pattern: job 1 is mandatory, job 2 skipped.  Both of
         # job 1's copies fault, so it is missed at its deadline, tick 10,
         # the tick job 2 is released and skipped.  Nothing happens after
         # that: only the end-of-run decide records job 2's miss and the
         # violation of the (miss, miss) window it closes.
         kernel, _, trace = _pinned_runs(
-            monkeypatch, Patterned, TaskSet([Task(10, 10, 3, 1, 2)]),
+            monkeypatch, PatternedPolicy, TaskSet([Task(10, 10, 3, 1, 2)]),
             ScriptedScenario(draws=(0.0, 0.0)),
         )
         assert kernel.transient_fault_count == 2
@@ -492,6 +500,94 @@ class TestPinnedTransientCases:
             )
             is not None
         )
+
+
+class TestColumnRetirement:
+    """The kernel drops finished simulations from its tables mid-run."""
+
+    def test_retired_columns_keep_their_counters(self, monkeypatch):
+        """One kernel call whose runs end far apart (horizons 60-600),
+        under transients that fire: the kernel drops finished columns
+        as it goes, and every run must still match the engine.
+
+        The call must retire a column in the iteration whose decide
+        recorded that column's last skipped release, and fire transient
+        faults in runs that outlived a retirement (their candidate draws
+        were re-keyed to new columns).
+        """
+        from repro.sim import batch_kernel
+
+        kernel_cls = batch_kernel._Kernel
+        decide, retire, faulted = (
+            kernel_cls._decide, kernel_cls._retire, kernel_cls._faulted
+        )
+        marked, held, late_faults = [], [], []
+
+        def spy_decide(self):
+            marked.append(set(self.orig[self.outcome.any(axis=0)].tolist()))
+            decide(self)
+
+        def spy_retire(self, keep):
+            held.append(set(self.orig[~keep].tolist()) & marked[-1])
+            retire(self, keep)
+
+        def spy_faulted(self, comp, sims, ts):
+            bad = faulted(self, comp, sims, ts)
+            if bad is not None and self.S < self.S0:
+                late_faults.extend(self.orig[sims[bad]].tolist())
+            return bad
+
+        monkeypatch.setattr(kernel_cls, "_decide", spy_decide)
+        monkeypatch.setattr(kernel_cls, "_retire", spy_retire)
+        monkeypatch.setattr(kernel_cls, "_faulted", spy_faulted)
+        monkeypatch.setitem(
+            SCHEME_FACTORIES, PatternedPolicy.name, PatternedPolicy
+        )
+
+        items, expected, skipping = [], [], set()
+        for index in range(40):
+            if index % 10 in (1, 4, 7):
+                # Both copies of job 1 fault, so it is missed; job 6's
+                # skipped release at 50, the run's last event, closes the
+                # first window, all misses: only the decide after it
+                # records that violation.  The twelve copies finish
+                # first, in one iteration, taking the active count to 28
+                # of 40, which retires them.
+                taskset, scheme = SKIPPING, PatternedPolicy.name
+                scenario = ScriptedScenario(draws=(0.0, 0.0))
+                run = RunSpec(horizon_cap_units=60)
+                skipping.add(index)
+            else:
+                taskset = TaskSetGenerator(seed=8800 + index).generate(
+                    0.3 + 0.05 * (index % 9)
+                )
+                scheme = TRANSIENT_SCHEMES[index % len(TRANSIENT_SCHEMES)]
+                scenario = FaultScenario(
+                    transient_rate=0.2,
+                    with_permanent=index % 3 > 0,
+                    seed=700 + index,
+                    permanent_processor=(None, 0, 1)[index % 3],
+                )
+                run = RunSpec(
+                    horizon_cap_units=(600, 120, 450, 80, 300, 200)[index % 6]
+                )
+            item = build_batch_item(taskset, scheme, scenario, run=run)
+            assert item is not None
+            items.append(item)
+            expected.append(
+                run_scheme(
+                    taskset, scheme, scenario=scenario, run=run,
+                    collect_trace=False,
+                ).result
+            )
+        calls = []
+        results = run_batch(items, lambda *call: calls.append(call))
+        for item, result, scalar in zip(items, results, expected):
+            assert stats_view(result) == stats_view(scalar), item.scheme
+        assert calls[-1][:2] == (len(items), len(items))
+        assert all(results[s].stats.violations == [1] for s in skipping)
+        assert skipping <= set().union(*held), "retired before the decide"
+        assert len(set(late_faults)) > 3
 
 
 class VocabularyPolicy(ProfiledPolicy):

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from repro.analysis.cache import AnalysisCache, analysis_cache
 from repro.analysis.postponement import task_postponement_intervals
 from repro.analysis.promotion import promotion_times
-from repro.analysis.rta import response_times
+from repro.analysis.rta import response_times, response_times_mandatory
+from repro.harness.genstore import GenerationStore, generation_digest
+from repro.harness.runner import RunSpec
 from repro.model.patterns import RPattern
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
+from repro.workload.generator import generate_binned_tasksets
 
 
 def sample_taskset():
@@ -74,6 +79,56 @@ class TestFingerprint:
     def test_fingerprint_is_cached(self):
         taskset = sample_taskset()
         assert taskset.fingerprint() is taskset.fingerprint()
+
+
+class TestAnalysisKey:
+    def test_reloaded_sets_hit_on_integer_keys(self, tmp_path, monkeypatch):
+        bins = [(0.3, 0.4), (0.6, 0.7)]
+        corpus = generate_binned_tasksets(bins, 3, None, 5)
+        store = GenerationStore(str(tmp_path / "gen"))
+        digest = generation_digest(bins, 3, None, 5)
+        store.put(digest, corpus)
+        originals = [ts for sets in corpus.values() for ts in sets]
+        reloaded = [ts for sets in store.get(digest).values() for ts in sets]
+        run = RunSpec(horizon_cap_units=200)
+
+        def analyze(taskset):
+            horizon = run.horizon_ticks(taskset)
+            response_times_mandatory(taskset)
+            promotion_times(taskset)
+            task_postponement_intervals(taskset, horizon_ticks=horizon)
+
+        cache = analysis_cache()
+        cache.clear()
+        for taskset in originals:
+            analyze(taskset)
+        hits, misses = cache.hits, cache.misses
+        calls = []
+        for name in ("__hash__", "__eq__"):
+            real = getattr(Fraction, name)
+            monkeypatch.setattr(
+                Fraction,
+                name,
+                lambda self, *other, real=real, name=name: (
+                    calls.append(name) or real(self, *other)
+                ),
+            )
+        for taskset in reloaded:
+            analyze(taskset)
+        monkeypatch.undo()
+        assert not any(a is b for a, b in zip(originals, reloaded))
+        assert (cache.hits - hits, cache.misses) == (4 * len(reloaded), misses)
+        assert calls == []
+
+        # One WCET apart: different keys.  An int period and an equal
+        # Fraction period: the same key, and the same hash.
+        a = TaskSet([Task(10, 10, 2, 1, 2), Task(20, 20, 3, 2, 3)])
+        b = TaskSet([Task(10, 10, 2, 1, 2), Task(20, 20, Fraction(7, 2), 2, 3)])
+        c = TaskSet([Task(Fraction(40, 4), 10, 2, 1, 2), Task(20, 20, 3, 2, 3)])
+        assert a.analysis_key() != b.analysis_key()
+        assert a.analysis_key() == c.analysis_key()
+        assert hash(a.analysis_key()) == hash(c.analysis_key())
+        assert a.analysis_key() is a.analysis_key()
 
 
 class TestMemoizedAnalyses:

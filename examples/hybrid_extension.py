@@ -28,6 +28,7 @@ from repro import (
     run_policy,
     selective_execution_rate,
 )
+from repro.sim.engine import PolicyContext
 
 
 def main() -> None:
@@ -59,9 +60,13 @@ def main() -> None:
         results[policy.name] = report.total_energy
         assert result.all_mk_satisfied()
 
+    # A task's mode is its profile's classification: the FD rule in
+    # selective mode, its static R-pattern in DP mode.
+    profile = hybrid.prepare(PolicyContext(taskset, base, horizon))
     print("offline mode decisions:")
-    for index, task in enumerate(taskset):
-        print(f"  {task.name}: {hybrid.mode_of(index)}")
+    for task, rules in zip(taskset, profile.tasks):
+        mode = "selective" if rules.classification == "fd" else "dp"
+        print(f"  {task.name}: {mode}")
     print()
     print("total energy over 600ms (paper power model):")
     for name, energy in results.items():

@@ -5,9 +5,9 @@
 hook of :func:`repro.harness.sweep.utilization_sweep`.  For one
 (task set, scheme, scenario) it
 
-1. builds the scheme's :class:`~repro.sim.profile.SchemeProfile` from a
-   freshly prepared policy (:meth:`SchedulingPolicy.profile` -- the
-   same rules the engine and the batch kernel execute),
+1. builds the scheme's :class:`~repro.sim.profile.SchemeProfile`, what
+   its policy's :meth:`~repro.sim.engine.SchedulingPolicy.prepare`
+   returns (the same rules the engine and the batch kernel execute),
 2. runs the scheme in **trace** mode and audits the trace against the
    profile (:func:`~repro.sim.validation.audit_result`) and the energy
    report against the DPD rule
@@ -78,24 +78,17 @@ class AuditReport:
         return not self.issues
 
 
-def conformance_spec(
-    taskset: TaskSet, scheme: str, run: RunSpec
-) -> Optional[SchemeProfile]:
-    """The scheme's rules for this task set, as the auditor checks them.
-
-    Prepares a fresh policy instance exactly as a run would (same
-    cached horizon), then asks it for its
-    :class:`~repro.sim.profile.SchemeProfile`.  None means the policy
-    declares no rules and only model-level checks apply.
-    """
-    policy = scheme_factory(scheme)()
-    ctx = PolicyContext(
-        taskset=taskset,
-        timebase=taskset.timebase(),
-        horizon_ticks=run.horizon_ticks(taskset),
+def conformance_spec(taskset: TaskSet, scheme: str, run: RunSpec) -> SchemeProfile:
+    """The scheme's rules for this task set, as the auditor checks them:
+    the :class:`~repro.sim.profile.SchemeProfile` its policy prepares
+    exactly as a run would (same cached horizon)."""
+    return scheme_factory(scheme)().prepare(
+        PolicyContext(
+            taskset=taskset,
+            timebase=taskset.timebase(),
+            horizon_ticks=run.horizon_ticks(taskset),
+        )
     )
-    policy.prepare(ctx)
-    return policy.profile(ctx)
 
 
 def audit_scheme(

@@ -36,8 +36,7 @@ def run_policy(
 
     Args:
         taskset: tasks in priority order.
-        policy: a fresh policy instance (policies hold per-run state such
-            as alternation toggles; do not reuse across runs).
+        policy: the policy; one instance may serve any number of runs.
         horizon_ticks: releases strictly before this tick are simulated.
         timebase: tick grid (defaults to the task set's own).
         scenario: fault scenario; defaults to fault-free.

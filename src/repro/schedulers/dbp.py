@@ -22,11 +22,11 @@ mirroring DBP's intent on one processor.
 
 from __future__ import annotations
 
-from ..sim.engine import PRIMARY, PolicyContext
-from ..sim.profile import ProfiledPolicy, TaskProfile
+from ..sim.engine import PRIMARY, PolicyContext, SchedulingPolicy
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
-class DistanceBasedPriority(ProfiledPolicy):
+class DistanceBasedPriority(SchedulingPolicy):
     """Single-processor DBP over the engine's two-queue structure."""
 
     name = "DBP"
@@ -42,13 +42,14 @@ class DistanceBasedPriority(ProfiledPolicy):
         self._processor = processor
         self._run_all = run_all
 
-    def prepare(self, ctx: PolicyContext) -> None:
+    def prepare(self, ctx: PolicyContext) -> SchemeProfile:
         # FD classification, single copy, no backups; the energy-aware
         # variant only runs optionals within two misses of failure.  The
         # OJQ orders by (fd, task, job): exactly DBP's smaller
         # distance-to-failure = higher priority, FP tie-break.
         # Everything runs on the survivor after a fault.
-        self.adopt_rules(
+        return SchemeProfile(
+            self.name,
             (
                 TaskProfile(
                     "fd",
@@ -59,5 +60,4 @@ class DistanceBasedPriority(ProfiledPolicy):
                 )
                 for _ in ctx.taskset
             ),
-            max_copies=1,
         )

@@ -8,11 +8,11 @@ isolation from the standby-sparing machinery.
 
 from __future__ import annotations
 
-from ..sim.engine import PRIMARY, PolicyContext
-from ..sim.profile import ProfiledPolicy, TaskProfile
+from ..sim.engine import PRIMARY, PolicyContext, SchedulingPolicy
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
-class SingleProcessorFP(ProfiledPolicy):
+class SingleProcessorFP(SchedulingPolicy):
     """All jobs mandatory, one copy, primary processor, FP order."""
 
     name = "FP"
@@ -20,13 +20,13 @@ class SingleProcessorFP(ProfiledPolicy):
     def __init__(self, processor: int = PRIMARY) -> None:
         self._processor = processor
 
-    def prepare(self, ctx: PolicyContext) -> None:
+    def prepare(self, ctx: PolicyContext) -> SchemeProfile:
         # Every job mandatory, single copy, no backups, no postponement;
         # after a fault every job runs on the survivor.
-        self.adopt_rules(
+        return SchemeProfile(
+            self.name,
             (
                 TaskProfile("all", main_processor=self._processor)
                 for _ in ctx.taskset
             ),
-            max_copies=1,
         )

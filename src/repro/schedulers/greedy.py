@@ -17,11 +17,11 @@ workloads (Figure 3: 20 energy units where the selective scheme needs
 from __future__ import annotations
 
 from ..analysis.promotion import promotion_times
-from ..sim.engine import PolicyContext
-from ..sim.profile import ProfiledPolicy, TaskProfile
+from ..sim.engine import PolicyContext, SchedulingPolicy
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
-class MKSSGreedy(ProfiledPolicy):
+class MKSSGreedy(SchedulingPolicy):
     """Dynamic patterns with greedy optional execution on the primary."""
 
     name = "MKSS_Greedy"
@@ -32,21 +32,25 @@ class MKSSGreedy(ProfiledPolicy):
             paper's Figure 3 trace runs optionals to completion (O12 is
             never started), so the default is False.
         """
-        self.optional_preemption = preemptive
+        self.preemptive = preemptive
 
-    def prepare(self, ctx: PolicyContext) -> None:
+    def prepare(self, ctx: PolicyContext) -> SchemeProfile:
         promotions = promotion_times(ctx.taskset, ctx.timebase)
         # Every FD >= 1 job runs as an optional on the primary, and on the
         # survivor after a fault; backups are postponed by the promotion
         # time, and post-fault releases on the spare keep that offset
         # (see MKSS_DP).
-        self.adopt_rules(
-            TaskProfile(
-                "fd",
-                fd_max=None,
-                backup_offset=promotion,
-                postfault_main_offset=(0, promotion),
-                postfault_optionals=True,
-            )
-            for promotion in promotions
+        return SchemeProfile(
+            self.name,
+            (
+                TaskProfile(
+                    "fd",
+                    fd_max=None,
+                    backup_offset=promotion,
+                    postfault_main_offset=(0, promotion),
+                    postfault_optionals=True,
+                )
+                for promotion in promotions
+            ),
+            optional_preemption=self.preemptive,
         )

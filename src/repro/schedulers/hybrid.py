@@ -35,8 +35,8 @@ from ..analysis.postponement import task_postponement_intervals
 from ..model.history import MKHistory
 from ..model.mk import MKConstraint
 from ..model.patterns import RPattern
-from ..sim.engine import PolicyContext
-from ..sim.profile import ProfiledPolicy, TaskProfile
+from ..sim.engine import PolicyContext, SchedulingPolicy
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
 def selective_execution_rate(mk: MKConstraint) -> Fraction:
@@ -66,12 +66,16 @@ def selective_execution_rate(mk: MKConstraint) -> Fraction:
         step += 1
 
 
-class MKSSHybrid(ProfiledPolicy):
-    """Offline per-task mode selection between selective and DP styles."""
+class MKSSHybrid(SchedulingPolicy):
+    """Offline per-task mode selection between selective and DP styles.
+
+    A task's mode is its profile's classification: ``"fd"`` for
+    selective mode, ``"pattern"`` for DP mode.
+    """
 
     name = "MKSS_Hybrid"
 
-    def prepare(self, ctx: PolicyContext) -> None:
+    def prepare(self, ctx: PolicyContext) -> SchemeProfile:
         taskset = ctx.taskset
         base = ctx.timebase
         result = task_postponement_intervals(
@@ -106,9 +110,4 @@ class MKSSHybrid(ProfiledPolicy):
                 rules.append(
                     TaskProfile("pattern", pattern=RPattern(task.mk), **shared)
                 )
-        self.adopt_rules(rules)
-
-    def mode_of(self, task_index: int) -> str:
-        """'selective' or 'dp' -- the offline decision (after prepare)."""
-        rules = self._profile.tasks[task_index]
-        return "selective" if rules.classification == "fd" else "dp"
+        return SchemeProfile(self.name, rules)

@@ -23,11 +23,11 @@ from typing import List, Optional, Sequence
 
 from ..analysis.promotion import promotion_times
 from ..model.patterns import Pattern, RPattern
-from ..sim.engine import PRIMARY, SPARE, PolicyContext
-from ..sim.profile import ProfiledPolicy, TaskProfile
+from ..sim.engine import PRIMARY, SPARE, PolicyContext, SchedulingPolicy
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
-class MKSSDualPriority(ProfiledPolicy):
+class MKSSDualPriority(SchedulingPolicy):
     """Static R-pattern + preference-oriented dual-priority backups."""
 
     name = "MKSS_DP"
@@ -58,35 +58,37 @@ class MKSSDualPriority(ProfiledPolicy):
         )
         self._split_mains = split_mains
         self._split_strategy = split_strategy
-        self._main_processor: List[int] = []
 
-    def prepare(self, ctx: PolicyContext) -> None:
-        if self._patterns is None:
-            self._patterns = [RPattern(task.mk) for task in ctx.taskset]
-        elif len(self._patterns) != len(ctx.taskset):
+    def prepare(self, ctx: PolicyContext) -> SchemeProfile:
+        patterns = self._patterns
+        if patterns is None:
+            patterns = [RPattern(task.mk) for task in ctx.taskset]
+        elif len(patterns) != len(ctx.taskset):
             raise ValueError("need exactly one pattern per task")
         promotions = promotion_times(ctx.taskset, ctx.timebase)
-        self._main_processor = self._assign_mains(ctx)
         # Backups live on the other processor, postponed by the promotion
         # time Y_i (Equation 2).  Post-fault, a task whose main lived on
         # the survivor keeps releasing at r; one whose *backup* lived
         # there keeps the Y_i postponement.  Mixing offsets within one
         # task would break the periodicity assumption behind the
         # promotion-time guarantee.
-        self.adopt_rules(
-            TaskProfile(
-                "pattern",
-                pattern=pattern,
-                main_processor=main,
-                backup_offset=promotion,
-                postfault_main_offset=(
-                    0 if main == PRIMARY else promotion,
-                    0 if main == SPARE else promotion,
-                ),
-            )
-            for pattern, main, promotion in zip(
-                self._patterns, self._main_processor, promotions
-            )
+        return SchemeProfile(
+            self.name,
+            (
+                TaskProfile(
+                    "pattern",
+                    pattern=pattern,
+                    main_processor=main,
+                    backup_offset=promotion,
+                    postfault_main_offset=(
+                        0 if main == PRIMARY else promotion,
+                        0 if main == SPARE else promotion,
+                    ),
+                )
+                for pattern, main, promotion in zip(
+                    patterns, self._assign_mains(ctx), promotions
+                )
+            ),
         )
 
     def _assign_mains(self, ctx: PolicyContext) -> List[int]:
@@ -108,11 +110,3 @@ class MKSSDualPriority(ProfiledPolicy):
             assignment[index] = target
             loads[target] += float(ctx.taskset[index].mk_utilization)
         return assignment
-
-    def main_processor(self, task_index: int) -> int:
-        """Which processor hosts this task's main copies (after prepare)."""
-        if self._main_processor:
-            return self._main_processor[task_index]
-        if not self._split_mains:
-            return PRIMARY
-        return PRIMARY if task_index % 2 == 0 else SPARE

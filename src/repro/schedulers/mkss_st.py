@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..model.patterns import Pattern, RPattern
-from ..sim.engine import PolicyContext
-from ..sim.profile import ProfiledPolicy, TaskProfile
+from ..sim.engine import PolicyContext, SchedulingPolicy
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
-class MKSSStatic(ProfiledPolicy):
+class MKSSStatic(SchedulingPolicy):
     """Static R-pattern standby-sparing without procrastination."""
 
     name = "MKSS_ST"
@@ -36,15 +36,19 @@ class MKSSStatic(ProfiledPolicy):
             list(patterns) if patterns is not None else None
         )
 
-    def prepare(self, ctx: PolicyContext) -> None:
-        if self._patterns is None:
-            self._patterns = [RPattern(task.mk) for task in ctx.taskset]
-        elif len(self._patterns) != len(ctx.taskset):
+    def prepare(self, ctx: PolicyContext) -> SchemeProfile:
+        patterns = self._patterns
+        if patterns is None:
+            patterns = [RPattern(task.mk) for task in ctx.taskset]
+        elif len(patterns) != len(ctx.taskset):
             raise ValueError("need exactly one pattern per task")
         # Pattern-mandatory jobs only, main on the primary and backup on
         # the spare both at the nominal release; post-fault mains land on
         # the survivor at the release too.
-        self.adopt_rules(
-            TaskProfile("pattern", pattern=pattern, backup_offset=0)
-            for pattern in self._patterns
+        return SchemeProfile(
+            self.name,
+            (
+                TaskProfile("pattern", pattern=pattern, backup_offset=0)
+                for pattern in patterns
+            ),
         )

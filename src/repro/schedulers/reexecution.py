@@ -12,7 +12,8 @@ FD = 0), optional FD = 1 jobs run best-effort, and when a job's sanity
 check fails at completion a recovery copy is re-enqueued immediately —
 if it can still meet the deadline.  Repeated faults trigger repeated
 recoveries (each recovery rolls the fault dice again), bounded by
-``max_recoveries``.
+``max_recoveries``: the profile's ``recoveries``, which the engine
+executes.
 
 Energy-wise this needs no spare processor at all, so on transient-only
 fault scenarios it undercuts every standby-sparing scheme; the price is
@@ -23,14 +24,11 @@ comparison bench quantifies both sides.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-from ..model.job import Job
-from ..sim.engine import PRIMARY, CopySpec, PolicyContext
-from ..sim.profile import ProfiledPolicy, TaskProfile
+from ..sim.engine import PRIMARY, PolicyContext, SchedulingPolicy
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
-class ReExecutionFP(ProfiledPolicy):
+class ReExecutionFP(SchedulingPolicy):
     """Single-processor FP with (m,k) classification and re-execution."""
 
     name = "ReExecution_FP"
@@ -49,20 +47,16 @@ class ReExecutionFP(ProfiledPolicy):
         self._processor = processor
         self.fd_threshold = fd_threshold
         self.max_recoveries = max_recoveries
-        self._recovery_counts: Dict[Tuple[int, int], int] = {}
 
-    def _target(self, ctx: PolicyContext) -> int:
-        if ctx.fault_mode and ctx.dead_processor == self._processor:
-            return ctx.surviving_processor()
-        return self._processor
-
-    def prepare(self, ctx: PolicyContext) -> None:
+    def prepare(self, ctx: PolicyContext) -> SchemeProfile:
         # FD classification, single copy, no backups; each logical job
         # may execute up to 1 + max_recoveries copies' worth of work.
         # Recoveries only follow transient faults, and the batch kernel
         # leaves this policy's transient-capable runs to the scalar
-        # engine.  Everything runs on the survivor after a fault.
-        self.adopt_rules(
+        # engine.  Everything runs on the survivor after a fault, so a
+        # recovery's own processor is always where the job lives.
+        return SchemeProfile(
+            self.name,
             (
                 TaskProfile(
                     "fd",
@@ -73,17 +67,5 @@ class ReExecutionFP(ProfiledPolicy):
                 )
                 for _ in ctx.taskset
             ),
-            max_copies=1 + self.max_recoveries,
+            recoveries=self.max_recoveries,
         )
-
-    def plan_recovery(
-        self, ctx: PolicyContext, job: Job, now: int
-    ) -> Optional[CopySpec]:
-        key = job.key()
-        used = self._recovery_counts.get(key, 0)
-        if used >= self.max_recoveries:
-            return None
-        if now + job.wcet > job.deadline:
-            return None  # the recovery could never finish in time
-        self._recovery_counts[key] = used + 1
-        return CopySpec(job.role, self._target(ctx), now)

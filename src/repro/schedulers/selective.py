@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from ..analysis.postponement import task_postponement_intervals
 from ..errors import ConfigurationError
-from ..sim.engine import PolicyContext
-from ..sim.profile import ProfiledPolicy, TaskProfile
+from ..sim.engine import PolicyContext, SchedulingPolicy
+from ..sim.profile import SchemeProfile, TaskProfile
 
 
-class MKSSSelective(ProfiledPolicy):
+class MKSSSelective(SchedulingPolicy):
     """Selective execution of FD = 1 optionals with alternation (Alg. 1)."""
 
     name = "MKSS_Selective"
@@ -63,7 +63,7 @@ class MKSSSelective(ProfiledPolicy):
         self.alternate = alternate
         self.use_theta_postponement = use_theta_postponement
 
-    def prepare(self, ctx: PolicyContext) -> None:
+    def prepare(self, ctx: PolicyContext) -> SchemeProfile:
         result = task_postponement_intervals(
             ctx.taskset, ctx.timebase, horizon_ticks=ctx.horizon_ticks
         )
@@ -78,15 +78,18 @@ class MKSSSelective(ProfiledPolicy):
         # fault strikes.  A generated counterexample (see DESIGN.md §4b.7
         # and the regression test) shows θ offsets missing a mandatory
         # deadline post-fault.
-        self.adopt_rules(
-            TaskProfile(
-                "fd",
-                fd_max=self.fd_threshold,
-                backup_offset=postponement,
-                alternate_optionals=self.alternate,
-                postfault_main_offset=(0, promotion),
-            )
-            for postponement, promotion in zip(
-                postponements, result.promotions
-            )
+        return SchemeProfile(
+            self.name,
+            (
+                TaskProfile(
+                    "fd",
+                    fd_max=self.fd_threshold,
+                    backup_offset=postponement,
+                    alternate_optionals=self.alternate,
+                    postfault_main_offset=(0, promotion),
+                )
+                for postponement, promotion in zip(
+                    postponements, result.promotions
+                )
+            ),
         )

@@ -3,9 +3,7 @@
 from .trace import ExecutionTrace, Segment, TraceEvent, LogicalJobRecord
 from .queues import ReadyQueue
 from .engine import (
-    CopySpec,
     PolicyContext,
-    ReleasePlan,
     SchedulingPolicy,
     SimulationResult,
     StandbySparingEngine,
@@ -26,8 +24,6 @@ __all__ = [
     "TraceEvent",
     "LogicalJobRecord",
     "ReadyQueue",
-    "CopySpec",
-    "ReleasePlan",
     "PolicyContext",
     "SchedulingPolicy",
     "SimulationResult",

@@ -19,15 +19,15 @@ is available loads neither.
 Fallback rules
 --------------
 
-A simulation is batchable when its prepared policy publishes a
-:class:`~repro.sim.profile.SchemeProfile` whose tasks are all
-FD-classified or follow a window-periodic pattern, its release model is
-periodic, no DVFS config applies to its scheme, every ``k`` fits the
-packed-window encoding, and its transient-fault oracle either never
-faults or is a plain Poisson oracle on a policy that plans no recovery
-copies (ReExecution_FP does).  Anything else returns None from
-:func:`build_batch_item` and runs on the scalar engine -- correctness
-never depends on batchability.
+A simulation is batchable when the
+:class:`~repro.sim.profile.SchemeProfile` its policy's ``prepare``
+returns has only FD-classified tasks or ones that follow a
+window-periodic pattern, its release model is periodic, no DVFS config
+applies to its scheme, every ``k`` fits the packed-window encoding, and
+its transient-fault oracle either never faults or is a plain Poisson
+oracle on a profile with no ``recoveries`` (ReExecution_FP has some).
+Anything else returns None from :func:`build_batch_item` and runs on
+the scalar engine -- correctness never depends on batchability.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from ..errors import ConfigurationError
 from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
-from .engine import PolicyContext, SchedulingPolicy, SimulationResult
+from .engine import PolicyContext, SimulationResult
 from .profile import SchemeProfile
 
 if TYPE_CHECKING:  # the harness imports this module, not the reverse
@@ -171,13 +171,13 @@ def build_batch_item(
     so a scalar fallback re-materializes identical faults); the kernel
     derives the periodic releases the engine's shared timeline lists.
     Returns None whenever the job must run on the scalar engine: a
-    transient oracle other than a plain Poisson one, or one on a policy
-    that plans recovery copies; a non-periodic release model (the
-    kernel derives releases from the periodic recurrence); a DVFS
-    config applying to this scheme (the kernel's lockstep arrays know
-    nothing of per-task stretched budgets); no profile or one the
-    kernel cannot express (an ``"all"`` classification, a pattern that
-    is not window-periodic); or a window too deep to pack.
+    transient oracle other than a plain Poisson one, or one on a profile
+    with recovery copies; a non-periodic release model (the kernel
+    derives releases from the periodic recurrence); a DVFS config
+    applying to this scheme (the kernel's lockstep arrays know nothing
+    of per-task stretched budgets); a profile the kernel cannot express
+    (an ``"all"`` classification, a pattern that is not
+    window-periodic); or a window too deep to pack.
     """
     if _load_numpy() is None:
         return None
@@ -201,14 +201,10 @@ def build_batch_item(
     if can_fault and type(transient) is not PoissonTransientFaults:
         return None
     policy = factory()
-    if can_fault and (
-        type(policy).plan_recovery is not SchedulingPolicy.plan_recovery
-    ):
-        return None
-    ctx = PolicyContext(taskset=taskset, timebase=base, horizon_ticks=horizon)
-    policy.prepare(ctx)
-    profile = policy.profile(ctx)
-    if profile is None or len(profile.tasks) != len(taskset):
+    profile = policy.prepare(
+        PolicyContext(taskset=taskset, timebase=base, horizon_ticks=horizon)
+    )
+    if (can_fault and profile.recoveries) or len(profile.tasks) != len(taskset):
         return None
     for task, rules in zip(taskset, profile.tasks):
         if rules.classification == "all":

@@ -4,10 +4,11 @@ One engine serves every scheme in the paper; what differs between
 MKSS-ST, MKSS-DP, the greedy scheme, and MKSS-Selective is *policy*:
 how a released job is classified (statically by pattern or dynamically by
 flexibility degree), which processor each copy goes to, and how much each
-backup release is postponed.  Policies express exactly that through
-:meth:`SchedulingPolicy.plan_release` (every shipped scheme states it
-once, as a :class:`~repro.sim.profile.SchemeProfile` that a generic
-``plan_release`` executes); the engine owns everything else:
+backup release is postponed.  A policy states exactly that, once, as the
+:class:`~repro.sim.profile.SchemeProfile` its
+:meth:`SchedulingPolicy.prepare` returns; the engine compiles the profile
+once per run into per-task, release-relative templates and owns
+everything else:
 
 * per-processor mandatory (MJQ) and optional (OJQ) ready queues, with the
   MJQ strictly above the OJQ (Algorithm 1, lines 2-9);
@@ -17,7 +18,10 @@ once, as a :class:`~repro.sim.profile.SchemeProfile` that a generic
 * dropping optional jobs that can no longer finish by their deadline
   (Figure 2's O11);
 * backup cancellation the instant the sibling copy completes successfully;
-* transient-fault detection at completion and permanent-fault takeover;
+* transient-fault detection at completion, the profile's recovery copies,
+  and permanent-fault takeover;
+* the per-run rule state: each task's optional alternation toggle and
+  each job's recovery count;
 * outcome recording and (m,k)-history maintenance, so flexibility degrees
   evolve exactly as in the paper's traces.
 
@@ -38,8 +42,9 @@ All times are integer ticks (see :mod:`repro.timebase`).
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..model.history import (
@@ -49,12 +54,16 @@ from ..model.history import (
     popcount,
 )
 from ..model.job import FINISHED_STATUSES, Job, JobOutcome, JobRole, JobStatus
+from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
 from .queues import ReadyQueue
 from .stats import RunStats
 from .timeline import ReleaseTimeline
 from .trace import ExecutionTrace, LogicalJobRecord
+
+if TYPE_CHECKING:  # the profile module imports this one
+    from .profile import SchemeProfile
 
 #: Conventional processor indices.
 PRIMARY = 0
@@ -70,130 +79,97 @@ _EV_RELEASE = 2
 _EV_ENQUEUE = 3
 
 
-class CopySpec(NamedTuple):
-    """One copy the policy wants to create for a released logical job."""
-
-    role: JobRole
-    processor: int
-    enqueue_tick: int
-
-
-class ReleasePlan(NamedTuple):
-    """Policy verdict for one released logical job.
-
-    Attributes:
-        copies: the copies to instantiate (empty = the job is skipped).
-        classified_as: "mandatory" / "optional" / "skipped" for reporting.
-    """
-
-    copies: Tuple[CopySpec, ...]
-    classified_as: str
-
-    @classmethod
-    def skip(cls) -> "ReleasePlan":
-        """The verdict for a skipped job (one shared, immutable plan)."""
-        return _SKIP_PLAN
-
-
-_SKIP_PLAN = ReleasePlan(copies=(), classified_as="skipped")
-
-
-@dataclass
+@dataclass(frozen=True)
 class PolicyContext:
-    """Everything a policy may consult when planning a release."""
+    """What a policy's offline analysis may consult."""
 
     taskset: TaskSet
     timebase: TimeBase
     horizon_ticks: int
-    dead_processor: Optional[int] = None
-
-    @property
-    def fault_mode(self) -> bool:
-        """True once a permanent fault has removed one processor."""
-        return self.dead_processor is not None
-
-    def surviving_processor(self) -> int:
-        """The processor still alive after a permanent fault."""
-        if self.dead_processor is None:
-            raise SimulationError("no permanent fault has occurred")
-        return SPARE if self.dead_processor == PRIMARY else PRIMARY
 
 
 class SchedulingPolicy:
     """Base class for standby-sparing scheduling policies.
 
-    Subclasses must implement :meth:`plan_release`; the other hooks have
-    sensible defaults.
-
-    Attributes:
-        optional_preemption: when True (default) a more urgent optional
-            job preempts a running optional job; when False a dispatched
-            optional runs to completion unless a *mandatory* job arrives
-            (the paper's greedy trace in Figure 3 behaves this way --
-            O12 is never started because O22 holds the processor).
-            Mandatory jobs always preempt optional ones either way.
+    A policy is its rules: :meth:`prepare` runs the scheme's offline
+    analysis for one task set and returns them as a
+    :class:`~repro.sim.profile.SchemeProfile`.  The engine compiles that
+    profile and keeps every piece of per-run state itself, so one policy
+    instance may run any number of task sets, in any order.
     """
 
     name = "abstract"
-    optional_preemption = True
 
-    def prepare(self, ctx: PolicyContext) -> None:
-        """One-time offline analysis before the simulation starts."""
-
-    def plan_release(
-        self,
-        ctx: PolicyContext,
-        task_index: int,
-        job_index: int,
-        release: int,
-        deadline: int,
-        fd: int,
-    ) -> ReleasePlan:
-        """Classify a released logical job and emit its copies."""
+    def prepare(self, ctx: PolicyContext) -> "SchemeProfile":
+        """Offline analysis for ``ctx``'s task set; returns its rules."""
         raise NotImplementedError
 
-    def on_permanent_fault(self, ctx: PolicyContext, dead_processor: int) -> None:
-        """React to a permanent processor fault (optional)."""
 
-    def plan_recovery(
-        self, ctx: PolicyContext, job: "Job", now: int
-    ) -> Optional[CopySpec]:
-        """Optionally schedule a recovery copy for a transiently faulted job.
+#: An optional's single copy on each processor, release-relative.
+_OPTIONAL_COPIES = (
+    ((JobRole.OPTIONAL, PRIMARY, 0),),
+    ((JobRole.OPTIONAL, SPARE, 0),),
+)
 
-        Called when a copy completes with a detected transient fault and
-        the logical job is still undecided.  Returning a
-        :class:`CopySpec` creates a fresh copy of the same logical job
-        (software re-execution, the redundancy style of Zhu et al. that
-        the paper's introduction contrasts with standby-sparing);
-        returning None (default) leaves recovery to the sibling backup.
-        """
-        return None
 
-    def reads_flexibility_degree(self, ctx: PolicyContext) -> Sequence[bool]:
-        """Per task, whether :meth:`plan_release` may read its FD.
+def _compile(profile: "SchemeProfile", task_count: int) -> list:
+    """Each task's rules as one tuple of release-relative templates.
 
-        Called on a *prepared* policy once per stats-only run, and must
-        not change the policy's state.  A stats-only run computes the
-        flexibility degree only for tasks answered True and passes 0 for
-        the rest (a trace run records every release's FD, so it computes
-        them all).  The default answers True for every task.
-        """
-        return [True] * len(ctx.taskset)
+    The fields, in order:
 
-    def profile(self, ctx: PolicyContext):
-        """The policy's release rules as data, or None.
-
-        Called on a *prepared* policy (after :meth:`prepare`).  A
-        :class:`~repro.sim.profile.SchemeProfile` is the policy's
-        complete contract: the conformance auditor
-        (:func:`repro.sim.validation.audit_result`) checks traces
-        against it, and the batch kernel (:mod:`repro.sim.batch`)
-        simulates the policy from it without per-release callbacks, so
-        it must reproduce :meth:`plan_release` exactly.  The default
-        None means only the model-level checks apply and the policy
-        stays on the scalar engine.
-        """
-        return None
+    * the mandatory test: None for the FD rule, True for every job, a
+      window-periodic pattern's window (read by job phase), or any other
+      pattern's ``is_mandatory``;
+    * the mandatory copies while both processors live, as ``(role,
+      processor, offset)`` with the offset from the release;
+    * the survivor's single main, indexed by the dead processor;
+    * the optional rule: the FD bound (None, no bound, becomes one no
+      degree reaches), the first processor, whether optionals
+      alternate, and whether they run after a permanent fault.
+    """
+    if len(profile.tasks) != task_count:
+        raise ConfigurationError(
+            f"profile of {profile.scheme!r} covers {len(profile.tasks)} "
+            f"tasks, task set has {task_count}"
+        )
+    compiled = []
+    for rules in profile.tasks:
+        classification = rules.classification
+        if classification == "fd":
+            static = None
+        elif classification == "all":
+            static = True
+        elif is_window_periodic(rules.pattern):
+            static = tuple(bit == 1 for bit in rules.pattern.window())
+        else:
+            static = rules.pattern.is_mandatory
+        main = rules.main_processor
+        copies = ((JobRole.MAIN, main, 0),)
+        if rules.backup_offset is not None:
+            copies += (
+                (
+                    JobRole.BACKUP,
+                    SPARE if main == PRIMARY else PRIMARY,
+                    max(rules.backup_offset, 0),
+                ),
+            )
+        offsets = rules.postfault_main_offset
+        postfault = (
+            ((JobRole.MAIN, SPARE, max(offsets[SPARE], 0)),),  # primary dead
+            ((JobRole.MAIN, PRIMARY, max(offsets[PRIMARY], 0)),),  # spare dead
+        )
+        compiled.append(
+            (
+                static,
+                copies,
+                postfault,
+                sys.maxsize if rules.fd_max is None else rules.fd_max,
+                rules.optional_processor,
+                rules.alternate_optionals,
+                rules.postfault_optionals,
+            )
+        )
+    return compiled
 
 
 TransientFaultFn = Callable[[Job, int], bool]
@@ -289,8 +265,7 @@ class _LogicalJob:
 
     Each copy reaches it through :attr:`Job.entry`, and the job's
     deadline event carries it.  ``record`` is None in stats mode;
-    ``task_index`` and ``fd`` are kept directly so outcome accounting
-    and recovery planning never need it.
+    ``task_index`` is kept directly so outcome accounting never needs it.
 
     ``copies`` and the copies' :attr:`Job.sibling` pairs are reference
     cycles while the job is live; the engine breaks them when it retires
@@ -298,19 +273,13 @@ class _LogicalJob:
     is freed by reference counting, not by the cyclic collector.
     """
 
-    __slots__ = ("record", "copies", "decided", "task_index", "fd")
+    __slots__ = ("record", "copies", "decided", "task_index")
 
-    def __init__(
-        self,
-        record: Optional[LogicalJobRecord],
-        task_index: int,
-        fd: int,
-    ) -> None:
+    def __init__(self, record: Optional[LogicalJobRecord], task_index: int) -> None:
         self.record = record
         self.copies: Optional[List[Job]] = []
         self.decided = False
         self.task_index = task_index
-        self.fd = fd
 
 
 class StandbySparingEngine:
@@ -391,18 +360,18 @@ class StandbySparingEngine:
         base = self.timebase
         taskset = self.taskset
         task_count = len(taskset)
-        ctx = PolicyContext(
-            taskset=taskset,
-            timebase=base,
-            horizon_ticks=self.horizon,
+        profile = self.policy.prepare(
+            PolicyContext(taskset=taskset, timebase=base, horizon_ticks=self.horizon)
         )
-        self.policy.prepare(ctx)
+        compiled = _compile(profile, task_count)
+        # The per-run rule state: each task's next optional processor
+        # under alternation, and each job's recovery copies so far.
+        next_optional = [rules.optional_processor for rules in profile.tasks]
+        recoveries = profile.recoveries
+        recovery_counts = {}
 
         # Hot-path locals: the closures below run for every event, so
         # instance attributes they need are bound once here.
-        policy = self.policy
-        plan_release = policy.plan_release
-        plan_recovery = policy.plan_recovery
         horizon = self.horizon
         execution_time_fn = self.execution_time_fn
         collect = self.collect_trace
@@ -501,11 +470,9 @@ class StandbySparingEngine:
         ]
         filled = [0] * task_count
         # A trace records every release's FD; a stats-only run computes
-        # it only where the policy's rules can read it.
+        # it only where the profile's rules can read it.
         reads_fd = (
-            [True] * task_count
-            if collect
-            else list(policy.reads_flexibility_degree(ctx))
+            [True] * task_count if collect else profile.reads_flexibility_degree
         )
 
         # Heap entries are (time, kind, seq, a, b); ``a``/``b`` are the
@@ -528,6 +495,9 @@ class StandbySparingEngine:
         if self.permanent_fault is not None:
             processor, tick = self.permanent_fault
             push_event(tick, _EV_PERMFAULT, processor)
+        # The processor a permanent fault killed, and the other one.
+        dead: Optional[int] = None
+        survivor: Optional[int] = None
 
         # -- helpers bound to local state -----------------------------------
 
@@ -582,41 +552,34 @@ class StandbySparingEngine:
                 if collect:
                     trace.log(now, "transient-fault", f"{job.name}/{job.role.value}")
                 if not entry.decided:
-                    spec = plan_recovery(ctx, job, now)
-                    if spec is not None:
-                        if not alive[spec.processor]:
-                            raise SimulationError(
-                                f"policy {policy.name} planned a "
-                                f"recovery onto dead processor {spec.processor}"
-                            )
-                        recovery = Job(
-                            job.task_index,
-                            job.job_index,
-                            spec.role,
-                            job.release,
-                            job.deadline,
-                            job.wcet,
-                            spec.processor,
-                            max(spec.enqueue_tick, now),
-                            job.speed,
-                            entry,
-                        )
-                        entry.copies.append(recovery)
-                        if spec.role is OPTIONAL:
-                            recovery.queue_key = (
-                                entry.fd,
+                    if recoveries:
+                        key = (job.task_index, job.job_index)
+                        used = recovery_counts.get(key, 0)
+                        if used < recoveries and now + job.wcet <= job.deadline:
+                            # Rerun the copy on its own processor, which
+                            # is alive: the copy just completed there.
+                            recovery_counts[key] = used + 1
+                            recovery = Job(
                                 job.task_index,
                                 job.job_index,
+                                job.role,
+                                job.release,
+                                job.deadline,
+                                job.wcet,
+                                job.processor,
+                                now,
+                                job.speed,
+                                entry,
                             )
-                        if collect:
-                            trace.log(
-                                now, "recovery", f"{job.name}/{job.role.value}"
-                            )
-                        if recovery.enqueue_time <= now:
+                            recovery.queue_key = job.queue_key
+                            entry.copies.append(recovery)
+                            if collect:
+                                trace.log(
+                                    now, "recovery", f"{job.name}/{job.role.value}"
+                                )
                             enqueue_copy(recovery)
-                        else:
-                            defer_enqueue(recovery)
-                    elif job.role is OPTIONAL:
+                            return
+                    if job.role is OPTIONAL:
                         # No backup and no recovery: the optional job is
                         # simply not effective.  Decide immediately (the
                         # deadline handler would reach the same verdict).
@@ -661,9 +624,37 @@ class StandbySparingEngine:
                 if reads_fd[task_index]
                 else 0
             )
-            copies, classified = plan_release(
-                ctx, task_index, job_index, release, deadline, fd
-            )
+            (
+                static, copies, postfault, fd_max, optional_processor,
+                alternate, postfault_optionals,
+            ) = compiled[task_index]  # fmt: skip
+            if static is None:
+                mandatory = fd == 0
+            elif static is True:
+                mandatory = True
+            elif type(static) is tuple:
+                mandatory = static[(job_index - 1) % len(static)]
+            else:
+                mandatory = static(job_index)
+            if mandatory:
+                if dead is not None:
+                    copies = postfault[dead]
+                classified = "mandatory"
+            elif 1 <= fd <= fd_max and (dead is None or postfault_optionals):
+                if dead is not None:
+                    processor = survivor
+                elif alternate:
+                    processor = next_optional[task_index]
+                    next_optional[task_index] = (
+                        SPARE if processor == PRIMARY else PRIMARY
+                    )
+                else:
+                    processor = optional_processor
+                copies = _OPTIONAL_COPIES[processor]
+                classified = "optional"
+            else:
+                copies = None
+                classified = "skipped"
             released_jobs += 1
             if collect:
                 record = LogicalJobRecord(
@@ -697,7 +688,7 @@ class StandbySparingEngine:
                     record.decided_at = deadline
                 record_outcome(task_index, False)
                 return False
-            entry = _LogicalJob(record, task_index, fd)
+            entry = _LogicalJob(record, task_index)
 
             actual_wcet = wcets[task_index]
             if execution_time_fn is not None:
@@ -712,22 +703,12 @@ class StandbySparingEngine:
                     )
             enqueued = False
             main_copy: Optional[Job] = None
-            for role, processor, enqueue_tick in copies:
-                if not alive[processor]:
-                    # Planning onto a dead processor is a policy bug.
-                    raise SimulationError(
-                        f"policy {policy.name} planned a copy onto dead "
-                        f"processor {processor}"
-                    )
+            for role, processor, offset in copies:
                 # DVFS: main copies released while both processors live
                 # run their stretched budget at the plan's speed; backups,
                 # optionals, and post-fault releases fall back to max
                 # performance (the survivor has no slack to spend).
-                if (
-                    dvfs_wcets is not None
-                    and role is MAIN
-                    and ctx.dead_processor is None
-                ):
+                if dvfs_wcets is not None and role is MAIN and dead is None:
                     copy_wcet = dvfs_wcets[task_index]
                     copy_speed = dvfs_speeds[task_index]
                 else:
@@ -742,7 +723,7 @@ class StandbySparingEngine:
                     deadline,
                     copy_wcet,
                     processor,
-                    enqueue_tick if enqueue_tick > release else release,
+                    release + offset,
                     copy_speed,
                     entry,
                 )
@@ -750,10 +731,6 @@ class StandbySparingEngine:
                 if role is MAIN:
                     main_copy = job
                 elif role is BACKUP:
-                    if main_copy is None:
-                        raise SimulationError(
-                            "a BACKUP copy requires a preceding MAIN copy"
-                        )
                     main_copy.link_backup(job)
                 else:
                     job.queue_key = (fd, task_index, job_index)
@@ -766,10 +743,12 @@ class StandbySparingEngine:
             return enqueued
 
         def handle_permfault(processor: int, now: int) -> None:
+            nonlocal dead, survivor
             if not alive[processor]:
                 return
             alive[processor] = False
-            ctx.dead_processor = processor
+            dead = processor
+            survivor = SPARE if processor == PRIMARY else PRIMARY
             if collect:
                 trace.log(now, "permanent-fault", f"processor {processor}")
             else:
@@ -791,7 +770,6 @@ class StandbySparingEngine:
                     if not job.is_finished:
                         job.status = JobStatus.LOST
                     slot[processor] = None
-            policy.on_permanent_fault(ctx, processor)
 
         #: The copy occupying each processor since the last event boundary.
         current: List[Optional[Job]] = [None, None]
@@ -848,7 +826,7 @@ class StandbySparingEngine:
         # finished, the enqueue of a finished copy -- are popped before
         # the next event tick is taken, so they never make a boundary.
 
-        optional_preemption = policy.optional_preemption
+        optional_preemption = profile.optional_preemption
         OPTIONAL = JobRole.OPTIONAL
         MAIN = JobRole.MAIN
         BACKUP = JobRole.BACKUP

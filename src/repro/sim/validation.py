@@ -22,9 +22,9 @@ Two layers:
 
 * :func:`audit_result` -- adds **scheme-level** invariants: it replays
   the trace against the policy's
-  :class:`~repro.sim.profile.SchemeProfile` (see
-  :meth:`~repro.sim.engine.SchedulingPolicy.profile`), the same rules
-  the engine and the batch kernel execute.  It checks the paper's
+  :class:`~repro.sim.profile.SchemeProfile` (what
+  :meth:`~repro.sim.engine.SchedulingPolicy.prepare` returns), the same
+  rules the engine and the batch kernel execute.  It checks the paper's
   classification rules (mandatory iff FD = 0 replayed from the outcome
   history, or iff the static pattern says so -- Definition 1 /
   Equation 1), the optional-selection rule (optionals only within the
@@ -301,26 +301,22 @@ def validate_result(
 def audit_result(
     result: SimulationResult,
     spec: Optional[SchemeProfile] = None,
-    max_copies: Optional[int] = None,
     initial_history: str = "met",
 ) -> List[ValidationIssue]:
     """Model-level checks plus the scheme checks of the profile ``spec``.
 
     Args:
         result: a finished trace-mode simulation.
-        spec: the policy's rules (from
-            :meth:`~repro.sim.engine.SchedulingPolicy.profile`); None runs
-            only the model-level checks.
-        max_copies: override for the execution cap; defaults to
-            ``spec.max_copies`` (or 2 without a spec).
+        spec: the policy's rules (what
+            :meth:`~repro.sim.engine.SchedulingPolicy.prepare` returns),
+            whose ``max_copies`` caps each job's execution; None runs only
+            the model-level checks, at a cap of 2 WCETs.
         initial_history: the (m,k)-history boundary condition the
             audited run used (must match for the FD replay to be exact).
     """
-    if max_copies is None:
-        max_copies = spec.max_copies if spec is not None else 2
-    issues = validate_result(result, max_copies=max_copies)
     if spec is None:
-        return issues
+        return validate_result(result)
+    issues = validate_result(result, max_copies=spec.max_copies)
     if len(spec.tasks) != len(result.taskset):
         raise ValueError(
             f"spec for {spec.scheme!r} covers {len(spec.tasks)} tasks, "

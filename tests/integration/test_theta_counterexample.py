@@ -79,12 +79,15 @@ def test_theta_offsets_post_fault_do_miss(workload):
         def prepare(self, ctx):
             # The shipped profile, except that post-fault releases on
             # the spare keep the θ_i backup offset instead of Y_i.
-            super().prepare(ctx)
-            self.adopt_rules(
-                dataclasses.replace(
-                    rules, postfault_main_offset=(0, rules.backup_offset)
-                )
-                for rules in self.profile(ctx).tasks
+            profile = super().prepare(ctx)
+            return dataclasses.replace(
+                profile,
+                tasks=(
+                    dataclasses.replace(
+                        rules, postfault_main_offset=(0, rules.backup_offset)
+                    )
+                    for rules in profile.tasks
+                ),
             )
 
     base = workload.timebase()

@@ -25,8 +25,8 @@ identical when every job was journal-resumed.
 
 Finally, one profile that uses the ``SchemeProfile`` fields in
 combinations no shipped scheme does must be read alike by its three
-readers: the engine's generic ``plan_release``, the kernel's tables and
-the auditor.
+readers: the engine's compiled release templates, the kernel's tables
+and the auditor.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from repro.sim.batch import (
     run_batch,
     run_batch_payloads,
 )
-from repro.sim.engine import PRIMARY, SPARE
-from repro.sim.profile import ProfiledPolicy, TaskProfile
+from repro.sim.engine import PRIMARY, SPARE, SchedulingPolicy
+from repro.sim.profile import SchemeProfile, TaskProfile
 from repro.workload.generator import GeneratorConfig, TaskSetGenerator
 
 pytestmark = pytest.mark.skipif(
@@ -234,8 +234,9 @@ class TestBatchScalarAgreement:
         assert sum(faults) > 50 and sum(map(bool, faults)) > 20
 
 
-#: Every profiled scheme; ReExecution_FP plans recovery copies after a
-#: transient fault, which the kernel leaves to the scalar engine.
+#: Every registered scheme but ReExecution_FP, whose profile has recovery
+#: copies after a transient fault, which the kernel leaves to the scalar
+#: engine.
 TRANSIENT_SCHEMES = [s for s in SCHEMES if s != "ReExecution_FP"]
 
 
@@ -322,7 +323,7 @@ class ScriptedScenario:
         return oracle, self.permanent
 
 
-class PinnedPolicy(ProfiledPolicy):
+class PinnedPolicy(SchedulingPolicy):
     """Every job mandatory-by-FD with a backup ``offset`` after its main
     on the primary, or (``fd_max=1``) optionals on the primary."""
 
@@ -331,9 +332,12 @@ class PinnedPolicy(ProfiledPolicy):
     fd_max = 0
 
     def prepare(self, ctx):
-        self.adopt_rules(
-            TaskProfile("fd", fd_max=self.fd_max, backup_offset=self.offset)
-            for _ in ctx.taskset
+        return SchemeProfile(
+            self.name,
+            (
+                TaskProfile("fd", fd_max=self.fd_max, backup_offset=self.offset)
+                for _ in ctx.taskset
+            ),
         )
 
 
@@ -365,9 +369,12 @@ class PatternedPolicy(PinnedPolicy):
     name = "pinned-patterns"
 
     def prepare(self, ctx):
-        self.adopt_rules(
-            TaskProfile("pattern", pattern=EPattern(task.mk), backup_offset=0)
-            for task in ctx.taskset
+        return SchemeProfile(
+            self.name,
+            (
+                TaskProfile("pattern", pattern=EPattern(task.mk), backup_offset=0)
+                for task in ctx.taskset
+            ),
         )
 
 
@@ -446,9 +453,12 @@ class TestPinnedTransientCases:
     def test_same_tick_completions_draw_processor_0_first(self, monkeypatch):
         class Split(PinnedPolicy):
             def prepare(self, ctx):
-                self.adopt_rules(
-                    TaskProfile("fd", main_processor=processor)
-                    for processor in (PRIMARY, SPARE)
+                return SchemeProfile(
+                    self.name,
+                    (
+                        TaskProfile("fd", main_processor=processor)
+                        for processor in (PRIMARY, SPARE)
+                    ),
                 )
 
         # Each task's single main runs [0, 3), task 1 on processor 0 and
@@ -590,10 +600,11 @@ class TestColumnRetirement:
         assert len(set(late_faults)) > 3
 
 
-class VocabularyPolicy(ProfiledPolicy):
+class VocabularyPolicy(SchedulingPolicy):
     """Profile fields in combinations no shipped scheme uses."""
 
     name = "profile-vocabulary"
+    optional_preemption = True
 
     def prepare(self, ctx):
         promotions = promotion_times(ctx.taskset, ctx.timebase)
@@ -633,9 +644,13 @@ class VocabularyPolicy(ProfiledPolicy):
                 postfault_main_offset=(0, y),
             ),
         )
-        self.adopt_rules(
-            variants[index % len(variants)](task, y)
-            for index, (task, y) in enumerate(zip(ctx.taskset, promotions))
+        return SchemeProfile(
+            self.name,
+            (
+                variants[index % len(variants)](task, y)
+                for index, (task, y) in enumerate(zip(ctx.taskset, promotions))
+            ),
+            optional_preemption=self.optional_preemption,
         )
 
 

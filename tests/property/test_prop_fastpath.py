@@ -8,7 +8,10 @@ instead of a full logical-job scan).  These tests pin the overhaul to the
 seed semantics by running both engines -- the optimized one from the
 package and the verbatim pre-overhaul copy in ``tests/reference_engine.py``
 -- on the paper's gold examples and on generated workloads, with and
-without faults, and requiring identical observable behaviour:
+without faults, and requiring identical observable behaviour (the
+reference plans every release and recovery through the per-release
+profile interpreter of ``tests/reference_profile.py``, so the engine's
+compiled release templates are checked too):
 
 * execution segments (what ran where and when),
 * logical-job records (outcome, decision time, classification, FD),
@@ -28,10 +31,14 @@ import pytest
 from tests.reference_engine import ReferenceStandbySparingEngine
 from repro.faults.scenario import FaultScenario
 from repro.schedulers import (
+    DistanceBasedPriority,
     MKSSDualPriority,
     MKSSGreedy,
+    MKSSHybrid,
     MKSSSelective,
     MKSSStatic,
+    ReExecutionFP,
+    SingleProcessorFP,
 )
 from repro.sim.engine import StandbySparingEngine
 from repro.sim.validation import validate_result
@@ -39,6 +46,14 @@ from repro.workload.generator import TaskSetGenerator
 from repro.workload.presets import fig1_taskset, fig3_taskset, fig5_taskset
 
 POLICIES = (MKSSStatic, MKSSDualPriority, MKSSSelective, MKSSGreedy)
+#: The hybrid and the single-copy baselines, ReExecution_FP's recovery
+#: copies among them.
+MORE_POLICIES = (
+    MKSSHybrid,
+    SingleProcessorFP,
+    DistanceBasedPriority,
+    ReExecutionFP,
+)
 
 
 def record_view(trace):
@@ -53,9 +68,14 @@ def record_view(trace):
     }
 
 
+def event_count(result, kind):
+    return sum(event.kind == kind for event in result.trace.events)
+
+
 def assert_equivalent(fast, reference):
     """Both engines produced the same observable run."""
     assert fast.trace.segments == reference.trace.segments
+    assert event_count(fast, "recovery") == event_count(reference, "recovery")
     assert record_view(fast.trace) == record_view(reference.trace)
     assert fast.busy_ticks() == reference.busy_ticks()
     assert fast.busy_ticks(0) == reference.busy_ticks(0)
@@ -177,3 +197,37 @@ class TestGeneratedWorkloads:
                     ).run()
                 )
             assert_equivalent(runs[0], runs[1])
+
+
+class TestRecoveriesAndBaselines:
+    """The schemes above leave out the hybrid, FP, DBP and
+    ReExecution_FP; run them under a deterministic transient oracle
+    that fires recoveries, with and without a permanent fault on either
+    processor.  A recovery reruns its copy on the copy's own processor;
+    the reference sends it to the task's home processor, or to the
+    survivor once home has died -- the two must agree."""
+
+    @staticmethod
+    def oracle(job, now):
+        return (3 * job.task_index + job.job_index + now) % 5 == 0
+
+    @pytest.mark.parametrize("policy_cls", MORE_POLICIES)
+    @pytest.mark.parametrize("dead_processor", [None, 0, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agreement(self, policy_cls, dead_processor, seed):
+        taskset = TaskSetGenerator(seed=2000 + seed).generate(
+            0.3 + 0.1 * (seed % 3)
+        )
+        base = taskset.timebase()
+        engine_kwargs = {"transient_fault_fn": self.oracle}
+        if dead_processor is not None:
+            engine_kwargs["permanent_fault"] = (
+                dead_processor,
+                (41 + 17 * seed) * base.ticks_per_unit,
+            )
+        fast, reference = run_both(taskset, policy_cls, 300, **engine_kwargs)
+        assert_equivalent(fast, reference)
+        assert fast.transient_fault_count > 0
+        if policy_cls is ReExecutionFP:
+            assert event_count(fast, "recovery") > 0
+        fast.trace.validate()

@@ -8,7 +8,9 @@ deliberately *not* optimized -- its value is that it shares none of the
 fast path's dispatch bookkeeping (running-job slots, displacement tests,
 pending-copy sets), so agreement between the two engines on traces,
 outcomes, and energy is strong evidence the fast path preserved the
-scheduling semantics.
+scheduling semantics.  It plans each release and recovery through the
+per-release profile interpreter in ``tests/reference_profile.py``, not
+through the engine's compiled templates.
 
 Used only by tests (see tests/property/test_prop_fastpath.py); never
 import this from package code.
@@ -39,7 +41,7 @@ from repro.sim.engine import (
 from repro.sim.queues import ReadyQueue
 from repro.sim.trace import ExecutionTrace, LogicalJobRecord
 from repro.timebase import TimeBase
-
+from tests.reference_profile import ReferencePlanner
 
 
 class _LogicalJob:
@@ -114,7 +116,9 @@ class ReferenceStandbySparingEngine:
             timebase=base,
             horizon_ticks=self.horizon,
         )
-        self.policy.prepare(ctx)
+        profile = self.policy.prepare(ctx)
+        planner = ReferencePlanner(profile)
+        dead_processor: Optional[int] = None
 
         trace = ExecutionTrace(processor_count=2)
         alive = [True, True]
@@ -190,7 +194,7 @@ class ReferenceStandbySparingEngine:
             entry = logical[job.key()]
             if faulted:
                 if not entry.decided:
-                    spec = self.policy.plan_recovery(ctx, job, now)
+                    spec = planner.plan_recovery(dead_processor, job, now)
                     if spec is not None:
                         if not alive[spec.processor]:
                             raise SimulationError(
@@ -257,8 +261,8 @@ class ReferenceStandbySparingEngine:
                 return
             deadline = release + deadlines[task_index]
             fd = histories[task_index].flexibility_degree()
-            plan = self.policy.plan_release(
-                ctx, task_index, job_index, release, deadline, fd
+            plan = planner.plan_release(
+                dead_processor, task_index, job_index, release, fd
             )
             record = LogicalJobRecord(
                 task_index=task_index,
@@ -327,10 +331,11 @@ class ReferenceStandbySparingEngine:
                 )
 
         def handle_permfault(processor: int, now: int) -> None:
+            nonlocal dead_processor
             if not alive[processor]:
                 return
             alive[processor] = False
-            ctx.dead_processor = processor
+            dead_processor = processor
             trace.log(now, "permanent-fault", f"processor {processor}")
             for queue in (mjq[processor], ojq[processor]):
                 for job in queue.live_jobs():
@@ -341,7 +346,6 @@ class ReferenceStandbySparingEngine:
                 for job in entry.copies:
                     if job.processor == processor and not job.is_finished:
                         job.status = JobStatus.LOST
-            self.policy.on_permanent_fault(ctx, processor)
 
         sticky: List[Optional[Job]] = [None, None]
 
@@ -370,7 +374,7 @@ class ReferenceStandbySparingEngine:
                     return None
                 _, job = candidate
                 if job.can_finish_by_deadline(now):
-                    if not self.policy.optional_preemption:
+                    if not profile.optional_preemption:
                         sticky[processor] = job
                     return job
                 drop_infeasible_optional(job, now)

@@ -9,11 +9,17 @@ from repro.model.taskset import TaskSet
 from repro.schedulers import MKSSDualPriority
 from repro.schedulers.base import run_policy
 from repro.sim.engine import PRIMARY, SPARE
+from tests.policies import prepared
 
 
 def run(ts, policy, horizon_units):
     base = ts.timebase()
     return run_policy(ts, policy, horizon_units * base.ticks_per_unit, base)
+
+
+def mains(ts, policy):
+    """Each task's main processor in the policy's profile for ``ts``."""
+    return [rules.main_processor for rules in prepared(policy, ts, 40).tasks]
 
 
 class TestSplitStrategies:
@@ -38,14 +44,11 @@ class TestSplitStrategies:
                 Task(40, 40, 1, 1, 4, name="light2"),
             ]
         )
-        balance = MKSSDualPriority(split_strategy="balance")
-        run(ts, balance, 40)
-        heavy_processors = {balance.main_processor(0), balance.main_processor(2)}
-        assert heavy_processors == {PRIMARY, SPARE}
+        balance = mains(ts, MKSSDualPriority(split_strategy="balance"))
+        assert {balance[0], balance[2]} == {PRIMARY, SPARE}
 
-        alternate = MKSSDualPriority(split_strategy="alternate")
-        run(ts, alternate, 40)
-        assert alternate.main_processor(0) == alternate.main_processor(2)
+        alternate = mains(ts, MKSSDualPriority(split_strategy="alternate"))
+        assert alternate[0] == alternate[2]
 
     def test_balance_keeps_mk(self, fig1, fig5):
         for ts, horizon in ((fig1, 20), (fig5, 30)):
@@ -69,6 +72,4 @@ class TestSplitStrategies:
     def test_no_split_ignores_strategy(self):
         policy = MKSSDualPriority(split_mains=False, split_strategy="balance")
         ts = TaskSet([Task(10, 10, 1, 1, 2), Task(10, 10, 1, 1, 2)])
-        run(ts, policy, 20)
-        assert policy.main_processor(0) == PRIMARY
-        assert policy.main_processor(1) == PRIMARY
+        assert mains(ts, policy) == [PRIMARY, PRIMARY]

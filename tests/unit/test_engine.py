@@ -4,40 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.model.job import JobRole
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.schedulers import MKSSDualPriority, MKSSStatic, SingleProcessorFP
-from repro.sim.engine import (
-    PRIMARY,
-    SPARE,
-    CopySpec,
-    PolicyContext,
-    ReleasePlan,
-    SchedulingPolicy,
-    StandbySparingEngine,
-)
+from repro.sim.engine import PRIMARY, SPARE, StandbySparingEngine
+from repro.sim.profile import TaskProfile
+from tests.policies import ProfilePolicy, skip_all
 
 
-class EveryJobBothProcs(SchedulingPolicy):
-    """Test policy: every job mandatory, main+backup, no postponement."""
-
-    name = "test-both"
-
-    def plan_release(self, ctx, task_index, job_index, release, deadline, fd):
-        if ctx.fault_mode:
-            return ReleasePlan(
-                copies=(CopySpec(JobRole.MAIN, ctx.surviving_processor(), release),),
-                classified_as="mandatory",
-            )
-        return ReleasePlan(
-            copies=(
-                CopySpec(JobRole.MAIN, PRIMARY, release),
-                CopySpec(JobRole.BACKUP, SPARE, release),
-            ),
-            classified_as="mandatory",
-        )
+def EveryJobBothProcs():
+    """Test policy: every job mandatory, main+backup, no postponement
+    (after a fault, one main on the survivor)."""
+    return ProfilePolicy(TaskProfile("all", backup_offset=0), name="test-both")
 
 
 @pytest.fixture
@@ -94,11 +74,7 @@ class TestCancellation:
         """A higher-priority task delays the backup; the main's success
         cancels it before it ever runs."""
         ts = TaskSet([Task(10, 10, 4, 2, 2), Task(10, 10, 3, 2, 2)])
-
-        class MainsPrimaryBackupsSpare(EveryJobBothProcs):
-            name = "test-mains-primary"
-
-        engine = StandbySparingEngine(ts, MainsPrimaryBackupsSpare(), 10)
+        engine = StandbySparingEngine(ts, EveryJobBothProcs(), 10)
         result = engine.run()
         # Primary: tau1 [0,4), tau2 [4,7).  Spare mirrors it, so backups
         # finish at the same instants and no energy is saved; totals equal.
@@ -115,22 +91,6 @@ class TestCancellation:
         assert all(
             s.end <= 5 for s in result.trace.segments_on(SPARE)
         )
-
-    def test_planning_onto_dead_processor_raises(self, one_task):
-        class BadPolicy(SchedulingPolicy):
-            name = "bad"
-
-            def plan_release(self, ctx, t, j, release, deadline, fd):
-                return ReleasePlan(
-                    copies=(CopySpec(JobRole.MAIN, SPARE, release),),
-                    classified_as="mandatory",
-                )
-
-        engine = StandbySparingEngine(
-            one_task, BadPolicy(), 30, permanent_fault=(SPARE, 2)
-        )
-        with pytest.raises(SimulationError):
-            engine.run()
 
 
 class TestTransientFaults:
@@ -167,42 +127,21 @@ class TestTransientFaults:
 
     def test_faulted_optional_is_simply_missed(self):
         ts = TaskSet([Task(10, 10, 4, 1, 2)])
-
-        class OptionalOnly(SchedulingPolicy):
-            name = "optional-only"
-
-            def plan_release(self, ctx, t, j, release, deadline, fd):
-                return ReleasePlan(
-                    copies=(CopySpec(JobRole.OPTIONAL, PRIMARY, release),),
-                    classified_as="optional",
-                )
-
+        # The (1,2) task's only job has FD 1: an optional on the primary.
+        optional_only = ProfilePolicy(TaskProfile("fd", fd_max=None))
         engine = StandbySparingEngine(
-            ts, OptionalOnly(), 10, transient_fault_fn=lambda job, now: True
+            ts, optional_only, 10, transient_fault_fn=lambda job, now: True
         )
         result = engine.run()
         assert result.trace.outcomes_for_task(0) == [False]
         assert result.busy_ticks(0) == 4  # energy was still spent
 
 
-class PostponedBackup(SchedulingPolicy):
+def PostponedBackup():
     """Test policy: main at release, backup enqueued 6 ticks later."""
-
-    name = "test-postponed-backup"
-
-    def plan_release(self, ctx, task_index, job_index, release, deadline, fd):
-        if ctx.fault_mode:
-            return ReleasePlan(
-                copies=(CopySpec(JobRole.MAIN, ctx.surviving_processor(), release),),
-                classified_as="mandatory",
-            )
-        return ReleasePlan(
-            copies=(
-                CopySpec(JobRole.MAIN, PRIMARY, release),
-                CopySpec(JobRole.BACKUP, SPARE, release + 6),
-            ),
-            classified_as="mandatory",
-        )
+    return ProfilePolicy(
+        TaskProfile("all", backup_offset=6), name="test-postponed-backup"
+    )
 
 
 class TestPermfaultPendingCopies:
@@ -255,14 +194,7 @@ class TestPermfaultPendingCopies:
 class TestOutcomeRecording:
     def test_skipped_job_recorded_missed(self):
         ts = TaskSet([Task(10, 10, 4, 1, 2)])
-
-        class SkipAll(SchedulingPolicy):
-            name = "skip-all"
-
-            def plan_release(self, ctx, t, j, release, deadline, fd):
-                return ReleasePlan.skip()
-
-        result = StandbySparingEngine(ts, SkipAll(), 25).run()
+        result = StandbySparingEngine(ts, skip_all(), 25).run()
         assert result.trace.outcomes_for_task(0) == [False, False, False]
         assert not result.all_mk_satisfied()
 

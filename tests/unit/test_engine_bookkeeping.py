@@ -8,8 +8,9 @@
   processor's busy ticks from its energy window and its idle-gap
   multiset; its ledger must equal the trace run's at every edge of that
   window.
-* **FD only where a rule reads it.** ``reads_flexibility_degree`` names
-  the tasks whose flexibility degree a stats-only run computes.
+* **FD only where a rule reads it.** The profile's
+  ``reads_flexibility_degree`` names the tasks whose flexibility degree
+  a stats-only run computes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import gc
 from repro.energy.dvfs import DVFSConfig
 from repro.faults.scenario import FaultScenario
 from repro.harness.runner import RunSpec, run_scheme
-from repro.model.job import Job, JobRole
+from repro.model.job import Job
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.schedulers import (
@@ -31,20 +32,13 @@ from repro.schedulers import (
     SingleProcessorFP,
 )
 from repro.schedulers.base import run_policy
-from repro.sim.engine import (
-    PRIMARY,
-    SPARE,
-    CopySpec,
-    PolicyContext,
-    ReleasePlan,
-    SchedulingPolicy,
-    _LogicalJob,
-)
+from repro.sim.engine import PRIMARY, SPARE, _LogicalJob
 from repro.sim.queues import ReadyQueue
 from repro.sim.trace import LogicalJobRecord
 from repro.sim.validation import compare_ledgers, result_ledger
 from repro.workload.acet import UniformActualTimes
 from repro.workload.presets import fig1_taskset, fig5_taskset
+from tests.policies import prepared
 
 BOOKKEEPING_TYPES = (Job, _LogicalJob, ReadyQueue, LogicalJobRecord)
 
@@ -105,22 +99,15 @@ def trace_kinds(result):
 
 class TestNoGarbageCycles:
     def test_dp_with_deferred_backups(self):
-        policies = []
-
-        def make_policy():
-            policies.append(MKSSDualPriority())
-            return policies[-1]
+        taskset = fig1_taskset()
 
         def check(trace_run, stats_run):
-            offsets = [
-                rules.backup_offset
-                for rules in policies[0].profile(None).tasks
-            ]
-            assert any(offset > 0 for offset in offsets)
+            profile = prepared(MKSSDualPriority(), taskset, 60)
+            assert any(rules.backup_offset > 0 for rules in profile.tasks)
             # Backups canceled by their main before or while running.
             assert "cancel" in trace_kinds(trace_run)
 
-        assert leaked_bookkeeping(fig1_taskset(), make_policy, 60, None, check) == []
+        assert leaked_bookkeeping(taskset, MKSSDualPriority, 60, None, check) == []
 
     def test_selective_under_a_permanent_fault(self):
         taskset = fig5_taskset()
@@ -213,10 +200,7 @@ class TestBusyTimeFromGaps:
 class TestFlexibilityDegreeReaders:
     @staticmethod
     def readers(policy, taskset):
-        base = taskset.timebase()
-        ctx = PolicyContext(taskset, base, 60 * base.ticks_per_unit)
-        policy.prepare(ctx)
-        return list(policy.reads_flexibility_degree(ctx))
+        return prepared(policy, taskset, 60).reads_flexibility_degree
 
     def test_static_patterns_read_no_fd(self):
         taskset = fig5_taskset()
@@ -230,16 +214,8 @@ class TestFlexibilityDegreeReaders:
         assert self.readers(ReExecutionFP(), taskset) == [True, True]
 
     def test_hybrid_reads_fd_of_its_selective_tasks_only(self):
-        policy = MKSSHybrid()
-        readers = self.readers(policy, fig1_taskset())
-        assert [policy.mode_of(0), policy.mode_of(1)] == ["selective", "dp"]
-        assert readers == [True, False]
-
-    def test_default_policy_reads_every_task(self):
-        class Plain(SchedulingPolicy):
-            def plan_release(self, ctx, t, j, release, deadline, fd):
-                return ReleasePlan(
-                    (CopySpec(JobRole.MAIN, PRIMARY, release),), "mandatory"
-                )
-
-        assert self.readers(Plain(), fig5_taskset()) == [True, True]
+        profile = prepared(MKSSHybrid(), fig1_taskset(), 60)
+        # Task 1 runs in selective mode, task 2 in DP mode.
+        modes = [rules.classification for rules in profile.tasks]
+        assert modes == ["fd", "pattern"]
+        assert profile.reads_flexibility_degree == [True, False]

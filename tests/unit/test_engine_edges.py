@@ -4,32 +4,32 @@ from __future__ import annotations
 
 import pytest
 
-from repro.model.job import JobRole
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.schedulers import MKSSGreedy, MKSSSelective, MKSSStatic
 from repro.schedulers.base import run_policy
-from repro.sim.engine import (
-    PRIMARY,
-    SPARE,
-    CopySpec,
-    ReleasePlan,
-    SchedulingPolicy,
-    StandbySparingEngine,
-)
+from repro.sim.engine import PRIMARY
+from repro.sim.profile import TaskProfile
+from tests.policies import ProfilePolicy
+
+#: The FD rule with every optional on the primary: each (1,2) task below
+#: releases one job, at FD 1, so it is a single optional copy there.
+OPTIONALS = TaskProfile("fd", fd_max=None)
 
 
-class OptionalOnly(SchedulingPolicy):
-    """Every job is a single optional copy on the primary."""
+def OptionalOnly():
+    """Every job is a single non-preemptive optional on the primary."""
+    return ProfilePolicy(OPTIONALS, name="optional-only", optional_preemption=False)
 
-    name = "optional-only"
-    optional_preemption = False
 
-    def plan_release(self, ctx, task_index, job_index, release, deadline, fd):
-        return ReleasePlan(
-            copies=(CopySpec(JobRole.OPTIONAL, PRIMARY, release),),
-            classified_as="optional",
-        )
+def OptionalThenMandatory():
+    """Task 1's job is a non-preemptive optional on the primary; every
+    other task's jobs are single mandatory mains there."""
+    return ProfilePolicy(
+        lambda index, task: OPTIONALS if index == 0 else TaskProfile("all"),
+        name="mixed",
+        optional_preemption=False,
+    )
 
 
 class TestStickyOptionals:
@@ -51,22 +51,6 @@ class TestStickyOptionals:
         assert len(holder_segments) == 1  # ran in one piece
 
     def test_sticky_preempted_by_mandatory_then_resumes(self):
-        class MixedPolicy(SchedulingPolicy):
-            name = "mixed"
-            optional_preemption = False
-
-            def plan_release(self, ctx, t, j, release, deadline, fd):
-                if t == 0 and j == 1:
-                    # optional released at 0, runs [0, ...)
-                    return ReleasePlan(
-                        copies=(CopySpec(JobRole.OPTIONAL, PRIMARY, release),),
-                        classified_as="optional",
-                    )
-                return ReleasePlan(
-                    copies=(CopySpec(JobRole.MAIN, PRIMARY, release),),
-                    classified_as="mandatory",
-                )
-
         ts = TaskSet(
             [
                 Task(50, 50, 20, 1, 2, name="long_optional"),
@@ -75,7 +59,7 @@ class TestStickyOptionals:
         )
         # tau2's mandatory jobs (release 0, 10, 20, ...) preempt; the
         # optional resumes in between and completes.
-        result = run_policy(ts, MixedPolicy(), 50)
+        result = run_policy(ts, OptionalThenMandatory(), 50)
         optional_ticks = sum(
             s.length for s in result.trace.segments if s.task_index == 0
         )
@@ -83,17 +67,6 @@ class TestStickyOptionals:
         assert result.trace.records[(0, 1)].effective
 
     def test_sticky_abandoned_when_infeasible_after_preemption(self):
-        class MixedPolicy(SchedulingPolicy):
-            name = "mixed2"
-            optional_preemption = False
-
-            def plan_release(self, ctx, t, j, release, deadline, fd):
-                role = JobRole.OPTIONAL if t == 0 else JobRole.MAIN
-                return ReleasePlan(
-                    copies=(CopySpec(role, PRIMARY, release),),
-                    classified_as="optional" if t == 0 else "mandatory",
-                )
-
         # The optional has deadline 12 and needs 10; mandatory load makes
         # it infeasible after the first preemption.
         ts = TaskSet(
@@ -102,7 +75,7 @@ class TestStickyOptionals:
                 Task(4, 4, 3, 2, 2, name="mandatory"),
             ]
         )
-        result = run_policy(ts, MixedPolicy(), 20)
+        result = run_policy(ts, OptionalThenMandatory(), 20)
         assert not result.trace.records[(0, 1)].effective
         # It must not execute after its deadline.
         late = [

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.runner import SCHEME_FACTORIES
 from repro.model.mk import MKConstraint
 from repro.model.patterns import RPattern
-from repro.sim.profile import TaskProfile
+from repro.schedulers import DistanceBasedPriority, ReExecutionFP, SingleProcessorFP
+from repro.sim.profile import SchemeProfile, TaskProfile
+from tests.policies import prepared
 
 
 class TestTaskProfileChecks:
@@ -29,3 +32,30 @@ class TestTaskProfileChecks:
         with pytest.raises(ValueError, match="fd_max=0"):
             TaskProfile("all", fd_max=fd_max)
         assert TaskProfile("fd", fd_max=fd_max).fd_max == fd_max
+
+
+class TestDerivedFields:
+    def test_max_copies_follows_backups_and_recoveries(self, fig1):
+        copies = {
+            scheme: prepared(factory(), fig1).max_copies
+            for scheme, factory in SCHEME_FACTORIES.items()
+        }
+        assert copies.pop("ReExecution_FP") == 4  # one main, 3 recoveries
+        assert set(copies.values()) == {2}  # a main and its backup
+        assert prepared(SingleProcessorFP(), fig1).max_copies == 1
+        assert prepared(DistanceBasedPriority(), fig1).max_copies == 1
+        assert prepared(ReExecutionFP(max_recoveries=0), fig1).max_copies == 1
+
+    def test_only_the_fd_rule_reads_fd(self):
+        pattern = RPattern(MKConstraint(2, 4))
+        profile = SchemeProfile(
+            "mixed",
+            [
+                TaskProfile("fd"),
+                TaskProfile("pattern", pattern=pattern),
+                TaskProfile("all"),
+                TaskProfile("fd", fd_max=None),
+            ],
+        )
+        assert isinstance(profile.tasks, tuple)
+        assert profile.reads_flexibility_degree == [True, False, False, True]

@@ -71,15 +71,9 @@ class TestVerifyAndMetrics:
         assert metrics.as_dict()["released"] == 6
 
     def test_violations_counted_for_skipping_policy(self, fig1):
-        from repro.sim.engine import ReleasePlan, SchedulingPolicy
+        from tests.policies import skip_all
 
-        class SkipAll(SchedulingPolicy):
-            name = "skip-all"
-
-            def plan_release(self, ctx, t, j, release, deadline, fd):
-                return ReleasePlan.skip()
-
-        result = StandbySparingEngine(fig1, SkipAll(), 40).run()
+        result = StandbySparingEngine(fig1, skip_all(), 40).run()
         metrics = collect_metrics(result)
         assert metrics.mk_violations > 0
         assert metrics.miss_ratio == 1.0

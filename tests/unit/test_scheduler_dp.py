@@ -9,18 +9,21 @@ from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.schedulers import MKSSDualPriority, MKSSStatic
 from repro.sim.engine import PRIMARY, SPARE
+from tests.policies import prepared
+
+FIVE_TASKS = TaskSet([Task(10, 10, 1, 1, 2)] * 5)
+
+
+def mains(policy):
+    return [rules.main_processor for rules in prepared(policy, FIVE_TASKS).tasks]
 
 
 class TestMainPlacement:
     def test_alternating_assignment(self):
-        policy = MKSSDualPriority()
-        assert policy.main_processor(0) == PRIMARY
-        assert policy.main_processor(1) == SPARE
-        assert policy.main_processor(2) == PRIMARY
+        assert mains(MKSSDualPriority())[:3] == [PRIMARY, SPARE, PRIMARY]
 
     def test_no_split_mode(self):
-        policy = MKSSDualPriority(split_mains=False)
-        assert all(policy.main_processor(i) == PRIMARY for i in range(5))
+        assert mains(MKSSDualPriority(split_mains=False)) == [PRIMARY] * 5
 
 
 class TestEnergyBehaviour:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.faults.scenario import FaultScenario
 from repro.schedulers import MKSSGreedy, MKSSSelective
 from repro.sim.engine import PRIMARY, SPARE
+from tests.policies import prepared
 
 
 class TestGreedyBehaviour:
@@ -31,9 +32,9 @@ class TestGreedyBehaviour:
             if s.role == "optional"
         )
 
-    def test_nonpreemptive_by_default(self):
-        assert MKSSGreedy().optional_preemption is False
-        assert MKSSGreedy(preemptive=True).optional_preemption is True
+    def test_nonpreemptive_by_default(self, fig3):
+        assert prepared(MKSSGreedy(), fig3).optional_preemption is False
+        assert prepared(MKSSGreedy(preemptive=True), fig3).optional_preemption is True
 
     def test_preemptive_variant_spends_more_here(self, fig3, active_runner):
         _, lazy = active_runner(fig3, MKSSGreedy(), 25)

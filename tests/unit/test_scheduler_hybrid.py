@@ -17,7 +17,7 @@ from repro.schedulers import (
     selective_execution_rate,
 )
 from repro.schedulers.base import run_policy
-from repro.sim.engine import PolicyContext
+from tests.policies import prepared
 
 
 class TestSelectiveExecutionRate:
@@ -57,27 +57,28 @@ def _run(ts, policy, horizon_units, scenario=None):
     )
 
 
+def _modes(ts, horizon_units):
+    """Each task's offline mode: its profile's classification, ``"fd"``
+    for selective mode and ``"pattern"`` for DP mode."""
+    profile = prepared(MKSSHybrid(), ts, horizon_units)
+    return [rules.classification for rules in profile.tasks]
+
+
 class TestModeSelection:
     def test_modes_assigned_after_prepare(self, fig1):
-        policy = MKSSHybrid()
-        result = _run(fig1, policy, 20)
+        result = _run(fig1, MKSSHybrid(), 20)
         assert result.all_mk_satisfied()
-        modes = [policy.mode_of(i) for i in range(len(fig1))]
-        assert set(modes) <= {"selective", "dp"}
+        assert set(_modes(fig1, 20)) <= {"fd", "pattern"}
 
     def test_low_overlap_task_prefers_dp(self):
         """A (1,2) task with a tiny WCET: S=1 doubles its executions while
         its postponed backup never runs -> DP mode must win."""
         ts = TaskSet([Task(50, 50, 1, 1, 2)])
-        policy = MKSSHybrid()
-        _run(ts, policy, 100)
-        assert policy.mode_of(0) == "dp"
+        assert _modes(ts, 100) == ["pattern"]
 
     def test_tight_task_prefers_selective(self, fig1):
         """Figure 1's τ1 has θ=1 and heavy overlap: selective mode wins."""
-        policy = MKSSHybrid()
-        _run(fig1, policy, 20)
-        assert policy.mode_of(0) == "selective"
+        assert _modes(fig1, 20)[0] == "fd"
 
 
 class TestHybridBehaviour:

@@ -36,15 +36,9 @@ class TestTaskTimeline:
         assert timeline.satisfied  # m=2
 
     def test_violated_timeline_reports_it(self, fig1):
-        from repro.sim.engine import ReleasePlan, SchedulingPolicy
+        from tests.policies import skip_all
 
-        class SkipAll(SchedulingPolicy):
-            name = "skip-all"
-
-            def plan_release(self, ctx, t, j, release, deadline, fd):
-                return ReleasePlan.skip()
-
-        result = StandbySparingEngine(fig1, SkipAll(), 40).run()
+        result = StandbySparingEngine(fig1, skip_all(), 40).run()
         timeline = task_timeline(result, 0)
         assert not timeline.satisfied
         assert "VIOLATED" in timeline.render()

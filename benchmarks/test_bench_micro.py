@@ -200,6 +200,46 @@ def test_audit_scheme(benchmark):
     assert report.ok
 
 
+def test_audit_checks(benchmark):
+    """The checks of one Figure 6(c) audit of MKSS_Selective at 1500ms,
+    on a prebuilt trace and stats pair: the profile replay, the priority
+    scan, both DPD checks and the ledger comparison, derived through one
+    trace index as :func:`~repro.harness.validate.audit_scheme` derives
+    them -- the auditor's own cost, apart from its two engine runs."""
+    from repro.harness.runner import run_scheme
+    from repro.harness.validate import conformance_spec
+    from repro.sim.trace import TraceIndex
+    from repro.sim.validation import (
+        audit_energy,
+        audit_result,
+        compare_ledgers,
+        result_ledger,
+    )
+
+    taskset, scenario = _fig6c_job()
+    run = RunSpec(horizon_cap_units=1500)
+    profile = conformance_spec(taskset, "MKSS_Selective", run)
+    traced = run_scheme(taskset, "MKSS_Selective", scenario, run)
+    stats = run_scheme(
+        taskset, "MKSS_Selective", scenario, run, collect_trace=False
+    )
+
+    def checks():
+        index = TraceIndex(traced.result.trace)
+        decisions = {}
+        issues = audit_result(traced.result, profile, index=index)
+        issues += audit_energy(traced.result, traced.energy, index, decisions)
+        issues += compare_ledgers(
+            result_ledger(traced.result, index),
+            result_ledger(stats.result),
+            label="stats",
+        )
+        issues += audit_energy(stats.result, stats.energy, decisions=decisions)
+        return issues
+
+    assert benchmark(checks) == []
+
+
 def test_sporadic_release_timeline(benchmark):
     """Building the seeded sporadic release sequence for 2000ms -- the
     per-(task set, model) cost the shared-timeline memo amortizes."""

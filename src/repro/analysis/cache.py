@@ -42,6 +42,9 @@ from typing import Any, Callable, Tuple
 #: Hashable cache key: (kind, analysis key, ticks_per_unit, *parameters).
 CacheKey = Tuple[Any, ...]
 
+#: Marks a key absent from the cache (a cached value may be None).
+_MISSING = object()
+
 
 class AnalysisCache:
     """A small thread-safe LRU cache with hit/miss accounting.
@@ -64,12 +67,17 @@ class AnalysisCache:
         self._lock = threading.Lock()
 
     def get(self, key: CacheKey, compute: Callable[[], Any]) -> Any:
-        """The cached value for ``key``, computing and storing on a miss."""
+        """The cached value for ``key``, computing and storing on a miss.
+
+        A hit looks the key up once, plus the LRU move.
+        """
         with self._lock:
-            if key in self._entries:
+            entries = self._entries
+            value = entries.get(key, _MISSING)
+            if value is not _MISSING:
                 self.hits += 1
-                self._entries.move_to_end(key)
-                return self._entries[key]
+                entries.move_to_end(key)
+                return value
             self.misses += 1
         value = compute()
         with self._lock:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sim.trace import ExecutionTrace
+from ..sim.trace import ExecutionTrace, TraceIndex
 from ..timebase import TimeBase, TimeLike
 from .dpd import sleep_threshold_ticks
 from .dvs import DVSModel
@@ -121,28 +121,6 @@ def active_energy_of(
     return energy
 
 
-def _trace_speed_units(
-    trace: ExecutionTrace,
-    timebase: TimeBase,
-    processor: int,
-    window: Tuple[int, int],
-) -> Tuple[Tuple[object, Fraction], ...]:
-    """Sorted (speed, units) of a processor's scaled segments in window."""
-    ticks_by_speed: Dict[object, int] = {}
-    for segment in trace.segments:
-        if segment.processor != processor or segment.speed == 1:
-            continue
-        overlap = segment.overlap_with(*window)
-        if overlap > 0:
-            ticks_by_speed[segment.speed] = (
-                ticks_by_speed.get(segment.speed, 0) + overlap
-            )
-    return tuple(
-        (speed, timebase.from_ticks(ticks_by_speed[speed]))
-        for speed in sorted(ticks_by_speed)
-    )
-
-
 def energy_of(
     trace: ExecutionTrace,
     timebase: TimeBase,
@@ -150,8 +128,14 @@ def energy_of(
     model: Optional[PowerModel] = None,
     permanent_fault: Optional[Tuple[int, int]] = None,
     dvs_model: Optional[DVSModel] = None,
+    index: Optional[TraceIndex] = None,
 ) -> EnergyReport:
     """Account a trace's energy over [0, horizon) under a power model.
+
+    Each processor's busy ticks, idle-gap multiset and per-speed busy
+    ticks inside its window come from one walk over its segments; the
+    counts are then charged exactly as :func:`energy_from_counts`
+    charges a stats-only run's.
 
     Args:
         trace: the simulation trace.
@@ -163,47 +147,25 @@ def energy_of(
         dvs_model: DVS power model of a DVFS run; each executed unit is
             then charged ``s**alpha + static`` at its segment's speed
             instead of the flat ``active_power``.
+        index: the caller's :class:`~repro.sim.trace.TraceIndex` of
+            ``trace``, shared with its other consumers; None builds one
+            for this call.
     """
-    power = model or PowerModel.paper_default()
-    bound = sleep_threshold_ticks(power, timebase.ticks_per_unit)
-    per_processor: Dict[int, ProcessorEnergy] = {}
+    if index is None:
+        index = TraceIndex(trace)
+    busy: List[int] = []
+    gaps: List[Dict[int, int]] = []
+    speed_busy: List[Dict[object, int]] = []
     for processor in range(trace.processor_count):
         window_end = horizon_ticks
         if permanent_fault is not None and permanent_fault[0] == processor:
             window_end = min(window_end, permanent_fault[1])
-        window = (0, window_end)
-        busy_ticks = trace.busy_ticks(processor, window)
-        busy_units = timebase.from_ticks(busy_ticks)
-        speed_units: Tuple[Tuple[object, Fraction], ...] = ()
-        if dvs_model is not None:
-            speed_units = _trace_speed_units(
-                trace, timebase, processor, window
-            )
-        idle_ticks = sleep_ticks = transitions = 0
-        for gap_start, gap_end in trace.idle_gaps(processor, window):
-            length = gap_end - gap_start
-            if bound is not None and length > bound:
-                sleep_ticks += length
-                transitions += 1
-            else:
-                idle_ticks += length
-        idle_units = timebase.from_ticks(idle_ticks)
-        sleep_units = timebase.from_ticks(sleep_ticks)
-        per_processor[processor] = ProcessorEnergy(
-            busy_units=busy_units,
-            idle_units=idle_units,
-            sleep_units=sleep_units,
-            active_energy=active_energy_of(
-                busy_units, speed_units, power, dvs_model
-            ),
-            idle_energy=float(idle_units) * power.idle_power,
-            sleep_energy=float(sleep_units) * power.sleep_power
-            + transitions * power.transition_energy,
-            transition_count=transitions,
-            speed_units=speed_units,
-        )
-    return EnergyReport(
-        per_processor=per_processor, model=power, dvs=dvs_model
+        busy_ticks, gap_counts, by_speed = index.window(processor, 0, window_end)
+        busy.append(busy_ticks)
+        gaps.append(gap_counts)
+        speed_busy.append(by_speed)
+    return energy_from_counts(
+        busy, gaps, timebase, model, speed_busy=speed_busy, dvs_model=dvs_model
     )
 
 
@@ -222,10 +184,11 @@ def energy_from_counts(
     lengths (ticks -> occurrences) inside the same window, both produced
     by the engine in stats mode (already truncated at the horizon and at
     a dead processor's fault instant).  The DPD rule only needs each
-    gap's *length*, so the multiset carries everything :func:`energy_of`
-    extracts from a trace; the tick sums are exact and order-independent,
-    making the result bit-identical to the trace-based account of the
-    same run.  On a DVFS run,
+    gap's *length*, so the multiset carries everything a trace holds for
+    it, and :func:`energy_of` charges a trace's counts here too: the
+    tick sums are exact and order-independent, making the result
+    bit-identical to the trace-based account of the same run.  On a
+    DVFS run,
     ``speed_busy[p]`` (speed -> ticks, the engine's
     :attr:`~repro.sim.stats.RunStats.speed_busy` ledger) carries the
     scaled part of the busy time the same way.
@@ -275,6 +238,7 @@ def energy_of_result(
     result,
     model: Optional[PowerModel] = None,
     window_units: Optional[TimeLike] = None,
+    index: Optional[TraceIndex] = None,
 ) -> EnergyReport:
     """Account a :class:`~repro.sim.engine.SimulationResult`'s energy.
 
@@ -295,6 +259,9 @@ def energy_of_result(
             parameter rather than an implicit horizon.  Requires a trace
             when narrower than the horizon (stats-only counters are
             aggregated over the whole horizon and cannot be re-windowed).
+        index: a :class:`~repro.sim.trace.TraceIndex` of the result's
+            trace that the caller shares with its other consumers;
+            None builds one when the result has a trace.
     """
     window_ticks = result.horizon_ticks
     if window_units is not None:
@@ -314,6 +281,7 @@ def energy_of_result(
             model=model,
             permanent_fault=result.permanent_fault,
             dvs_model=dvs_model,
+            index=index,
         )
     if result.stats is None:  # pragma: no cover - engine fills one of the two
         raise ValueError("result has neither trace nor stats")

@@ -32,6 +32,7 @@ from ..schedulers import (
 from ..schedulers.base import run_policy
 from ..sim.engine import SchedulingPolicy, SimulationResult
 from ..sim.timeline import shared_release_timeline
+from ..sim.trace import TraceIndex
 from ..workload.release import ReleaseModel, resolve_release_model
 
 #: Factories for every registered scheme (fresh policy per run).
@@ -184,6 +185,27 @@ def run_scheme(
         execution_time_fn: optional actual-execution-time model
             (see :mod:`repro.workload.acet`); None charges full WCETs.
     """
+    result = simulate_scheme(
+        taskset,
+        scheme,
+        scenario,
+        run,
+        collect_trace=collect_trace,
+        execution_time_fn=execution_time_fn,
+    )
+    return outcome_of(scheme, result, run)
+
+
+def simulate_scheme(
+    taskset: TaskSet,
+    scheme: str,
+    scenario: Optional[FaultScenario] = None,
+    run: RunSpec = RunSpec(),
+    *,
+    collect_trace: bool = True,
+    execution_time_fn=None,
+) -> SimulationResult:
+    """The simulation half of :func:`run_scheme` (same arguments)."""
     factory = scheme_factory(scheme)
     base = taskset.timebase()
     horizon = run.horizon_ticks(taskset)
@@ -203,7 +225,7 @@ def run_scheme(
                 taskset, base, dvfs, horizon_cap_units=run.horizon_cap_units
             ),
         )
-    result = run_policy(
+    return run_policy(
         taskset,
         factory(),
         horizon,
@@ -215,9 +237,26 @@ def run_scheme(
         initial_history=run.initial_history,
         speed_plan=speed_plan,
     )
+
+
+def outcome_of(
+    scheme: str,
+    result: SimulationResult,
+    run: RunSpec = RunSpec(),
+    index: Optional[TraceIndex] = None,
+) -> RunOutcome:
+    """The accounting half of :func:`run_scheme`: a finished run's energy
+    (under ``run``'s power model) and QoS.
+
+    A trace run's facts are derived once for both, through ``index`` --
+    the caller's :class:`~repro.sim.trace.TraceIndex` of the trace, or
+    one built here and dropped on return when None.
+    """
+    if index is None and result.trace is not None:
+        index = TraceIndex(result.trace)
     return RunOutcome(
         scheme=scheme,
         result=result,
-        energy=energy_of_result(result, run.power_model),
-        metrics=collect_metrics(result),
+        energy=energy_of_result(result, run.power_model, index=index),
+        metrics=collect_metrics(result, index),
     )

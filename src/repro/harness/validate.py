@@ -27,12 +27,13 @@ spurious ``mode-divergence`` issues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..faults.scenario import FaultScenario
 from ..model.taskset import TaskSet
 from ..sim.engine import PolicyContext
 from ..sim.profile import SchemeProfile
+from ..sim.trace import TraceIndex
 from ..sim.validation import (
     ValidationIssue,
     audit_energy,
@@ -40,7 +41,13 @@ from ..sim.validation import (
     compare_ledgers,
     result_ledger,
 )
-from .runner import RunSpec, run_scheme, scheme_factory
+from .runner import (
+    RunSpec,
+    outcome_of,
+    run_scheme,
+    scheme_factory,
+    simulate_scheme,
+)
 
 #: The execution modes the auditor covers, in audit order: the trace run
 #: is the differential reference the stats-only run must match.
@@ -116,18 +123,23 @@ def audit_scheme(
         :data:`AUDIT_MODES` order.
     """
     profile = conformance_spec(taskset, scheme, run)
-    reference = run_scheme(taskset, scheme, scenario, run)
+    result = simulate_scheme(taskset, scheme, scenario, run)
+    # One index of the trace and one DPD verdict memo serve every check
+    # of this audit, and go with it.
+    index = TraceIndex(result.trace)
+    decisions: Dict[int, bool] = {}
+    reference = outcome_of(scheme, result, run, index)
     issues = audit_result(
-        reference.result, profile, initial_history=run.initial_history
+        result, profile, initial_history=run.initial_history, index=index
     )
-    issues += audit_energy(reference.result, reference.energy)
+    issues += audit_energy(result, reference.energy, index, decisions)
     trace = ModeAudit(mode="trace", issues=tuple(issues))
     outcome = run_scheme(taskset, scheme, scenario, run, collect_trace=False)
     issues = compare_ledgers(
-        result_ledger(reference.result),
+        result_ledger(result, index),
         result_ledger(outcome.result),
         label="stats",
     )
-    issues += audit_energy(outcome.result, outcome.energy)
+    issues += audit_energy(outcome.result, outcome.energy, decisions=decisions)
     stats = ModeAudit(mode="stats", issues=tuple(issues))
     return AuditReport(scheme=scheme, modes=(trace, stats))

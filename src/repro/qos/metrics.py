@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from ..model.job import JobOutcome
 from ..sim.engine import SimulationResult
+from ..sim.trace import TraceIndex
 from .monitor import count_mk_violations
 
 
@@ -58,12 +59,16 @@ class QoSMetrics:
         }
 
 
-def collect_metrics(result: SimulationResult) -> QoSMetrics:
+def collect_metrics(
+    result: SimulationResult, index: Optional[TraceIndex] = None
+) -> QoSMetrics:
     """Compute :class:`QoSMetrics` from a simulation result.
 
     Stats-only runs (``result.trace is None``) already carry every count
-    in ``result.stats``; trace runs derive them from the records.  Both
-    paths yield identical metrics for the same run.
+    in ``result.stats``; trace runs derive them from the records, and
+    their violations through ``index``, the caller's
+    :class:`~repro.sim.trace.TraceIndex` of the trace (None builds one).
+    Both paths yield identical metrics for the same run.
     """
     if result.trace is None:
         stats = result.stats
@@ -102,6 +107,6 @@ def collect_metrics(result: SimulationResult) -> QoSMetrics:
         mandatory=mandatory,
         optional_executed=optional_executed,
         skipped=skipped,
-        mk_violations=count_mk_violations(result),
+        mk_violations=count_mk_violations(result, index),
         transient_faults=result.transient_fault_count,
     )

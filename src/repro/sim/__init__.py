@@ -1,7 +1,6 @@
 """Discrete-event simulation of dual-processor standby-sparing systems."""
 
 from .trace import ExecutionTrace, Segment, TraceEvent, LogicalJobRecord
-from .queues import ReadyQueue
 from .engine import (
     PolicyContext,
     SchedulingPolicy,
@@ -23,7 +22,6 @@ __all__ = [
     "Segment",
     "TraceEvent",
     "LogicalJobRecord",
-    "ReadyQueue",
     "PolicyContext",
     "SchedulingPolicy",
     "SimulationResult",

@@ -11,7 +11,9 @@ once per run into per-task, release-relative templates and owns
 everything else:
 
 * per-processor mandatory (MJQ) and optional (OJQ) ready queues, with the
-  MJQ strictly above the OJQ (Algorithm 1, lines 2-9);
+  MJQ strictly above the OJQ (Algorithm 1, lines 2-9): plain heaps of
+  ``(key, seq, copy)`` whose finished copies are dropped lazily, when
+  they reach the head;
 * preemptive fixed-priority dispatch inside each queue (optional jobs are
   ordered by (flexibility degree, task priority) -- the paper's
   "more flexible = less urgent" footnote);
@@ -57,10 +59,9 @@ from ..model.job import FINISHED_STATUSES, Job, JobOutcome, JobRole, JobStatus
 from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
-from .queues import ReadyQueue
 from .stats import RunStats
 from .timeline import ReleaseTimeline
-from .trace import ExecutionTrace, LogicalJobRecord
+from .trace import ExecutionTrace, LogicalJobRecord, TraceIndex
 
 if TYPE_CHECKING:  # the profile module imports this one
     from .profile import SchemeProfile
@@ -150,13 +151,13 @@ def _compile(profile: "SchemeProfile", task_count: int) -> list:
                 (
                     JobRole.BACKUP,
                     SPARE if main == PRIMARY else PRIMARY,
-                    max(rules.backup_offset, 0),
+                    rules.backup_offset,
                 ),
             )
         offsets = rules.postfault_main_offset
         postfault = (
-            ((JobRole.MAIN, SPARE, max(offsets[SPARE], 0)),),  # primary dead
-            ((JobRole.MAIN, PRIMARY, max(offsets[PRIMARY], 0)),),  # spare dead
+            ((JobRole.MAIN, SPARE, offsets[SPARE]),),  # primary dead
+            ((JobRole.MAIN, PRIMARY, offsets[PRIMARY]),),  # spare dead
         )
         compiled.append(
             (
@@ -231,8 +232,9 @@ class SimulationResult:
         cached = self._mk_cache
         if cached is None:
             if self.trace is not None:
+                index = TraceIndex(self.trace)
                 cached = [
-                    task.mk.is_satisfied_by(self.trace.outcomes_for_task(i))
+                    task.mk.is_satisfied_by(index.outcomes_for_task(i))
                     for i, task in enumerate(self.taskset)
                 ]
             elif self.stats is not None:
@@ -430,8 +432,14 @@ class StandbySparingEngine:
         stats = None if collect else RunStats(task_count)
         violations = stats.violations if stats is not None else None
         alive = [True, True]
-        mjq = [ReadyQueue(), ReadyQueue()]
-        ojq = [ReadyQueue(), ReadyQueue()]
+        # The ready queues, per processor: heaps of (key, seq, copy).  A
+        # canceled, abandoned or lost copy stays in its heap until it
+        # reaches the head, where ``pick`` and the displacement test drop
+        # it; ``queue_seq`` breaks key ties in push order, so copies are
+        # never compared.
+        mjq: List[list] = [[], []]
+        ojq: List[list] = [[], []]
+        queue_seq = 0
         # Copies with a scheduled future enqueue, per processor, so a
         # permanent fault can mark exactly the live postponed copies LOST
         # without scanning every logical job ever released.
@@ -534,11 +542,13 @@ class StandbySparingEngine:
                 trace.log(now, "abandon", f"{job.name}/{job.role.value}: {reason}")
 
         def enqueue_copy(job: Job) -> None:
+            nonlocal queue_seq
             job.status = JobStatus.READY
-            if job.role is OPTIONAL:
-                ojq[job.processor].push(job.queue_key, job)
-            else:
-                mjq[job.processor].push(job.queue_key, job)
+            heappush(
+                (ojq if job.role is OPTIONAL else mjq)[job.processor],
+                (job.queue_key, queue_seq, job),
+            )
+            queue_seq += 1
 
         def handle_completion(job: Job, now: int) -> None:
             nonlocal transient_faults
@@ -731,7 +741,8 @@ class StandbySparingEngine:
                 if role is MAIN:
                     main_copy = job
                 elif role is BACKUP:
-                    main_copy.link_backup(job)
+                    main_copy.sibling = job
+                    job.sibling = main_copy
                 else:
                     job.queue_key = (fd, task_index, job_index)
                 if job.enqueue_time <= now:
@@ -754,8 +765,10 @@ class StandbySparingEngine:
             else:
                 window_end[processor] = now if now < horizon else horizon
             for queue in (mjq[processor], ojq[processor]):
-                for job in queue.live_jobs():
-                    job.status = JobStatus.LOST
+                for _, _, job in queue:
+                    if job.status not in finished_statuses:
+                        job.status = JobStatus.LOST
+                queue.clear()
             # PENDING copies bound to the dead processor (postponed backups
             # not yet enqueued) are tracked per processor, so the fault
             # handler touches only live copies -- not every logical job
@@ -785,9 +798,11 @@ class StandbySparingEngine:
                 decide(entry, False, now)
 
         def pick(processor: int, now: int) -> Optional[Job]:
-            top = mjq[processor].pop()
-            if top is not None:
-                return top[1]
+            queue = mjq[processor]
+            while queue:
+                job = heappop(queue)[2]
+                if job.status not in finished_statuses:
+                    return job
             held = sticky[processor]
             if held is not None:
                 if held.is_finished:
@@ -797,16 +812,17 @@ class StandbySparingEngine:
                 else:
                     drop_infeasible_optional(held, now)
                     sticky[processor] = None
-            while True:
-                candidate = ojq[processor].pop()
-                if candidate is None:
-                    return None
-                _, job = candidate
-                if job.can_finish_by_deadline(now):
+            queue = ojq[processor]
+            while queue:
+                job = heappop(queue)[2]
+                if job.status in finished_statuses:
+                    continue
+                if now + job.remaining <= job.deadline:
                     if not optional_preemption:
                         sticky[processor] = job
                     return job
                 drop_infeasible_optional(job, now)
+            return None
 
         # -- main loop -------------------------------------------------------
         #
@@ -835,6 +851,7 @@ class StandbySparingEngine:
         MISSED = JobOutcome.MISSED
         finished_statuses = FINISHED_STATUSES
         heappop = heapq.heappop
+        heappush = heapq.heappush
         now = 0
         changed = True
         next_completion: Optional[int] = None
@@ -894,17 +911,30 @@ class StandbySparingEngine:
                         # Canceled / abandoned / lost by an event handler.
                         job = None
                     if job is not None:
+                        # Drop finished copies at the head of each queue
+                        # the test reads, then compare the heads' keys.
+                        queue = mjq[processor]
+                        while queue and queue[0][2].status in finished_statuses:
+                            heappop(queue)
                         if job.role is OPTIONAL:
-                            if mjq[processor]:
+                            if queue:
                                 displaced = True
                             elif optional_preemption:
-                                head = ojq[processor].head_key()
-                                displaced = head is not None and head < job.queue_key
+                                queue = ojq[processor]
+                                while (
+                                    queue
+                                    and queue[0][2].status in finished_statuses
+                                ):
+                                    heappop(queue)
+                                displaced = (
+                                    queue[0][0] < job.queue_key if queue else False
+                                )
                             else:
                                 displaced = False
                         else:
-                            head = mjq[processor].head_key()
-                            displaced = head is not None and head < job.queue_key
+                            displaced = (
+                                queue[0][0] < job.queue_key if queue else False
+                            )
                         if displaced:
                             # A held (sticky) optional parks in its slot
                             # and resumes ahead of the OJQ; anything else

@@ -42,6 +42,10 @@ undecided job, rerun that copy on its own processor at the fault tick,
 at most this many times per job and only if it can still finish by the
 deadline).  A profile holds no per-run state: the engine keeps the
 alternation toggles and the recovery counts.
+
+The constructors reject what the readers would read differently: a
+processor other than 0 (primary) or 1 (spare), a negative offset, or a
+negative recovery count.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..model.patterns import Pattern
-from .engine import PRIMARY
+from .engine import PRIMARY, SPARE
 
 CLASSIFICATIONS = ("fd", "pattern", "all")
 
@@ -82,6 +86,24 @@ class TaskProfile:
                 f"only fd classification runs optionals; "
                 f"{self.classification!r} needs fd_max=0, got {self.fd_max!r}"
             )
+        # The engine indexes its per-processor state with these, and the
+        # batch kernel reads a negative backup offset as "no backup":
+        # out-of-range values would make the two backends disagree.
+        for name in ("main_processor", "optional_processor"):
+            value = getattr(self, name)
+            if value not in (PRIMARY, SPARE):
+                raise ValueError(
+                    f"{name} must be {PRIMARY} or {SPARE}, got {value!r}"
+                )
+        if self.backup_offset is not None and self.backup_offset < 0:
+            raise ValueError(
+                f"backup_offset must be >= 0 or None, got {self.backup_offset!r}"
+            )
+        if any(offset < 0 for offset in self.postfault_main_offset):
+            raise ValueError(
+                f"postfault_main_offset must be >= 0, "
+                f"got {self.postfault_main_offset!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -111,6 +133,8 @@ class SchemeProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tasks", tuple(self.tasks))
+        if self.recoveries < 0:
+            raise ValueError(f"recoveries must be >= 0, got {self.recoveries!r}")
 
     @property
     def max_copies(self) -> int:

@@ -3,12 +3,19 @@
 The trace is the single source of truth downstream: energy accounting
 integrates processor busy time from segments, the QoS monitor reads
 logical-job outcomes, and the Gantt renderer draws the segments.
+
+A consumer that asks a trace several questions builds a
+:class:`TraceIndex` when it starts and drops it when it returns: the
+index derives each answer (a processor's segments in time order, an
+accounting window's busy ticks and idle gaps, a task's records in job
+order) once, from the trace as it is while the consumer runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..model.job import Job, JobOutcome
@@ -232,3 +239,114 @@ class ExecutionTrace:
             f"ExecutionTrace(segments={len(self.segments)}, "
             f"records={len(self.records)}, events={len(self.events)})"
         )
+
+
+#: One accounting window's facts: busy ticks (each segment's overlap,
+#: summed), idle-gap lengths (length -> occurrences) and busy ticks per
+#: speed other than 1.
+WindowFacts = Tuple[int, Dict[int, int], Dict[object, int]]
+
+
+class TraceIndex:
+    """The facts a trace's consumers derive, each computed once.
+
+    Every answer equals the matching :class:`ExecutionTrace` query
+    (:meth:`~ExecutionTrace.segments_on`, :meth:`~ExecutionTrace.busy_ticks`
+    and :meth:`~ExecutionTrace.idle_gaps` over a window,
+    :meth:`~ExecutionTrace.outcomes_for_task`), but a fact is derived on
+    its first query and then reused.  The index reads the trace lazily
+    and never notices a later change to it, so build one where an audit
+    or a consumer starts and drop it when that call returns; never keep
+    one beside a trace that may still change.
+
+    ``derived`` holds facts that layers above the trace compute from the
+    index (the (m,k) violations of :func:`repro.qos.monitor.verify_mk`),
+    so they too are derived once per index.
+    """
+
+    __slots__ = ("trace", "derived", "_on", "_windows", "_task_keys")
+
+    def __init__(self, trace: ExecutionTrace) -> None:
+        self.trace = trace
+        self.derived: Dict[str, Any] = {}
+        self._on: Optional[Dict[int, List[Segment]]] = None
+        self._windows: Dict[Tuple[int, int, int], WindowFacts] = {}
+        self._task_keys: Optional[Dict[int, List[Tuple[int, int]]]] = None
+
+    def segments_on(self, processor: int) -> List[Segment]:
+        """Segments of one processor, in chronological order (a shared
+        list: do not modify it)."""
+        on = self._on
+        if on is None:
+            on = {}
+            for segment in self.trace.segments:
+                group = on.get(segment.processor)
+                if group is None:
+                    on[segment.processor] = [segment]
+                else:
+                    group.append(segment)
+            for group in on.values():
+                group.sort(key=_START)
+            self._on = on
+        return on.get(processor, [])
+
+    def window(self, processor: int, start: int, end: int) -> WindowFacts:
+        """Busy ticks, idle-gap lengths and per-speed busy ticks of one
+        processor inside ``[start, end)``, from one walk over its
+        segments (shared dicts: do not modify them)."""
+        key = (processor, start, end)
+        facts = self._windows.get(key)
+        if facts is not None:
+            return facts
+        busy = 0
+        gaps: Dict[int, int] = {}
+        speeds: Dict[object, int] = {}
+        cursor = start
+        for segment in self.segments_on(processor):
+            seg_start = segment.start
+            if seg_start >= end:
+                break  # the later segments start no earlier
+            lo = seg_start if seg_start > start else start
+            hi = segment.end if segment.end < end else end
+            if hi > lo:
+                busy += hi - lo
+                speed = segment.speed
+                if speed != 1:
+                    speeds[speed] = speeds.get(speed, 0) + hi - lo
+            if hi <= cursor:
+                continue
+            if lo > cursor:
+                gaps[lo - cursor] = gaps.get(lo - cursor, 0) + 1
+            cursor = hi
+        if cursor < end:
+            gaps[end - cursor] = gaps.get(end - cursor, 0) + 1
+        facts = (busy, gaps, speeds)
+        self._windows[key] = facts
+        return facts
+
+    def task_keys(self) -> Dict[int, List[Tuple[int, int]]]:
+        """Each task's record keys, in job order (shared: do not modify)."""
+        by_task = self._task_keys
+        if by_task is None:
+            by_task = {}
+            for key in self.trace.records:
+                keys = by_task.get(key[0])
+                if keys is None:
+                    by_task[key[0]] = [key]
+                else:
+                    keys.append(key)
+            for keys in by_task.values():
+                keys.sort()
+            self._task_keys = by_task
+        return by_task
+
+    def outcomes_for_task(self, task_index: int) -> List[bool]:
+        """Per-job effectiveness flags of one task, in job order."""
+        records = self.trace.records
+        return [
+            records[key].effective
+            for key in self.task_keys().get(task_index, ())
+        ]
+
+
+_START = attrgetter("start")

@@ -50,6 +50,13 @@ Separate entry points cover the remaining surfaces:
   mode-independent summary of a run, used by the cross-mode differential
   check (trace and stats-only runs of the same descriptor must agree
   bit-for-bit).
+
+Each entry point takes an optional :class:`~repro.sim.trace.TraceIndex`
+of the run's trace: an audit builds one when it starts, hands it to
+every check, and drops it when it ends, so the checks share each
+derived fact (segments in time order, window busy ticks and gaps, each
+task's records in job order, the (m,k) violations) without sharing the
+engine's counters.  A call given no index builds its own.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from ..model.job import JobOutcome, JobRole
 from ..qos.monitor import verify_mk
 from ..sim.engine import PRIMARY, SPARE, SimulationResult
 from ..sim.profile import SchemeProfile, TaskProfile
+from ..sim.trace import TraceIndex
 
 _MAIN = JobRole.MAIN.value
 _BACKUP = JobRole.BACKUP.value
@@ -83,7 +91,9 @@ class ValidationIssue:
 
 
 def validate_result(
-    result: SimulationResult, max_copies: int = 2
+    result: SimulationResult,
+    max_copies: int = 2,
+    index: Optional[TraceIndex] = None,
 ) -> List[ValidationIssue]:
     """Run all model-level checks; returns the (ideally empty) issue list.
 
@@ -92,12 +102,16 @@ def validate_result(
         max_copies: executions of one logical job may total at most this
             many WCETs (2 for plain standby-sparing; higher when a policy
             schedules recovery copies).
+        index: the audit's :class:`~repro.sim.trace.TraceIndex` of the
+            trace; None builds one.
     """
     if result.trace is None:
         raise ValueError(
             "validate_result needs a trace run (collect_trace=True); audit "
             "trace-less runs through the cross-mode differential check"
         )
+    if index is None:
+        index = TraceIndex(result.trace)
     issues: List[ValidationIssue] = []
     base = result.timebase
     taskset = result.taskset
@@ -112,7 +126,7 @@ def validate_result(
     # earlier, longer one reset the watermark and hide a later overlap.
     for processor in range(result.trace.processor_count):
         max_end: Optional[int] = None
-        for segment in result.trace.segments_on(processor):
+        for segment in index.segments_on(processor):
             if max_end is not None and segment.start < max_end:
                 issues.append(
                     ValidationIssue(
@@ -238,10 +252,13 @@ def validate_result(
             )
 
     # -- outcome bookkeeping ----------------------------------------------
-    per_task_jobs: Dict[int, List[int]] = defaultdict(list)
-    for (task_index, job_index), record in sorted(result.trace.records.items()):
-        per_task_jobs[task_index].append(job_index)
-        key = (task_index, job_index)
+    records = result.trace.records
+    task_keys = index.task_keys()
+    tasks = sorted(task_keys)
+    # Every record, in (task, job) order.
+    for key in [key for task_index in tasks for key in task_keys[task_index]]:
+        task_index, job_index = key
+        record = records[key]
         if record.outcome is None:
             issues.append(
                 ValidationIssue(
@@ -285,7 +302,8 @@ def validate_result(
                 )
             )
 
-    for task_index, job_indices in per_task_jobs.items():
+    for task_index in tasks:
+        job_indices = [job_index for _, job_index in task_keys[task_index]]
         expected = list(range(1, max(job_indices) + 1))
         if job_indices != expected:
             issues.append(
@@ -302,6 +320,7 @@ def audit_result(
     result: SimulationResult,
     spec: Optional[SchemeProfile] = None,
     initial_history: str = "met",
+    index: Optional[TraceIndex] = None,
 ) -> List[ValidationIssue]:
     """Model-level checks plus the scheme checks of the profile ``spec``.
 
@@ -313,16 +332,20 @@ def audit_result(
             the model-level checks, at a cap of 2 WCETs.
         initial_history: the (m,k)-history boundary condition the
             audited run used (must match for the FD replay to be exact).
+        index: the audit's :class:`~repro.sim.trace.TraceIndex` of the
+            trace; None builds one for this call.
     """
+    if index is None:
+        index = TraceIndex(result.trace)
     if spec is None:
-        return validate_result(result)
-    issues = validate_result(result, max_copies=spec.max_copies)
+        return validate_result(result, index=index)
+    issues = validate_result(result, max_copies=spec.max_copies, index=index)
     if len(spec.tasks) != len(result.taskset):
         raise ValueError(
             f"spec for {spec.scheme!r} covers {len(spec.tasks)} tasks, "
             f"result has {len(result.taskset)}"
         )
-    issues.extend(_audit_classification(result, spec, initial_history))
+    issues.extend(_audit_classification(result, spec, initial_history, index))
     issues.extend(_audit_placement(result, spec))
     issues.extend(_audit_offsets(result, spec))
     running, waiting = _priority_intervals(result, spec)
@@ -334,6 +357,7 @@ def _audit_classification(
     result: SimulationResult,
     spec: SchemeProfile,
     initial_history: str,
+    index: TraceIndex,
 ) -> List[ValidationIssue]:
     """Replay each task's (m,k)-history and optional alternation.
 
@@ -355,6 +379,7 @@ def _audit_classification(
     issues: List[ValidationIssue] = []
     trace = result.trace
     fault_tick, survivor = _fault_view(result)
+    task_keys = index.task_keys()
     ran_on: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
     for segment in trace.segments:
         if segment.role == _OPTIONAL:
@@ -367,7 +392,7 @@ def _audit_classification(
         history = make_initial_history(
             task.mk, normalize_initial_history(initial_history)
         )
-        for key in sorted(k for k in trace.records if k[0] == task_index):
+        for key in task_keys.get(task_index, ()):
             record = trace.records[key]
             job_index = key[1]
             label = f"J{task_index + 1},{job_index}"
@@ -713,8 +738,21 @@ def assert_valid(result: SimulationResult, max_copies: int = 2) -> None:
 # -- DPD legality ---------------------------------------------------------
 
 
+def _energy_window_end(result: SimulationResult, processor: int) -> int:
+    """End of a processor's accounting window: the horizon, or the fault
+    instant of a processor the permanent fault killed."""
+    window_end = result.horizon_ticks
+    fault = result.permanent_fault
+    if fault is not None and fault[0] == processor:
+        window_end = min(window_end, fault[1])
+    return window_end
+
+
 def _expected_decomposition(
-    result: SimulationResult, model
+    result: SimulationResult,
+    model,
+    index: Optional[TraceIndex],
+    decisions: Dict[int, bool],
 ) -> Dict[int, Tuple[Fraction, Fraction, Fraction, int]]:
     """Per-processor (busy, idle, sleep, transitions) the DPD rule demands.
 
@@ -727,50 +765,48 @@ def _expected_decomposition(
     expected: Dict[int, Tuple[Fraction, Fraction, Fraction, int]] = {}
     if result.trace is not None:
         for processor in range(result.trace.processor_count):
-            window_end = result.horizon_ticks
-            fault = result.permanent_fault
-            if fault is not None and fault[0] == processor:
-                window_end = min(window_end, fault[1])
-            busy = base.from_ticks(
-                result.trace.busy_ticks(processor, (0, window_end))
+            busy, counts, _ = index.window(
+                processor, 0, _energy_window_end(result, processor)
             )
-            counts: Dict[int, int] = {}
-            for gap_start, gap_end in result.trace.idle_gaps(
-                processor, (0, window_end)
-            ):
-                length = gap_end - gap_start
-                counts[length] = counts.get(length, 0) + 1
-            expected[processor] = (busy,) + _split_gaps(counts, base, model)
+            expected[processor] = (base.from_ticks(busy),) + _split_gaps(
+                counts, base, model, decisions
+            )
         return expected
     stats = result.stats
     if stats is None:  # pragma: no cover - engine fills one of the two
         raise ValueError("result has neither trace nor stats")
     for processor, counts in enumerate(stats.gap_counts):
         busy = base.from_ticks(result.busy_by_processor[processor])
-        expected[processor] = (busy,) + _split_gaps(counts, base, model)
+        expected[processor] = (busy,) + _split_gaps(
+            counts, base, model, decisions
+        )
     return expected
 
 
 def _split_gaps(
-    counts: Dict[int, int], base, model
+    counts: Dict[int, int], base, model, decisions: Dict[int, bool]
 ) -> Tuple[Fraction, Fraction, int]:
     """(idle, sleep, transitions) of a gap-length multiset under the DPD
-    rule, deciding each distinct length once."""
-    idle = Fraction(0)
-    sleep = Fraction(0)
-    transitions = 0
+    rule, deciding each distinct length once (``decisions`` memoizes the
+    verdicts, length -> sleeps, for one power model and tick grid) and
+    converting the idle and sleep tick totals to units once each."""
+    idle = sleep = transitions = 0
     for length, count in counts.items():
-        gap = base.from_ticks(length)
-        if shutdown_decision(gap, model):
-            sleep += gap * count
+        sleeps = decisions.get(length)
+        if sleeps is None:
+            sleeps = decisions[length] = shutdown_decision(
+                base.from_ticks(length), model
+            )
+        if sleeps:
+            sleep += length * count
             transitions += count
         else:
-            idle += gap * count
-    return idle, sleep, transitions
+            idle += length * count
+    return base.from_ticks(idle), base.from_ticks(sleep), transitions
 
 
 def _expected_speed_units(
-    result: SimulationResult,
+    result: SimulationResult, index: Optional[TraceIndex]
 ) -> Dict[int, Tuple[Tuple[object, Fraction], ...]]:
     """Per-processor sorted (speed, units) of DVFS-scaled execution.
 
@@ -778,40 +814,32 @@ def _expected_speed_units(
     trace run, the engine's :attr:`RunStats.speed_busy` ledger on a
     stats-only run -- independently of the accounting code under audit.
     """
-    base = result.timebase
-    expected: Dict[int, Tuple[Tuple[object, Fraction], ...]] = {}
     if result.trace is not None:
-        for processor in range(result.trace.processor_count):
-            window_end = result.horizon_ticks
-            fault = result.permanent_fault
-            if fault is not None and fault[0] == processor:
-                window_end = min(window_end, fault[1])
-            by_speed: Dict[object, int] = {}
-            for segment in result.trace.segments:
-                if segment.processor != processor or segment.speed == 1:
-                    continue
-                overlap = segment.overlap_with(0, window_end)
-                if overlap > 0:
-                    by_speed[segment.speed] = (
-                        by_speed.get(segment.speed, 0) + overlap
-                    )
-            expected[processor] = tuple(
-                (speed, base.from_ticks(by_speed[speed]))
-                for speed in sorted(by_speed)
-            )
-        return expected
-    stats = result.stats
-    if stats is None:  # pragma: no cover - engine fills one of the two
-        raise ValueError("result has neither trace nor stats")
-    for processor, by_speed in enumerate(stats.speed_busy):
-        expected[processor] = tuple(
+        by_processor = [
+            index.window(processor, 0, _energy_window_end(result, processor))[2]
+            for processor in range(result.trace.processor_count)
+        ]
+    else:
+        stats = result.stats
+        if stats is None:  # pragma: no cover - engine fills one of the two
+            raise ValueError("result has neither trace nor stats")
+        by_processor = stats.speed_busy
+    base = result.timebase
+    return {
+        processor: tuple(
             (speed, base.from_ticks(by_speed[speed]))
             for speed in sorted(by_speed)
         )
-    return expected
+        for processor, by_speed in enumerate(by_processor)
+    }
 
 
-def audit_energy(result: SimulationResult, report) -> List[ValidationIssue]:
+def audit_energy(
+    result: SimulationResult,
+    report,
+    index: Optional[TraceIndex] = None,
+    decisions: Optional[Dict[int, bool]] = None,
+) -> List[ValidationIssue]:
     """DPD legality: the energy report must match the shutdown rule.
 
     Every gap the report counts as slept must satisfy
@@ -825,9 +853,19 @@ def audit_energy(result: SimulationResult, report) -> List[ValidationIssue]:
     speed-aware charge over that re-derived decomposition bit-for-bit
     (the charging formula fixes its summation order so an independent
     recomputation reproduces the float exactly).
+
+    ``index`` is the audit's :class:`~repro.sim.trace.TraceIndex` of a
+    trace run (None builds one).  ``decisions`` memoizes the DPD verdict
+    per gap length (length -> sleeps) across the energy audits of one
+    audit, whose runs share the report's power model and tick grid;
+    None decides afresh for this call.
     """
     issues: List[ValidationIssue] = []
-    expected = _expected_decomposition(result, report.model)
+    if index is None and result.trace is not None:
+        index = TraceIndex(result.trace)
+    if decisions is None:
+        decisions = {}
+    expected = _expected_decomposition(result, report.model, index, decisions)
     plan = result.speed_plan
     dvs = getattr(report, "dvs", None)
     if (plan is None) != (dvs is None):
@@ -848,7 +886,7 @@ def audit_energy(result: SimulationResult, report) -> List[ValidationIssue]:
             )
         )
     speed_expected = (
-        _expected_speed_units(result) if plan is not None else {}
+        _expected_speed_units(result, index) if plan is not None else {}
     )
     for processor in sorted(
         set(expected) | set(report.per_processor)
@@ -904,12 +942,16 @@ def audit_energy(result: SimulationResult, report) -> List[ValidationIssue]:
 # -- cross-mode differential ----------------------------------------------
 
 
-def result_ledger(result: SimulationResult) -> Dict[str, object]:
+def result_ledger(
+    result: SimulationResult, index: Optional[TraceIndex] = None
+) -> Dict[str, object]:
     """Canonical mode-independent summary of a run.
 
-    Computable from a trace run (re-derived from segments and records)
-    or a stats-only run (the engine's ledger); two runs of the
-    same descriptor must produce equal ledgers in every mode.
+    Computable from a trace run (re-derived from segments and records,
+    through ``index``, the audit's :class:`~repro.sim.trace.TraceIndex`
+    of the trace, or one built here when None) or a stats-only run (the
+    engine's ledger); two runs of the same descriptor must produce equal
+    ledgers in every mode.
     """
     if result.trace is None:
         stats = result.stats
@@ -933,6 +975,8 @@ def result_ledger(result: SimulationResult) -> Dict[str, object]:
             "transient_faults": result.transient_fault_count,
         }
     trace = result.trace
+    if index is None:
+        index = TraceIndex(trace)
     effective = missed = mandatory = optional_executed = skipped = 0
     for record in trace.records.values():
         if record.outcome is JobOutcome.EFFECTIVE:
@@ -946,32 +990,17 @@ def result_ledger(result: SimulationResult) -> Dict[str, object]:
         elif record.classified_as == "skipped":
             skipped += 1
     violations = [0] * len(result.taskset)
-    for violation in verify_mk(result):
+    for violation in verify_mk(result, index):
         violations[violation.task_index] += 1
-    horizon = result.horizon_ticks
-    fault = result.permanent_fault
     busy: List[int] = []
     gaps: List[Tuple[Tuple[int, int], ...]] = []
     speed_busy: List[Tuple[Tuple[object, int], ...]] = []
     for processor in range(trace.processor_count):
-        window_end = horizon
-        if fault is not None and fault[0] == processor:
-            window_end = min(window_end, fault[1])
-        busy.append(trace.busy_ticks(processor, (0, window_end)))
-        counts: Dict[int, int] = {}
-        for gap_start, gap_end in trace.idle_gaps(processor, (0, window_end)):
-            length = gap_end - gap_start
-            counts[length] = counts.get(length, 0) + 1
+        ticks, counts, by_speed = index.window(
+            processor, 0, _energy_window_end(result, processor)
+        )
+        busy.append(ticks)
         gaps.append(tuple(sorted(counts.items())))
-        by_speed: Dict[object, int] = {}
-        for segment in trace.segments:
-            if segment.processor != processor or segment.speed == 1:
-                continue
-            overlap = segment.overlap_with(0, window_end)
-            if overlap > 0:
-                by_speed[segment.speed] = (
-                    by_speed.get(segment.speed, 0) + overlap
-                )
         speed_busy.append(tuple(sorted(by_speed.items())))
     return {
         "released": len(trace.records),

@@ -1,4 +1,4 @@
-"""Property-based tests for the ready queue."""
+"""Property-based tests for the reference engine's ready queue."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.job import Job, JobRole, JobStatus
-from repro.sim.queues import ReadyQueue
+from tests.reference_engine import ReadyQueue
 
 
 def make_job(task_index):

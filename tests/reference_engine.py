@@ -12,6 +12,10 @@ scheduling semantics.  It plans each release and recovery through the
 per-release profile interpreter in ``tests/reference_profile.py``, not
 through the engine's compiled templates.
 
+It keeps its ready queues in its own :class:`ReadyQueue` (the engine
+inlines plain heaps), so the engine's queue handling is checked against
+code it does not share.
+
 Used only by tests (see tests/property/test_prop_fastpath.py); never
 import this from package code.
 """
@@ -23,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.model.history import MKHistory
-from repro.model.job import Job, JobOutcome, JobRole, JobStatus
+from repro.model.job import FINISHED_STATUSES, Job, JobOutcome, JobRole, JobStatus
 from repro.model.taskset import TaskSet
 from repro.sim.engine import (
     PRIMARY,
@@ -38,10 +42,62 @@ from repro.sim.engine import (
     _EV_PERMFAULT,
     _EV_RELEASE,
 )
-from repro.sim.queues import ReadyQueue
 from repro.sim.trace import ExecutionTrace, LogicalJobRecord
 from repro.timebase import TimeBase
 from tests.reference_profile import ReferencePlanner
+
+
+class ReadyQueue:
+    """A priority ready queue of job copies, with lazy removal.
+
+    Keys are tuples; smaller = more urgent.  Finished copies (canceled,
+    abandoned, lost) stay queued and are skipped on pop, so cancellation
+    is O(1).  The queue never contains the same job twice (re-inserting
+    a preempted job happens after a pop).
+    """
+
+    __slots__ = ("_heap", "_seq")
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[tuple, int, Job]] = []
+        self._seq = 0
+
+    def push(self, key: tuple, job: Job) -> None:
+        """Insert a job with the given priority key."""
+        heapq.heappush(self._heap, (key, self._seq, job))
+        self._seq += 1
+
+    def _drop_finished(self) -> None:
+        heap = self._heap
+        while heap and heap[0][2].status in FINISHED_STATUSES:
+            heapq.heappop(heap)
+
+    def peek(self) -> Optional[Tuple[tuple, Job]]:
+        """Most urgent live job without removing it, or None."""
+        self._drop_finished()
+        if not self._heap:
+            return None
+        key, _, job = self._heap[0]
+        return key, job
+
+    def pop(self) -> Optional[Tuple[tuple, Job]]:
+        """Remove and return the most urgent live job, or None."""
+        self._drop_finished()
+        if not self._heap:
+            return None
+        key, _, job = heapq.heappop(self._heap)
+        return key, job
+
+    def live_jobs(self) -> List[Job]:
+        """Snapshot of not-yet-finished jobs currently queued."""
+        return [job for _, _, job in self._heap if not job.is_finished]
+
+    def __len__(self) -> int:
+        return sum(1 for _, _, job in self._heap if not job.is_finished)
+
+    def __bool__(self) -> bool:
+        self._drop_finished()
+        return bool(self._heap)
 
 
 class _LogicalJob:

@@ -33,14 +33,13 @@ from repro.schedulers import (
 )
 from repro.schedulers.base import run_policy
 from repro.sim.engine import PRIMARY, SPARE, _LogicalJob
-from repro.sim.queues import ReadyQueue
 from repro.sim.trace import LogicalJobRecord
 from repro.sim.validation import compare_ledgers, result_ledger
 from repro.workload.acet import UniformActualTimes
 from repro.workload.presets import fig1_taskset, fig5_taskset
 from tests.policies import prepared
 
-BOOKKEEPING_TYPES = (Job, _LogicalJob, ReadyQueue, LogicalJobRecord)
+BOOKKEEPING_TYPES = (Job, _LogicalJob, LogicalJobRecord)
 
 
 def run_both(taskset, make_policy, horizon_units, scenario=None, **kw):

@@ -34,6 +34,54 @@ class TestTaskProfileChecks:
         assert TaskProfile("fd", fd_max=fd_max).fd_max == fd_max
 
 
+class TestRuleRanges:
+    """Rules the engine and the batch kernel would read differently are
+    rejected: the engine indexes per-processor state with the processor
+    fields, and the kernel reads a negative backup offset as no backup."""
+
+    @pytest.mark.parametrize("field", ["main_processor", "optional_processor"])
+    @pytest.mark.parametrize("value", [-1, 2])
+    def test_processor_outside_the_pair_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TaskProfile("fd", fd_max=None, **{field: value})
+
+    def test_negative_backup_offset_rejected(self):
+        with pytest.raises(ValueError, match="backup_offset"):
+            TaskProfile("all", backup_offset=-1)
+
+    @pytest.mark.parametrize("offsets", [(-1, 0), (0, -4)])
+    def test_negative_postfault_offset_rejected(self, offsets):
+        with pytest.raises(ValueError, match="postfault_main_offset"):
+            TaskProfile("all", postfault_main_offset=offsets)
+
+    def test_negative_recoveries_rejected(self):
+        with pytest.raises(ValueError, match="recoveries"):
+            SchemeProfile("x", (TaskProfile("all"),), recoveries=-1)
+
+    def test_range_edges_accepted(self):
+        for processor in (0, 1):
+            rules = TaskProfile(
+                "fd",
+                fd_max=None,
+                main_processor=processor,
+                optional_processor=processor,
+                backup_offset=0,
+                postfault_main_offset=(0, 0),
+            )
+            assert rules.main_processor == rules.optional_processor == processor
+        assert SchemeProfile("x", (rules,), recoveries=0).recoveries == 0
+
+    def test_every_registered_scheme_stays_in_range(self, fig5):
+        # Promotion times are floored at 0 and θ at Y, so no shipped
+        # profile trips the checks, under a permanent fault's survivor
+        # offsets too.
+        for factory in SCHEME_FACTORIES.values():
+            for rules in prepared(factory(), fig5).tasks:
+                assert rules.main_processor in (0, 1)
+                assert rules.backup_offset is None or rules.backup_offset >= 0
+                assert min(rules.postfault_main_offset) >= 0
+
+
 class TestDerivedFields:
     def test_max_copies_follows_backups_and_recoveries(self, fig1):
         copies = {

@@ -1,9 +1,9 @@
-"""Unit tests for repro.sim.queues."""
+"""Unit tests for the reference engine's ready queue."""
 
 from __future__ import annotations
 
 from repro.model.job import Job, JobRole, JobStatus
-from repro.sim.queues import ReadyQueue
+from tests.reference_engine import ReadyQueue
 
 
 def make_job(task=0, index=1):

@@ -349,6 +349,46 @@ def test_bench_batch_sweep(benchmark, bench_tasksets):
     assert all(energy > 0 for energy, _ in payloads)
 
 
+def test_bench_batch_sweep_permanent(benchmark, bench_tasksets):
+    """Batch-kernel sweep throughput at the smoke shape under Figure
+    6(b)'s faults: one seeded permanent fault per task set, every
+    registered scheme.
+
+    Every served seed runs this panel: the fault's rewrite of the
+    rules table, the dead processor's copies leaving the queues and the
+    survivor's post-fault releases all run inside the lockstep loop
+    here, beside fault-free columns.  Items are built outside the
+    measured callable, as in :func:`test_bench_batch_sweep`.
+    """
+    pytest.importorskip("numpy")
+    from repro.faults.scenario import FaultScenario
+    from repro.harness.protocol import smoke_protocol
+    from repro.harness.runner import SCHEME_FACTORIES
+    from repro.sim.batch import build_batch_item, run_batch_payloads
+
+    protocol = smoke_protocol()
+    items = []
+    for index, taskset in enumerate(
+        taskset
+        for key in sorted(bench_tasksets)
+        for taskset in bench_tasksets[key]
+    ):
+        scenario = FaultScenario.permanent_only(
+            seed=protocol.permanent_seed_base + index
+        )
+        for scheme in sorted(SCHEME_FACTORIES):
+            item = build_batch_item(
+                taskset, scheme, scenario, protocol.run_spec()
+            )
+            assert item is not None
+            items.append(item)
+
+    payloads = benchmark(lambda: run_batch_payloads(items))
+    benchmark.extra_info["sims"] = len(items)
+    assert len(payloads) == len(items)
+    assert all(energy > 0 for energy, _ in payloads)
+
+
 def test_bench_batch_sweep_transient(benchmark, bench_tasksets):
     """Batch-kernel sweep throughput at the smoke shape under Figure 6(c)'s
     faults: one seeded permanent fault plus Poisson transients at the

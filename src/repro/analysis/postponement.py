@@ -51,7 +51,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
-from ..model.patterns import Pattern, RPattern
+from ..model.patterns import Pattern, RPattern, is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
 from .cache import analysis_cache
@@ -91,7 +91,16 @@ def _mandatory_jobs_before(
     last = -(-limit // period)  # jobs 1..last have release < limit
     if (last - 1) * period >= limit:
         last -= 1
-    return [j for j in range(1, last + 1) if pattern.is_mandatory(j)]
+    if not is_window_periodic(pattern):
+        return [j for j in range(1, last + 1) if pattern.is_mandatory(j)]
+    # Read the shared window by job phase: one window's mandatory jobs,
+    # repeated every k jobs, then trimmed to ``last``.
+    bits = pattern.period_window().bits
+    firsts = [phase + 1 for phase, bit in enumerate(bits) if bit]
+    jobs = [start + j for start in range(0, last, len(bits)) for j in firsts]
+    while jobs and jobs[-1] > last:
+        jobs.pop()
+    return jobs
 
 
 def inspecting_points(

@@ -214,11 +214,13 @@ def _execute_batch_jobs(
     job whose chunk failed.
     Journal rows carry the same keys and byte-identical payloads as the
     pool backend, so journals resume across backends in both directions.
+    The items share one :class:`~repro.sim.batch.BatchFront`, which
+    lives for this call only.
 
     Returns ``(tag, payload)`` per job, aligned with ``jobs`` -- the
     :func:`execute_jobs` contract.
     """
-    from ..sim.batch import build_batch_item
+    from ..sim.batch import BatchFront, build_batch_item
 
     log = events
     total = len(jobs)
@@ -234,8 +236,9 @@ def _execute_batch_jobs(
 
     items: Dict[int, Any] = {}
     scalar: List[int] = []
+    front = BatchFront()
     for index in pending:
-        item = build_batch_item(*jobs[index])
+        item = build_batch_item(*jobs[index], front=front)
         if item is None:
             scalar.append(index)
         else:

@@ -188,13 +188,6 @@ class Job:
         """
         return now + self.remaining <= self.deadline
 
-    def link_backup(self, backup: "Job") -> None:
-        """Associate a mandatory main copy with its backup copy."""
-        if self.role is not JobRole.MAIN or backup.role is not JobRole.BACKUP:
-            raise ModelError("link_backup requires a MAIN copy and a BACKUP copy")
-        self.sibling = backup
-        backup.sibling = self
-
     def key(self) -> "tuple[int, int]":
         """Identity of the logical job: (task_index, job_index)."""
         return (self.task_index, self.job_index)

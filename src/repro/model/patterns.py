@@ -19,7 +19,16 @@ consecutive jobs contains at least m mandatory slots.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator, List, Optional, Protocol, runtime_checkable
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from ..errors import ModelError
 from .mk import MKConstraint
@@ -36,29 +45,71 @@ class Pattern(Protocol):
         ...
 
 
+class PatternWindow(NamedTuple):
+    """One period of a window-periodic pattern, by job phase.
+
+    ``bits[i]`` is 1 when jobs ``i + 1``, ``i + 1 + k``, ... are
+    mandatory, ``mask`` packs those bits (bit ``i`` = phase ``i``), and
+    ``prefix[j]`` counts the mandatory phases among the first ``j``.
+    """
+
+    bits: Tuple[int, ...]
+    mask: int
+    prefix: Tuple[int, ...]
+
+
+#: One :class:`PatternWindow` per (pattern kind, m, k, rotation), shared
+#: by every pattern instance with that key: the schemes build fresh
+#: patterns for every task set they prepare.  Bounded by the distinct
+#: constraints seen, not by the number of patterns built.
+_WINDOWS: Dict[tuple, PatternWindow] = {}
+
+
 class _PeriodicPattern:
     """Shared machinery for patterns periodic in the window length k."""
 
-    __slots__ = ("mk", "_prefix")
+    __slots__ = ("mk", "_window")
 
     def __init__(self, mk: MKConstraint) -> None:
         self.mk = mk
-        #: ``_prefix[j]``: mandatory jobs among 1..j of one window
-        #: (j = 0..k), filled by the first count.
-        self._prefix: Optional[List[int]] = None
+        #: The shared :class:`PatternWindow`, looked up on first use.
+        self._window: Optional[PatternWindow] = None
 
     def is_mandatory(self, job_index: int) -> bool:
         raise NotImplementedError
+
+    def _window_key(self) -> tuple:
+        """The cache key of this pattern's window: kind, m, k, rotation."""
+        return (type(self), self.mk.m, self.mk.k, 0)
+
+    def period_window(self) -> PatternWindow:
+        """One period of the pattern, computed once per cache key."""
+        window = self._window
+        if window is None:
+            key = self._window_key()
+            window = _WINDOWS.get(key)
+            if window is None:
+                bits = tuple(
+                    int(self.is_mandatory(j)) for j in range(1, self.mk.k + 1)
+                )
+                mask = sum(bit << phase for phase, bit in enumerate(bits))
+                window = _WINDOWS[key] = PatternWindow(
+                    bits, mask, tuple(accumulate(bits, initial=0))
+                )
+            self._window = window
+        return window
 
     def bits(self, count: int) -> List[int]:
         """The first ``count`` pattern bits, as a list of 0/1 ints."""
         if count < 0:
             raise ModelError(f"count must be non-negative, got {count}")
-        return [int(self.is_mandatory(j)) for j in range(1, count + 1)]
+        window = self.period_window().bits
+        k = len(window)
+        return [window[phase % k] for phase in range(count)]
 
     def window(self) -> List[int]:
         """One full period of the pattern (k bits)."""
-        return self.bits(self.mk.k)
+        return list(self.period_window().bits)
 
     def iter_mandatory_indices(self) -> Iterator[int]:
         """Yield 1-based mandatory job indices, unbounded."""
@@ -83,9 +134,7 @@ class _PeriodicPattern:
         """Mandatory jobs among indices 1..job_hi."""
         if job_hi <= 0:
             return 0
-        prefix = self._prefix
-        if prefix is None:
-            prefix = self._prefix = list(accumulate(self.window(), initial=0))
+        prefix = (self._window or self.period_window()).prefix
         full, rest = divmod(job_hi, self.mk.k)
         return full * prefix[-1] + prefix[rest]
 
@@ -160,6 +209,9 @@ class RotatedPattern(_PeriodicPattern):
             raise ModelError(f"job indices are 1-based, got {job_index}")
         shifted = (job_index - 1 + self.rotation) % self.mk.k + 1
         return self.base.is_mandatory(shifted)
+
+    def _window_key(self) -> tuple:
+        return (type(self), self.base._window_key(), self.rotation)
 
     def __repr__(self) -> str:
         return (

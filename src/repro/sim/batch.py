@@ -14,7 +14,10 @@ This module is the kernel's front: it resolves sweep jobs into
 :class:`BatchItem` records, runs them, and hands back results or sweep
 payloads.  numpy and the kernel module are imported on the first run,
 in the thread that runs it, so a process that only asks whether numpy
-is available loads neither.
+is available loads neither.  A :class:`BatchFront` carries what the
+items of one sweep call share: each task set's tick columns, and each
+transient scenario's candidate fault draws, are built once per set, not
+once per scheme.
 
 Fallback rules
 --------------
@@ -34,10 +37,21 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..errors import ConfigurationError
+from ..model.history import packed_initial_window
 from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
@@ -132,6 +146,21 @@ def require_numpy():
     return _np
 
 
+class SetColumns(NamedTuple):
+    """One task set's per-task kernel columns at one horizon.
+
+    ``table`` is an int64 ``[n, 8]`` array of period, deadline, WCET, k,
+    k - 1, m, the k-bit mask and the last release tick before the
+    horizon, all in ticks; ``windows`` each task's packed initial
+    window under the run's boundary condition; ``releases`` the jobs
+    the set releases before the horizon.
+    """
+
+    table: Any
+    windows: Tuple[int, ...]
+    releases: int
+
+
 @dataclass
 class BatchItem:
     """One batchable simulation: workload, profile, and run parameters.
@@ -142,7 +171,8 @@ class BatchItem:
     the ``(completion index, uniform)`` draws of the run's transient
     oracle that could fault, and ``fault_probability`` each task's
     per-copy fault probability (both empty when nothing can fault; see
-    the module docstring).
+    the module docstring).  ``columns`` are the set's
+    :class:`SetColumns`, shared by every item of the set.
     """
 
     taskset: TaskSet
@@ -156,6 +186,108 @@ class BatchItem:
     initial_history: str = "met"
     fault_draws: Tuple[Tuple[int, float], ...] = ()
     fault_probability: Tuple[float, ...] = ()
+    columns: Optional[SetColumns] = field(
+        default=None, compare=False, repr=False
+    )
+
+
+class BatchFront:
+    """What the batch items of one sweep call share, built once per set.
+
+    Every scheme and scenario of a task set reads the same
+    :class:`SetColumns`, and every scheme of a set under one transient
+    scenario takes the same candidate draws: the draws depend on the
+    scenario's rate and seed, the set and its horizon, never on the
+    scheme.  Entries are keyed by content (the set's analysis key), so
+    a front is correct for any jobs; make one per batch execution, so
+    that nothing it holds outlives the call.
+    """
+
+    def __init__(self) -> None:
+        self._columns: Dict[tuple, SetColumns] = {}
+        self._draws: Dict[tuple, tuple] = {}
+
+    def columns(
+        self, np, taskset: TaskSet, base: TimeBase, horizon: int, history: str
+    ) -> SetColumns:
+        """The set's columns at ``horizon`` under boundary condition
+        ``history`` (an ``initial_history`` mode)."""
+        key = (taskset.analysis_key(), horizon, history)
+        columns = self._columns.get(key)
+        if columns is None:
+            rows = []
+            releases = 0
+            for task in taskset:
+                period = base.to_ticks(task.period)
+                k = task.mk.k
+                last = (horizon - 1) // period * period
+                releases += last // period + 1
+                rows.append(
+                    (
+                        period,
+                        base.to_ticks(task.deadline),
+                        base.to_ticks(task.wcet),
+                        k,
+                        k - 1,
+                        task.mk.m,
+                        (1 << k) - 1,
+                        last,
+                    )
+                )
+            columns = self._columns[key] = SetColumns(
+                np.array(rows, dtype=np.int64),
+                tuple(
+                    packed_initial_window(task.mk, history) for task in taskset
+                ),
+                releases,
+            )
+        return columns
+
+    def fault_draws(
+        self,
+        taskset: TaskSet,
+        scenario,
+        transient,
+        columns: SetColumns,
+        horizon: int,
+    ) -> Tuple[Tuple[float, ...], Tuple[Tuple[int, float], ...]]:
+        """Each task's fault probability and the run's candidate draws.
+
+        Shared when a plain seeded :class:`FaultScenario` built the
+        oracle: its stream is then a function of the seed alone, so two
+        schemes of one set draw the same uniforms.  Any other scenario
+        draws for itself.
+        """
+        from ..faults.scenario import FaultScenario
+
+        key = None
+        if type(scenario) is FaultScenario and scenario.seed is not None:
+            key = (
+                scenario.transient_rate,
+                scenario.seed,
+                taskset.analysis_key(),
+                horizon,
+            )
+            cached = self._draws.get(key)
+            if cached is not None:
+                return cached
+        probability = tuple(
+            transient.fault_probability(wcet)
+            for wcet in columns.table[:, 2].tolist()
+        )
+        ceiling = max(probability, default=0.0)
+        # Each release makes at most two copies, each drawing once when
+        # it completes: the run never consumes more than 2 * releases.
+        draws = tuple(
+            (index, draw)
+            for index, draw in enumerate(
+                transient.uniforms(2 * columns.releases)
+            )
+            if draw < ceiling
+        )
+        if key is not None:
+            self._draws[key] = (probability, draws)
+        return probability, draws
 
 
 def build_batch_item(
@@ -163,6 +295,7 @@ def build_batch_item(
     scheme: str,
     scenario,
     run: "RunSpec",
+    front: Optional[BatchFront] = None,
 ) -> Optional[BatchItem]:
     """Resolve one sweep job into a :class:`BatchItem`, or None.
 
@@ -178,8 +311,12 @@ def build_batch_item(
     of per-task stretched budgets); a profile the kernel cannot express
     (an ``"all"`` classification, a pattern that is not
     window-periodic); or a window too deep to pack.
+
+    Items built through one ``front`` share its per-set work; without
+    one, the item builds its own.
     """
-    if _load_numpy() is None:
+    np = _load_numpy()
+    if np is None:
         return None
     # RunSpec normalizes periodic and no-op models to None.
     if run.release_model is not None:
@@ -214,23 +351,14 @@ def build_batch_item(
             and rules.pattern.mk.k == task.mk.k
         ):
             return None
+    if front is None:
+        front = BatchFront()
+    columns = front.columns(np, taskset, base, horizon, run.initial_history)
     fault_draws: Tuple[Tuple[int, float], ...] = ()
     probability: Tuple[float, ...] = ()
     if can_fault:
-        probability = tuple(
-            transient.fault_probability(base.to_ticks(task.wcet))
-            for task in taskset
-        )
-        ceiling = max(probability, default=0.0)
-        # Each release makes at most two copies, each drawing once when
-        # it completes: the run never consumes more than 2 * releases.
-        releases = sum(
-            (horizon - 1) // base.to_ticks(task.period) + 1 for task in taskset
-        )
-        fault_draws = tuple(
-            (index, draw)
-            for index, draw in enumerate(transient.uniforms(2 * releases))
-            if draw < ceiling
+        probability, fault_draws = front.fault_draws(
+            taskset, scenario, transient, columns, horizon
         )
     return BatchItem(
         taskset=taskset,
@@ -244,6 +372,7 @@ def build_batch_item(
         initial_history=run.initial_history,
         fault_draws=fault_draws,
         fault_probability=probability if fault_draws else (),
+        columns=columns,
     )
 
 

@@ -6,8 +6,13 @@ module for the front (batch items, fallback rules, payloads).
 The loop is bound by per-call numpy overhead, not by the work inside a
 call (a batch holds ~100 simulations of ~10 tasks), so the layout is
 chosen to make each lockstep iteration issue as few numpy calls as
-possible, and the loop's constants are 0-d arrays: an operation with a
-Python int operand costs about twice one with an array operand.
+possible, and each call goes to numpy's cheapest entry point: the
+loop's constants are 0-d arrays (an operation with a Python int operand
+costs about twice one with an array operand), a guard counts a mask
+with ``np.count_nonzero`` rather than asking ``mask.any()`` (about a
+fifth of the cost), and reductions call the ufunc methods
+(``np.minimum.reduce``, ``np.add.accumulate``) rather than the array
+methods that wrap them.
 
 Array layout
 ------------
@@ -44,11 +49,17 @@ to), so one masked min both orders and locates every processor's pick.
 A run slot stores its copy's row, and the advance step subtracts the
 elapsed time through one flat index per slot.
 
+The next-event scan needs no mask either: it takes one unsigned min of
+``ev - (now + 1)`` per column and adds ``now + 1`` back.  A tick past
+``now`` stays a small non-negative difference, a queued copy's tick (at
+or before ``now``) wraps to at least 2**63, above every live tick's
+difference, and the sink row keeps INF in every column, so a column
+with nothing past ``now`` reads INF.
+
 A simulation finishes when its event column holds nothing past its
-``now``; that iteration's decide records its last skipped releases, and
-nothing touches its column after that.  Once the finished columns are a
-quarter of the width, they retire at the end of the iteration: their
-counters go to
+``now``, and nothing touches its column after that.  Once the finished
+columns are a quarter of the width, they retire at the end of the
+iteration: every pending outcome mark is recorded, their counters go to
 result arrays of the original width, every per-simulation table keeps
 only the live columns, and the flat views and width-dependent operands
 are re-derived.  Idle-gap keys keep the original ``processor * S0 +
@@ -75,18 +86,25 @@ Equivalence contract
 Results must be **bit-identical** to the scalar engine's stats-only
 mode.  The iteration order mirrors the engine's total order at a tick
 ``T``: completions (processor 0 then 1) -> permanent fault -> deadlines
--> releases -> dispatch.  Every outcome of an iteration is decided in
-one vectorized step after the deadlines: completions and deadlines mark
-their (simulation, task) pairs in a dense outcome array, which is read
-and cleared once.  Three deliberate reorderings are proven safe (see
-tests/property/test_prop_batch.py):
+-> releases -> dispatch.  Completions, deadlines and skips mark their
+(simulation, task) pairs in a dense outcome array.  Four deliberate
+reorderings are proven safe (see tests/property/test_prop_batch.py):
 
-* *skipped* jobs are decided missed in the iteration after their
-  release (or at the end-of-run flush) instead of at their deadline
-  event.  A skipped job has no copy and no deadline, D <= P puts the
-  previous job's decision at or before this release, and the next read
-  of the task's history is its next release -- a later tick, so a later
-  iteration, whose decide step precedes its release round;
+* every outcome is *recorded at the task's next release* instead of
+  when it is decided: the release round shifts the task's pending mark
+  into its window (and counts it) before the flexibility degree reads
+  the window, and the marks no release reads are flushed before their
+  columns retire and after the loop.  D <= P puts each job's decision
+  at or before the task's next release, so at most one mark per
+  (simulation, task) pair is pending at once, the window takes the
+  outcomes in the engine's order, and the window's only reader is that
+  release; the effective and violation counters are sums over the same
+  outcomes in the same order;
+* *skipped* jobs are marked missed at their release instead of at
+  their deadline event.  A skipped job has no copy and no deadline, D
+  <= P puts the previous job's decision at or before this release
+  (whose mark the same round records first), and the next read of the
+  task's history is its next release;
 * *infeasible* optionals are decided missed at their deadline instead
   of at the first pick that would have dropped them; both instants lie
   strictly before the task's next release, so every flexibility-degree
@@ -107,12 +125,15 @@ tick its sibling's success on processor 0 cancelled it.  A
 draw ``n`` of its seeded stream ``< fault_probability(C_i)``, and each
 logical job has at most two copies (no recoveries here), so a run never
 makes more than ``2 * releases`` draws.  :func:`build_batch_item` takes
-that many draws from the item's own materialized oracle and keeps only
-the ``(n, u)`` pairs with ``u`` below the task set's largest fault
-probability: no other draw can fault.  The kernel counts each run's
-completions in the same order and compares draw ``n`` with the
-completing task's probability -- the same float from the same
-``math.exp`` -- so it faults exactly the copies the engine faults.  At
+that many draws from the item's materialized oracle and keeps only the
+``(n, u)`` pairs with ``u`` below the task set's largest fault
+probability: no other draw can fault.  A seeded scenario's stream is
+the same for every scheme of a set, so a
+:class:`~repro.sim.batch.BatchFront` draws it once per set.  The
+kernel counts each run's completions in the same order and compares
+draw ``n`` with the completing task's probability -- the same float
+from the same ``math.exp`` -- so it faults exactly the copies the
+engine faults.  At
 the paper's λ = 1e-6/ms almost no draw survives the filter, and a batch
 without surviving draws does no fault bookkeeping at all.
 
@@ -124,9 +145,8 @@ missed at its deadline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from ..model.history import packed_initial_window
 from .engine import SimulationError, SimulationResult
 from .stats import RunStats
 
@@ -141,8 +161,10 @@ INF = 1 << 62
 MISSED = 1
 MET = 2
 
-#: Fields of the per-task rules table.  The five fault-dependent ones
-#: are contiguous (``_PF``), so a permanent fault rewrites one slice.
+#: Fields of the per-task rules table.  The set's own ones lead (``_SET``:
+#: one block per item, copied from its ``columns.table``), and the five
+#: fault-dependent ones are contiguous (``_PF``), so a permanent fault
+#: rewrites one slice.
 (
     _P,  # period (ticks)
     _D,  # relative deadline
@@ -151,11 +173,11 @@ MET = 2
     _K1,  # k - 1
     _M,
     _KMASK,  # (1 << k) - 1
-    _FD,  # 1 = flexibility-degree classified, 0 = static pattern
-    _PAT,  # pattern mask, bit i = job phase i mandatory
     _LAST,  # last release tick before the horizon
     _MKEY,  # dispatch key of the mandatory main
     _OKEY,  # dispatch key of an optional at flexibility degree 0
+    _FD,  # 1 = flexibility-degree classified, 0 = static pattern
+    _PAT,  # pattern mask, bit i = job phase i mandatory
     _FDMAX,  # largest degree that still runs an optional (-1: none)
     _MPROC,  # main copy's processor
     _MOFF,  # main copy's release offset
@@ -163,6 +185,7 @@ MET = 2
     _ALT,  # 1 = optionals alternate processors
     _FIELDS,
 ) = range(18)
+_SET = slice(_P, _MKEY)
 _PF = slice(_FDMAX, _FIELDS)
 
 #: Draw-index span per simulation in the sorted candidate-draw keys.
@@ -302,7 +325,8 @@ class _Kernel:
 
         # -- per-task rules ---------------------------------------------
         rules = np.zeros((S, N, _FIELDS), dtype=i64)
-        rules[:, :, _K] = 1
+        rules[:, :, _K] = 1  # padding rows: a 1-deep window, never read
+        rules[:, :, _KMASK] = 1
         rules[:, :, _FDMAX] = -1
         rules[:, :, _BOFF] = -1
         postfault = np.zeros((S, N, _FIELDS - _FDMAX), dtype=i64)
@@ -318,16 +342,9 @@ class _Kernel:
         opt_proc = np.zeros((S, N), dtype=i64)
         backup_proc = np.zeros((S, N), dtype=i64)
         hist = np.zeros((S, N), dtype=i64)
-        max_k = 1
-        # Workload columns (tick conversions, (m,k) parameters) depend
-        # only on (taskset, timebase); the same taskset appears once per
-        # scheme x scenario, so cache the converted rows by identity.
-        ts_cache: Dict[Tuple[int, int], Tuple[list, ...]] = {}
         for s, item in enumerate(items):
-            base = item.timebase
-            H = item.horizon_ticks
             n = len(item.taskset)
-            self.horizon[s] = H
+            self.horizon[s] = item.horizon_ticks
             self.task_count[s] = n
             sticky[s] = not item.profile.optional_preemption
             survivor = 0
@@ -335,38 +352,19 @@ class _Kernel:
                 self.fault_proc[s] = item.permanent[0]
                 fault_tick[s] = item.permanent[1]
                 survivor = 1 - item.permanent[0]
-            ts_key = (id(item.taskset), base.ticks_per_unit)
-            cached = ts_cache.get(ts_key)
-            if cached is None:
-                cached = (
-                    [base.to_ticks(t.period) for t in item.taskset],
-                    [base.to_ticks(t.deadline) for t in item.taskset],
-                    [base.to_ticks(t.wcet) for t in item.taskset],
-                    [t.mk.m for t in item.taskset],
-                    [t.mk.k for t in item.taskset],
-                )
-                ts_cache[ts_key] = cached
-            per, dlr, wc, ms, ks = cached
+            # The set's columns and initial windows, built once per set
+            # by the batch front.
             row = rules[s]
+            row[:n, _SET] = item.columns.table
+            hist[s, :n] = item.columns.windows
             valid[s, :n] = True
-            row[:n, _P] = per
-            row[:n, _D] = dlr
-            row[:n, _C] = wc
-            row[:n, _M] = ms
-            row[:n, _K] = ks
-            row[:n, _LAST] = [(H - 1) // p * p for p in per]
-            max_k = max(max_k, max(ks, default=1))
             for i, prof in enumerate(item.profile.tasks):
                 if prof.classification == "fd":
                     row[i, _FD] = 1
                     fd_max = prof.fd_max
                     row[i, _FDMAX] = INF if fd_max is None else fd_max
                 else:
-                    mask = 0
-                    for bit, mandatory in enumerate(prof.pattern.window()):
-                        if mandatory:
-                            mask |= 1 << bit
-                    row[i, _PAT] = mask
+                    row[i, _PAT] = prof.pattern.period_window().mask
                 row[i, _MPROC] = prof.main_processor
                 backup_proc[s, i] = 1 - prof.main_processor
                 if prof.backup_offset is not None:
@@ -383,14 +381,7 @@ class _Kernel:
                     -1,
                     0,
                 )
-            # Histories seed from each item's boundary condition.
-            hist[s, :n] = [
-                packed_initial_window(task.mk, item.initial_history)
-                for task in item.taskset
-            ]
-        k = rules[:, :, _K]
-        rules[:, :, _K1] = k - 1
-        rules[:, :, _KMASK] = (np.int64(1) << k) - 1
+        max_k = int(rules[:, :, _K].max())
         periods = rules[:, :, _P]
         self.releases = np.where(
             valid, (self.horizon[:, None] - 1) // np.maximum(periods, 1) + 1, 0
@@ -484,6 +475,7 @@ class _Kernel:
         # int8 where they meet the outcome marks, which would otherwise
         # promote.
         self.inf = np.array(INF, dtype=i64)
+        self.i64, self.u64 = i64, np.uint64
         self.zero = np.array(0, dtype=i64)
         self.one = np.array(1, dtype=i64)
         self.n_op = np.array(N, dtype=i64)
@@ -559,12 +551,9 @@ class _Kernel:
                     "batch kernel failed to converge (iteration cap hit); "
                     "this is a kernel bug -- rerun with --backend pool"
                 )
-            # 1. Each simulation's own next event: the earliest tick in
-            # its event column past now (queued copies sit at or before
-            # it).
-            ev = self.ev
+            # 1. Each simulation's own next event.
             old_now = self.now
-            nt = np.where(ev > old_now, ev, inf).min(axis=0)
+            nt = self._next_event()
             act = nt < inf
             active = int(np.count_nonzero(act))
             if progress is not None and S0 - active > done_reported:
@@ -580,34 +569,43 @@ class _Kernel:
             self._complete(now)
             # 4. Permanent faults (same-tick completions already landed).
             fault = self.fault_tick == now
-            if fault.any():
+            if np.count_nonzero(fault):
                 self._permanent_fault(fault.nonzero()[0], now)
             # 5. Deadlines: abandon every unfinished copy (running ones
             # included) and mark the job missed.
             dead = self.cur_dl == now
-            if dead.any():
+            if np.count_nonzero(dead):
                 self.enq_a[dead] = inf
                 self.enq_b[dead] = inf
                 self.cur_dl[dead] = inf
                 self.outcome[dead] = self.missed
-            # 6. One decide for this iteration's outcomes, ahead of the
-            # release round (a same-tick release of the same task must
-            # read the updated history).
-            self._decide()
-            # 7. Releases, planned in one vectorized round.
+            # 6. Releases, planned in one vectorized round; each one first
+            # records its task's pending outcome mark.
             self._release(now)
-            # 8. Dispatch (fresh min == engine displacement + pick).
+            # 7. Dispatch (fresh min == engine displacement + pick).
             self._dispatch(now)
-            # 9. Retire the finished columns once they are a quarter of
-            # the width.  A column finishes in the iteration after its
-            # last event, whose decide (6) recorded its last skipped
-            # releases; nothing touches it after that.
+            # 8. Retire the finished columns once they are a quarter of
+            # the width, after recording every pending mark.  A column
+            # finishes in the iteration after its last event; nothing
+            # touches it after that.
             if 4 * active <= 3 * self.S:
                 self._retire(act)
         self.iterations = iterations
-        # The last round's skipped releases.
-        self._decide()
+        # The marks no later release read.
+        self._flush()
         self._store(slice(None))
+
+    def _next_event(self):
+        """The earliest tick in each event column past now (INF: none).
+
+        One unsigned min of the ticks less now + 1, shifted back: a
+        queued copy's tick, at or before now, wraps above INF, and the
+        never-live sink row holds INF in every column, so a column with
+        nothing past now reads INF.
+        """
+        after = self.now + self.one
+        ahead = (self.ev - after).view(self.u64)
+        return self.np.minimum.reduce(ahead, 0).view(self.i64) + after
 
     def _advance(self, old_now, now) -> None:
         """Charge the elapsed time to the running copies.
@@ -621,9 +619,9 @@ class _Kernel:
         running = self.running
         glen = np.minimum(old_now, self.window_end) - self.gap_start
         close = running & (glen > self.zero)
-        if close.any():
+        if np.count_nonzero(close):
             self.gap_chunks.append(self.gap_row[close] + glen[close])
-        self.gap_start = np.where(running, now, self.gap_start)
+        np.copyto(self.gap_start, now, where=running)
         # Idle slots point at the sink row, which absorbs the charge.
         self.rem_f[self.run_ix] -= now - old_now
 
@@ -637,7 +635,7 @@ class _Kernel:
         decision.
         """
         comp = self.run_end == now
-        if not comp.any():
+        if not self.np.count_nonzero(comp):
             return
         inf = self.inf
         sims = comp.nonzero()[1]
@@ -672,7 +670,7 @@ class _Kernel:
         """
         np = self.np
         drawn = self.drawn + comp.sum(axis=0)
-        if not (self.cand_next < drawn).any():
+        if not np.count_nonzero(self.cand_next < drawn):
             self.drawn = drawn
             return None
         at = (self.drawn + comp.cumsum(axis=0) - comp)[comp]
@@ -715,6 +713,7 @@ class _Kernel:
         ``_COLUMNS``).
         """
         np = self.np
+        self._flush()
         self._store(~keep)
         cols = keep.nonzero()[0]
         if self.can_fault:
@@ -752,27 +751,39 @@ class _Kernel:
 
     # -- history machinery ----------------------------------------------
 
-    def _decide(self) -> None:
-        """Record every marked outcome, one (sim, task) pair each.
+    def _record(self, ts, KMASK, M):
+        """Shift each (sim, task) pair's pending mark, if it has one,
+        into its window and count it; returns the windows.
 
-        Outcome state is per (sim, task), so the decides of one call
-        commute.
+        The pairs are distinct, so the records of one call commute.
         """
         np = self.np
-        ts = np.flatnonzero(self.outcome)
-        if not ts.size:
-            return
-        met = self.outcome_f.take(ts) == self.met
-        self.outcome_f[ts] = self.cleared
-        rules = self.rules2[ts]
-        window = ((self.hist_f.take(ts) << self.one) | met) & rules[:, _KMASK]
+        mark = self.outcome_f.take(ts)
+        met = mark == self.met
+        pend = mark != self.cleared
+        window = ((self.hist_f.take(ts) << pend) | met) & KMASK
         self.hist_f[ts] = window
-        unfilled = self.unfilled_f.take(ts) - self.one
+        unfilled = self.unfilled_f.take(ts) - pend
         self.unfilled_f[ts] = unfilled
-        self.violations_f[ts] += (unfilled <= self.zero) & (
-            np.bitwise_count(window) < rules[:, _M]
+        self.violations_f[ts] += (
+            pend & (unfilled <= self.zero) & (np.bitwise_count(window) < M)
         )
         self.effective_f[ts] += met
+        return window
+
+    def _flush(self) -> None:
+        """Record every pending outcome mark.
+
+        The release round records a task's mark when the task next
+        releases; this records the marks no release has read yet, before
+        columns retire and after the loop.
+        """
+        ts = self.outcome_f.nonzero()[0]
+        if not ts.size:
+            return
+        rules = self.rules2.take(ts, 0)
+        self._record(ts, rules[:, _KMASK], rules[:, _M])
+        self.outcome_f[ts] = self.cleared
 
     # -- releases and dispatch ------------------------------------------
 
@@ -791,23 +802,28 @@ class _Kernel:
         ts = t * self.s_op + sims
         rnow = now.take(sims)
         (
-            P, D, C, K, K1, M, _, FD, PAT, LAST, MKEY, OKEY,
+            P, D, C, K, K1, M, KMASK, LAST, MKEY, OKEY, FD, PAT,
             FDMAX, MPROC, MOFF, BOFF, ALT,
-        ) = self.rules2[ts].T  # fmt: skip
+        ) = self.rules2.take(ts, 0).T  # fmt: skip
         self.ev_f[ts + self.rel_off] = np.where(rnow < LAST, rnow + P, inf)
+        # The task's previous job was decided by now (D <= P); record its
+        # pending mark, if a flush has not, before the degree reads the
+        # window.  A first release has no mark.
+        window = self._record(ts, KMASK, M)
         # Flexibility degree (MKHistory.flexibility_degree): k minus the
         # position of the m-th newest success, 0 when the window holds
         # fewer than m (a success in the window's oldest bit, outside
         # the k-1 outcomes the degree reads, also gives 0).
-        bits = (self.hist_f.take(ts)[:, None] >> self.shifts) & one
-        before = (bits.cumsum(axis=1) < M[:, None]).sum(axis=1)
+        bits = (window[:, None] >> self.shifts) & one
+        before = np.add.reduce(np.add.accumulate(bits, 1) < M[:, None], 1)
         fd = np.maximum(K1 - before, zero)
         phase = rnow // P % K
         mand = np.where(FD, fd == zero, ((PAT >> phase) & one) == one)
         opt = ~mand & (fd <= FDMAX)
         keep = mand | opt
         self.class_f[ts + opt * self.NS] += keep
-        # A skipped job is decided missed in the next iteration.
+        # A skipped job is marked missed now; the mark this round read
+        # is replaced.
         self.outcome_f[ts] = ~keep
         dl = rnow + D
         self.ev_f[ts + self.dl_off] = np.where(keep, dl, inf)
@@ -841,7 +857,7 @@ class _Kernel:
         np = self.np
         inf = self.inf
         ok = (self.enq <= now) & (now + self.rem <= self.cdl)
-        best = np.where(ok, self.pkey, inf).min(axis=1)
+        best = np.minimum.reduce(np.where(ok, self.pkey, inf), 1)
         has = best < inf
         row = best % self.wc_op
         if self.any_sticky:
@@ -849,7 +865,7 @@ class _Kernel:
             # the non-preemptive rule: it resumes ahead of the other
             # optionals while it stays feasible.
             fresh = has & (best >= self.opt_floor) & self.sticky
-            if fresh.any():
+            if np.count_nonzero(fresh):
                 held = (row * self.s_op + self.sim_ix + self.proc_off)[fresh]
                 self.pkey_f[held] = self.held_base + row[fresh]
         row = np.where(has, row, self.sink)

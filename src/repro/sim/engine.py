@@ -141,7 +141,7 @@ def _compile(profile: "SchemeProfile", task_count: int) -> list:
         elif classification == "all":
             static = True
         elif is_window_periodic(rules.pattern):
-            static = tuple(bit == 1 for bit in rules.pattern.window())
+            static = rules.pattern.period_window().bits
         else:
             static = rules.pattern.is_mandatory
         main = rules.main_processor

@@ -95,13 +95,17 @@ class TimeBase:
 
     def to_ticks(self, value: TimeLike) -> int:
         """Convert a time quantity to ticks; must land exactly on the grid."""
-        fraction = as_fraction(value) * self.ticks_per_unit
-        if fraction.denominator != 1:
+        # In integers: q * n / d is whole exactly when d divides q * n.
+        fraction = as_fraction(value)
+        ticks, rest = divmod(
+            fraction.numerator * self.ticks_per_unit, fraction.denominator
+        )
+        if rest:
             raise TimeBaseError(
                 f"time {value!r} is not representable at resolution "
                 f"1/{self.ticks_per_unit}"
             )
-        return fraction.numerator
+        return ticks
 
     def from_ticks(self, ticks: int) -> Fraction:
         """Convert ticks back to exact model time units."""

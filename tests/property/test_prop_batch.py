@@ -51,6 +51,7 @@ from repro.model.patterns import EPattern
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.sim.batch import (
+    BatchFront,
     build_batch_item,
     numpy_available,
     run_batch,
@@ -520,25 +521,21 @@ class TestColumnRetirement:
         under transients that fire: the kernel drops finished columns
         as it goes, and every run must still match the engine.
 
-        The call must retire a column in the iteration whose decide
-        recorded that column's last skipped release, and fire transient
+        The call must retire columns that still hold the pending mark
+        of their last skipped release (no later release records it, so
+        only the flush before retirement does), and fire transient
         faults in runs that outlived a retirement (their candidate draws
         were re-keyed to new columns).
         """
         from repro.sim import batch_kernel
 
         kernel_cls = batch_kernel._Kernel
-        decide, retire, faulted = (
-            kernel_cls._decide, kernel_cls._retire, kernel_cls._faulted
-        )
-        marked, held, late_faults = [], [], []
-
-        def spy_decide(self):
-            marked.append(set(self.orig[self.outcome.any(axis=0)].tolist()))
-            decide(self)
+        retire, faulted = kernel_cls._retire, kernel_cls._faulted
+        held, late_faults = [], []
 
         def spy_retire(self, keep):
-            held.append(set(self.orig[~keep].tolist()) & marked[-1])
+            pending = self.outcome.any(axis=0)
+            held.append(set(self.orig[~keep & pending].tolist()))
             retire(self, keep)
 
         def spy_faulted(self, comp, sims, ts):
@@ -547,7 +544,6 @@ class TestColumnRetirement:
                 late_faults.extend(self.orig[sims[bad]].tolist())
             return bad
 
-        monkeypatch.setattr(kernel_cls, "_decide", spy_decide)
         monkeypatch.setattr(kernel_cls, "_retire", spy_retire)
         monkeypatch.setattr(kernel_cls, "_faulted", spy_faulted)
         monkeypatch.setitem(
@@ -559,10 +555,10 @@ class TestColumnRetirement:
             if index % 10 in (1, 4, 7):
                 # Both copies of job 1 fault, so it is missed; job 6's
                 # skipped release at 50, the run's last event, closes the
-                # first window, all misses: only the decide after it
-                # records that violation.  The twelve copies finish
-                # first, in one iteration, taking the active count to 28
-                # of 40, which retires them.
+                # first window, all misses: only the flush before the
+                # column retires records that violation.  The twelve
+                # copies finish first, in one iteration, taking the
+                # active count to 28 of 40, which retires them.
                 taskset, scheme = SKIPPING, PatternedPolicy.name
                 scenario = ScriptedScenario(draws=(0.0, 0.0))
                 run = RunSpec(horizon_cap_units=60)
@@ -596,8 +592,320 @@ class TestColumnRetirement:
             assert stats_view(result) == stats_view(scalar), item.scheme
         assert calls[-1][:2] == (len(items), len(items))
         assert all(results[s].stats.violations == [1] for s in skipping)
-        assert skipping <= set().union(*held), "retired before the decide"
+        assert skipping <= set().union(*held), "no pending mark at retirement"
         assert len(set(late_faults)) > 3
+
+
+class OptionalsPolicy(PinnedPolicy):
+    """Every job FD-classified with optionals at FD 1, on the primary."""
+
+    name = "pinned-optionals"
+    fd_max = 1
+
+
+#: Short pinned runs whose last outcome is still a pending mark when
+#: their columns retire: no later release of the task records it.
+PENDING_AT_RETIREMENT = {
+    # (1,6) E-pattern: job 1 runs, jobs 2-6 are skipped; job 6's skip
+    # at 50 is the run's last event.
+    "skip at the last release": (
+        PatternedPolicy, SKIPPING, None, 60,
+    ),
+    # (1,2) from an all-met history: both jobs are optionals at FD 1;
+    # job 1 passes its draw, job 2 faults at 13, decided missed there.
+    "faulted optional": (
+        OptionalsPolicy, TaskSet([Task(10, 10, 3, 1, 2)]),
+        ScriptedScenario(draws=(0.9, 0.0)), 20,
+    ),
+    # Job 2's main and backup both fault at 13, so it is missed at its
+    # deadline, 20: the horizon.
+    "deadline miss at the horizon": (
+        PinnedPolicy, ALWAYS_MANDATORY,
+        ScriptedScenario(draws=(0.9, 0.9, 0.0, 0.0)), 20,
+    ),
+}  # fmt: skip
+
+
+class TestFoldedOutcomes:
+    """Outcome marks are recorded at the task's next release, and the
+    marks no release reads are flushed before their columns retire and
+    after the loop (the kernel's first reordering)."""
+
+    def test_columns_retire_with_pending_marks(self, monkeypatch):
+        """Four copies of each pinned run finish early beside twelve
+        long runs, so they retire mid-call holding their last mark;
+        every run must still match the engine."""
+        from repro.sim import batch_kernel
+
+        retire = batch_kernel._Kernel._retire
+        held = []
+
+        def spy_retire(self, keep):
+            pending = self.outcome.any(axis=0)
+            held.append(set(self.orig[~keep & pending].tolist()))
+            retire(self, keep)
+
+        monkeypatch.setattr(batch_kernel._Kernel, "_retire", spy_retire)
+        for policy in (PatternedPolicy, OptionalsPolicy, PinnedPolicy):
+            monkeypatch.setitem(SCHEME_FACTORIES, policy.name, policy)
+        jobs, pinned = [], {}
+        for case, (policy, taskset, scenario, horizon) in (
+            PENDING_AT_RETIREMENT.items()
+        ):
+            for _ in range(4):
+                pinned[len(jobs)] = case
+                jobs.append(
+                    (taskset, policy.name, scenario,
+                     RunSpec(horizon_cap_units=horizon))
+                )  # fmt: skip
+        for index in range(12):
+            jobs.append(
+                (
+                    TaskSetGenerator(seed=8300 + index).generate(0.5),
+                    TRANSIENT_SCHEMES[index % len(TRANSIENT_SCHEMES)],
+                    FaultScenario(transient_rate=0.2, seed=index),
+                    RunSpec(horizon_cap_units=300),
+                )
+            )
+        items = [build_batch_item(*job) for job in jobs]
+        results = run_batch(items)
+        for job, result in zip(jobs, results):
+            engine = run_scheme(*job, collect_trace=False).result
+            assert stats_view(result) == stats_view(engine), job[1]
+        assert set(pinned) <= set().union(*held), "no pending mark retired"
+        by_case = {case: results[index] for index, case in pinned.items()}
+        skip = by_case["skip at the last release"].stats
+        assert (skip.skipped, skip.effective) == (5, 1)
+        optional = by_case["faulted optional"]
+        assert optional.transient_fault_count == 1
+        assert (optional.stats.optional_executed, optional.stats.missed) == (
+            2, 1
+        )
+        miss = by_case["deadline miss at the horizon"]
+        assert miss.transient_fault_count == 2
+        assert (miss.stats.effective, miss.stats.missed) == (1, 1)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_width_one_batches(self, scheme):
+        """One simulation per call: it never retires, so the end-of-run
+        flush alone records its last marks."""
+        taskset = TaskSetGenerator(seed=8400 + len(scheme)).generate(0.55)
+        scenarios = [
+            None,
+            FaultScenario.permanent_only(seed=3, processor=1),
+        ]
+        if scheme in TRANSIENT_SCHEMES:
+            scenarios.append(
+                FaultScenario.permanent_and_transient(seed=3, rate=0.2)
+            )
+        for scenario in scenarios:
+            run = RunSpec(horizon_cap_units=300, initial_history="miss")
+            item = build_batch_item(taskset, scheme, scenario, run)
+            assert item is not None
+            engine = run_scheme(
+                taskset, scheme, scenario, run, collect_trace=False
+            ).result
+            assert stats_view(run_batch([item])[0]) == stats_view(engine)
+
+    @pytest.mark.parametrize("processor", [PRIMARY, SPARE])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_permanent_fault_at_the_horizon_edges(self, processor, at):
+        """A permanent fault at tick 0 (before the first releases, which
+        then follow the post-fault rules) and at the last tick."""
+        items, expected = [], []
+        run = RunSpec(horizon_cap_units=250)
+        for index, scheme in enumerate(SCHEMES):
+            taskset = TaskSetGenerator(seed=8500 + index).generate(0.45)
+            tick = 0 if at == "first" else run.horizon_ticks(taskset) - 1
+            scenario = FaultScenario.permanent_only(
+                seed=1, processor=processor, tick=tick
+            )
+            item = build_batch_item(taskset, scheme, scenario, run)
+            assert item is not None and item.permanent == (processor, tick)
+            items.append(item)
+            expected.append(
+                run_scheme(
+                    taskset, scheme, scenario, run, collect_trace=False
+                ).result
+            )
+        for result, engine in zip(run_batch(items), expected):
+            assert stats_view(result) == stats_view(engine)
+
+
+class TestNextEventScan:
+    """The unsigned next-event scan equals the masked min it replaces."""
+
+    @staticmethod
+    def scan(ev, now):
+        import numpy as np
+
+        from repro.sim.batch_kernel import _Kernel
+
+        kernel = _Kernel.__new__(_Kernel)
+        kernel.np, kernel.i64, kernel.u64 = np, np.int64, np.uint64
+        kernel.one = np.array(1, dtype=np.int64)
+        kernel.ev = np.array(ev, dtype=np.int64)
+        kernel.now = np.array(now, dtype=np.int64)
+        return kernel._next_event().tolist()
+
+    @staticmethod
+    def masked(ev, now):
+        from repro.sim.batch_kernel import INF
+
+        return [
+            min([tick for tick in column if tick > at] + [INF])
+            for column, at in zip(zip(*ev), now)
+        ]
+
+    def test_queued_copies_only(self):
+        from repro.sim.batch_kernel import INF
+
+        # Column 0 holds only queued copies (at or before now) and the
+        # sink; column 1 adds a deadline; column 2 is at its first scan.
+        ev = [[3, 5, 0], [5, 2, 7], [INF, 9, INF], [INF, INF, INF]]
+        now = [5, 5, -1]
+        assert self.scan(ev, now) == self.masked(ev, now) == [INF, 9, 0]
+
+    def test_random_tables(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.sim.batch_kernel import INF
+
+        ticks = st.one_of(st.just(INF), st.integers(0, 60))
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.data())
+        def check(data):
+            rows = data.draw(st.integers(1, 10))
+            width = data.draw(st.integers(1, 6))
+            ev = data.draw(
+                st.lists(
+                    st.lists(ticks, min_size=width, max_size=width),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            )
+            ev.append([INF] * width)  # the never-live sink row
+            now = data.draw(
+                st.lists(st.integers(-1, 60), min_size=width, max_size=width)
+            )
+            assert self.scan(ev, now) == self.masked(ev, now)
+
+        check()
+
+
+class TestIterationCounts:
+    """The reference seed's smoke panels keep their lockstep iteration
+    counts: a scan or a reordering that changed the event sequence a
+    simulation walks would move them."""
+
+    @pytest.mark.parametrize(
+        "faults, iterations",
+        [("none", 1015), ("permanent", 1154), ("transient", 1061)],
+    )
+    def test_smoke_panel_iterations(self, faults, iterations):
+        from repro.service.spec import SweepSpec
+
+        log = EventLog()
+        SweepSpec.from_dict(
+            {
+                "faults": faults,
+                "sets_per_bin": 5,
+                "horizon_cap_units": 1000,
+                "seed": 20200309,
+                "backend": "batch",
+            }
+        ).run(events=log)
+        final = log.of_kind("batch_progress")[-1].data
+        assert (final["done"], final["fallback"]) == (111, 0)
+        assert final["iterations"] == iterations
+
+
+class TestBatchFront:
+    """A task set's columns, and a transient scenario's candidate draws,
+    are built once per set and shared by its schemes, within one batch
+    front."""
+
+    TASKSET = TaskSetGenerator(seed=8600).generate(0.5)
+
+    @staticmethod
+    def scenario(seed):
+        return FaultScenario.permanent_and_transient(seed=seed, rate=0.2)
+
+    def test_schemes_of_a_set_share_draws(self):
+        front = BatchFront()
+        run = RunSpec(horizon_cap_units=200)
+        items = [
+            build_batch_item(
+                self.TASKSET, scheme, self.scenario(7), run, front=front
+            )
+            for scheme in TRANSIENT_SCHEMES
+        ]
+        first = items[0]
+        assert first.fault_draws and first.fault_probability
+        alone = build_batch_item(
+            self.TASKSET, TRANSIENT_SCHEMES[-1], self.scenario(7), run
+        )
+        for item in items[1:] + [alone]:
+            assert item.fault_draws == first.fault_draws
+            assert item.fault_probability == first.fault_probability
+
+    def test_other_seed_or_horizon_draws_afresh(self):
+        front = BatchFront()
+        scheme = TRANSIENT_SCHEMES[0]
+        base = build_batch_item(
+            self.TASKSET, scheme, self.scenario(7),
+            RunSpec(horizon_cap_units=200), front=front,
+        )  # fmt: skip
+        for seed, horizon in ((8, 200), (7, 300)):
+            run = RunSpec(horizon_cap_units=horizon)
+            shared = build_batch_item(
+                self.TASKSET, scheme, self.scenario(seed), run, front=front
+            )
+            alone = build_batch_item(
+                self.TASKSET, scheme, self.scenario(seed), run
+            )
+            assert shared.fault_draws == alone.fault_draws
+            assert shared.fault_draws != base.fault_draws
+
+    def test_columns_follow_horizon_and_history(self):
+        front = BatchFront()
+        scheme = SCHEMES[0]
+        for horizon in (200, 300):
+            for history in ("met", "miss", "rpattern"):
+                run = RunSpec(horizon_cap_units=horizon, initial_history=history)
+                shared = build_batch_item(
+                    self.TASKSET, scheme, None, run, front=front
+                )
+                alone = build_batch_item(self.TASKSET, scheme, None, run)
+                assert shared.columns.windows == alone.columns.windows
+                assert (
+                    shared.columns.table.tolist() == alone.columns.table.tolist()
+                )
+        assert len(front._columns) == 6
+
+    def test_sweep_draws_once_per_set(self, monkeypatch):
+        """A batch sweep at a rate where draws fault takes each set's
+        uniforms once and still pays the pool's payloads."""
+        factory = lambda i: FaultScenario.permanent_and_transient(  # noqa: E731
+            seed=50 + i, rate=0.05
+        )
+        pool = utilization_sweep(scenario_factory=factory, **SWEEP_KW)
+        uniforms = PoissonTransientFaults.uniforms
+        calls = []
+
+        def spy(self, count):
+            calls.append(count)
+            return uniforms(self, count)
+
+        monkeypatch.setattr(PoissonTransientFaults, "uniforms", spy)
+        batch = utilization_sweep(
+            scenario_factory=factory, backend="batch", **SWEEP_KW
+        )
+        assert batch.job_payloads == pool.job_payloads
+        sets = len(SWEEP_KW["bins"]) * SWEEP_KW["sets_per_bin"]
+        assert len(calls) == sets
 
 
 class VocabularyPolicy(SchedulingPolicy):

@@ -159,3 +159,69 @@ def test_rotation_preserves_density(pair, rotation, base):
     assert rotated.mandatory_count_in(1, 4 * k) == base(
         mk
     ).mandatory_count_in(1, 4 * k)
+
+
+# --- The shared window (one per kind, m, k, rotation) ---------------------
+
+
+@given(count_pairs, rotations, bases, st.integers(min_value=0, max_value=2))
+@example((1, 1), 0, RPattern, 0)
+@example((3, 7), 2, EPattern, 2)
+def test_shared_window_matches_is_mandatory(pair, rotation, base, nesting):
+    """Every reader's window -- bits by phase, the kernel's mask, the
+    prefix sums -- equals the ``is_mandatory`` walk of a fresh
+    pattern, and patterns with one key share one window object, nested
+    rotations included."""
+    m, k = pair
+    pattern = base(MKConstraint(m, k))
+    for _ in range(nesting):
+        pattern = RotatedPattern(pattern, rotation)
+    walk = [int(pattern.is_mandatory(j)) for j in range(1, k + 1)]
+    window = pattern.period_window()
+    assert list(window.bits) == walk == pattern.window()
+    assert window.mask == sum(bit << phase for phase, bit in enumerate(walk))
+    assert list(window.prefix) == [sum(walk[:j]) for j in range(k + 1)]
+    assert pattern.bits(3 * k) == walk * 3
+    twin = base(MKConstraint(m, k))
+    for _ in range(nesting):
+        twin = RotatedPattern(twin, rotation)
+    assert twin.period_window() is window
+
+
+class _Aperiodic:
+    """A user pattern that is not window-periodic: job j is mandatory
+    iff j is a multiple of 3 or below 4."""
+
+    def __init__(self, k):
+        self.mk = MKConstraint(1, k)
+
+    def is_mandatory(self, job_index):
+        return job_index < 4 or job_index % 3 == 0
+
+
+@given(
+    count_pairs,
+    rotations,
+    st.sampled_from([RPattern, EPattern, None]),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2000),
+)
+@example((2, 5), 0, RPattern, 7, 0)
+@example((2, 5), 0, RPattern, 7, 70)
+@example((5, 5), 1, EPattern, 1, 9)
+def test_theta_mandatory_jobs_match_enumeration(pair, rotation, base, period, limit):
+    """θ reads the window by job phase; the jobs it examines are exactly
+    the mandatory ones released before the limit."""
+    from repro.analysis.postponement import _mandatory_jobs_before
+
+    m, k = pair
+    if base is None:
+        pattern = _Aperiodic(k)
+    else:
+        pattern = RotatedPattern(base(MKConstraint(m, k)), rotation)
+    expected = [
+        j
+        for j in range(1, limit // period + 2)
+        if (j - 1) * period < limit and pattern.is_mandatory(j)
+    ]
+    assert _mandatory_jobs_before(pattern, period, limit) == expected

@@ -370,7 +370,8 @@ class ReferenceStandbySparingEngine:
                         raise SimulationError(
                             "a BACKUP copy requires a preceding MAIN copy"
                         )
-                    main_copy.link_backup(job)
+                    main_copy.sibling = job
+                    job.sibling = main_copy
                 else:
                     ojq_keys[id(job)] = (fd, task_index, job_index)
                 if job.enqueue_time <= now:

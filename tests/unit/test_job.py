@@ -70,21 +70,6 @@ class TestLifecycle:
 
 
 class TestSiblingLink:
-    def test_link_backup(self):
-        main = make_job(JobRole.MAIN)
-        backup = make_job(JobRole.BACKUP, processor=1)
-        main.link_backup(backup)
-        assert main.sibling is backup
-        assert backup.sibling is main
-
-    def test_link_requires_roles(self):
-        optional = make_job(JobRole.OPTIONAL)
-        backup = make_job(JobRole.BACKUP)
-        with pytest.raises(ModelError):
-            optional.link_backup(backup)
-        with pytest.raises(ModelError):
-            make_job(JobRole.MAIN).link_backup(make_job(JobRole.MAIN))
-
     def test_key_identifies_logical_job(self):
         assert make_job().key() == (0, 1)
 

@@ -73,9 +73,10 @@ def test_engine_stats_only_long_horizon(benchmark):
 def test_energy_accounting(benchmark):
     """Both energy accounting paths over one 2000ms run.
 
-    ``energy_from_counts`` over the stats run's idle-gap multiset (what a
-    sweep job pays) and ``energy_of`` over the trace run's gaps (what an
-    audited or simulated run pays): the DPD rule applied gap by gap.
+    ``energy_from_counts`` over the stats run's idle-gap multiset (what
+    every run's account pays) and ``energy_of`` over the trace run's
+    gaps (a trace's counters derived afresh, what a sub-horizon window
+    pays): the DPD rule applied gap length by gap length.
     """
     from repro.energy.accounting import energy_from_counts, energy_of
     from repro.energy.power import PowerModel
@@ -92,7 +93,7 @@ def test_energy_accounting(benchmark):
     def run():
         return (
             energy_from_counts(
-                stats.busy_by_processor, stats.stats.gap_counts, base, model
+                stats.stats.busy, stats.stats.gap_counts, base, model
             ),
             energy_of(traced.trace, base, horizon, model),
         )
@@ -203,12 +204,12 @@ def test_audit_scheme(benchmark):
 def test_audit_checks(benchmark):
     """The checks of one Figure 6(c) audit of MKSS_Selective at 1500ms,
     on a prebuilt trace and stats pair: the profile replay, the priority
-    scan, both DPD checks and the ledger comparison, derived through one
-    trace index as :func:`~repro.harness.validate.audit_scheme` derives
-    them -- the auditor's own cost, apart from its two engine runs."""
+    scan, both DPD checks and the ledger comparison, as
+    :func:`~repro.harness.validate.audit_scheme` runs them -- the
+    auditor's own cost, apart from its two engine runs (which derive the
+    trace run's counters)."""
     from repro.harness.runner import run_scheme
     from repro.harness.validate import conformance_spec
-    from repro.sim.trace import TraceIndex
     from repro.sim.validation import (
         audit_energy,
         audit_result,
@@ -225,16 +226,15 @@ def test_audit_checks(benchmark):
     )
 
     def checks():
-        index = TraceIndex(traced.result.trace)
         decisions = {}
-        issues = audit_result(traced.result, profile, index=index)
-        issues += audit_energy(traced.result, traced.energy, index, decisions)
+        issues = audit_result(traced.result, profile)
+        issues += audit_energy(traced.result, traced.energy, decisions)
         issues += compare_ledgers(
-            result_ledger(traced.result, index),
+            result_ledger(traced.result),
             result_ledger(stats.result),
             label="stats",
         )
-        issues += audit_energy(stats.result, stats.energy, decisions=decisions)
+        issues += audit_energy(stats.result, stats.energy, decisions)
         return issues
 
     assert benchmark(checks) == []

@@ -578,9 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="pool",
         help="execution backend: 'pool' runs one scalar engine per job, "
         "'batch' advances batchable jobs in lockstep on the vectorized "
-        "numpy kernel (scalar fallback per job; identical results), "
-        "'serial' forces the inline scalar path; without numpy, "
-        "--backend batch warns and falls back to pool",
+        "numpy kernel (scalar fallback per job; identical results); "
+        "without numpy, --backend batch warns and falls back to pool",
     )
     sweep.add_argument(
         "--journal",

@@ -1,7 +1,12 @@
-"""Energy accounting over execution traces.
+"""Energy accounting over a run's counters.
 
-Converts a :class:`~repro.sim.trace.ExecutionTrace` into an
-:class:`EnergyReport` under a :class:`~repro.energy.power.PowerModel`:
+Charges a run's :class:`~repro.sim.stats.RunStats` -- each processor's
+busy ticks, idle-gap lengths and per-speed busy ticks inside its energy
+window -- as an :class:`EnergyReport` under a
+:class:`~repro.energy.power.PowerModel`.  Every
+:class:`~repro.sim.engine.SimulationResult` carries those counters, so
+only a window narrower than the simulated horizon reads a trace (through
+the same derivation, :func:`~repro.sim.stats.trace_stats`):
 
 * every busy tick costs ``active_power`` -- or, on a DVFS run (the
   result carries a :class:`~repro.energy.dvfs.SpeedPlan`), a tick
@@ -10,7 +15,7 @@ Converts a :class:`~repro.sim.trace.ExecutionTrace` into an
 * idle gaps are classified by the DPD rule -- gaps longer than the
   break-even time sleep (``sleep_power`` + one ``transition_energy``),
   shorter gaps idle at ``idle_power``.  The rule is applied as one
-  integer compare per gap against
+  integer compare per gap length against
   :func:`~repro.energy.dpd.sleep_threshold_ticks`, and idle and sleep
   time are summed in ticks and converted to units once per total;
 * a processor killed by a permanent fault consumes nothing after death
@@ -25,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..sim.trace import ExecutionTrace, TraceIndex
+from ..sim.stats import trace_stats
+from ..sim.trace import ExecutionTrace
 from ..timebase import TimeBase, TimeLike
 from .dpd import sleep_threshold_ticks
 from .dvs import DVSModel
@@ -128,14 +134,11 @@ def energy_of(
     model: Optional[PowerModel] = None,
     permanent_fault: Optional[Tuple[int, int]] = None,
     dvs_model: Optional[DVSModel] = None,
-    index: Optional[TraceIndex] = None,
 ) -> EnergyReport:
     """Account a trace's energy over [0, horizon) under a power model.
 
-    Each processor's busy ticks, idle-gap multiset and per-speed busy
-    ticks inside its window come from one walk over its segments; the
-    counts are then charged exactly as :func:`energy_from_counts`
-    charges a stats-only run's.
+    The trace's counters (:func:`~repro.sim.stats.trace_stats`) are
+    charged exactly as :func:`energy_from_counts` charges a run's.
 
     Args:
         trace: the simulation trace.
@@ -147,25 +150,15 @@ def energy_of(
         dvs_model: DVS power model of a DVFS run; each executed unit is
             then charged ``s**alpha + static`` at its segment's speed
             instead of the flat ``active_power``.
-        index: the caller's :class:`~repro.sim.trace.TraceIndex` of
-            ``trace``, shared with its other consumers; None builds one
-            for this call.
     """
-    if index is None:
-        index = TraceIndex(trace)
-    busy: List[int] = []
-    gaps: List[Dict[int, int]] = []
-    speed_busy: List[Dict[object, int]] = []
-    for processor in range(trace.processor_count):
-        window_end = horizon_ticks
-        if permanent_fault is not None and permanent_fault[0] == processor:
-            window_end = min(window_end, permanent_fault[1])
-        busy_ticks, gap_counts, by_speed = index.window(processor, 0, window_end)
-        busy.append(busy_ticks)
-        gaps.append(gap_counts)
-        speed_busy.append(by_speed)
+    stats = trace_stats(trace, horizon_ticks, permanent_fault)
     return energy_from_counts(
-        busy, gaps, timebase, model, speed_busy=speed_busy, dvs_model=dvs_model
+        stats.busy,
+        stats.gap_counts,
+        timebase,
+        model,
+        speed_busy=stats.speed_busy,
+        dvs_model=dvs_model,
     )
 
 
@@ -177,21 +170,19 @@ def energy_from_counts(
     speed_busy: "Optional[Sequence[dict]]" = None,
     dvs_model: Optional[DVSModel] = None,
 ) -> EnergyReport:
-    """Account energy from a stats-only run's aggregate counters.
+    """Account energy from a run's aggregate counters.
 
     ``busy_by_processor[p]`` is execution ticks inside the processor's
     accounting window and ``gap_counts[p]`` is the multiset of idle-gap
-    lengths (ticks -> occurrences) inside the same window, both produced
-    by the engine in stats mode (already truncated at the horizon and at
-    a dead processor's fault instant).  The DPD rule only needs each
-    gap's *length*, so the multiset carries everything a trace holds for
-    it, and :func:`energy_of` charges a trace's counts here too: the
-    tick sums are exact and order-independent, making the result
-    bit-identical to the trace-based account of the same run.  On a
-    DVFS run,
-    ``speed_busy[p]`` (speed -> ticks, the engine's
-    :attr:`~repro.sim.stats.RunStats.speed_busy` ledger) carries the
-    scaled part of the busy time the same way.
+    lengths (ticks -> occurrences) inside the same window, as a
+    :class:`~repro.sim.stats.RunStats` holds them (already truncated at
+    the horizon and at a dead processor's fault instant).  The DPD rule
+    only needs each gap's *length*, so the multiset carries everything a
+    trace holds for it; the tick sums are exact and order-independent,
+    so counters filled online and counters derived from a trace charge
+    bit-identically.  On a DVFS run, ``speed_busy[p]`` (speed -> ticks,
+    :attr:`~repro.sim.stats.RunStats.speed_busy`) carries the scaled
+    part of the busy time the same way.
     """
     power = model or PowerModel.paper_default()
     bound = sleep_threshold_ticks(power, timebase.ticks_per_unit)
@@ -238,14 +229,11 @@ def energy_of_result(
     result,
     model: Optional[PowerModel] = None,
     window_units: Optional[TimeLike] = None,
-    index: Optional[TraceIndex] = None,
 ) -> EnergyReport:
     """Account a :class:`~repro.sim.engine.SimulationResult`'s energy.
 
-    Dispatches on the run's mode: trace runs go through
-    :func:`energy_of`, stats-only runs through
-    :func:`energy_from_counts`.  Both paths produce identical reports
-    for the same run.
+    Charges the result's counters (:attr:`~repro.sim.engine.SimulationResult.stats`)
+    through :func:`energy_from_counts`, whatever mode the run took.
 
     Args:
         result: the simulation result.
@@ -257,13 +245,11 @@ def energy_of_result(
             units before t = 25" is the ``[0, 24)`` reading -- see
             EXPERIMENTS.md note 1), so the window is a first-class
             parameter rather than an implicit horizon.  Requires a trace
-            when narrower than the horizon (stats-only counters are
-            aggregated over the whole horizon and cannot be re-windowed).
-        index: a :class:`~repro.sim.trace.TraceIndex` of the result's
-            trace that the caller shares with its other consumers;
-            None builds one when the result has a trace.
+            when narrower than the horizon (the counters cover the whole
+            horizon and cannot be re-windowed).
     """
-    window_ticks = result.horizon_ticks
+    plan = result.speed_plan
+    dvs_model = plan.model if plan is not None else None
     if window_units is not None:
         window_ticks = result.timebase.to_ticks(window_units)
         if window_ticks > result.horizon_ticks:
@@ -271,30 +257,26 @@ def energy_of_result(
                 f"accounting window [0, {window_units}) exceeds the "
                 f"simulated horizon of {result.horizon_ticks} ticks"
             )
-    plan = getattr(result, "speed_plan", None)
-    dvs_model = plan.model if plan is not None else None
-    if result.trace is not None:
-        return energy_of(
-            result.trace,
-            result.timebase,
-            window_ticks,
-            model=model,
-            permanent_fault=result.permanent_fault,
-            dvs_model=dvs_model,
-            index=index,
-        )
-    if result.stats is None:  # pragma: no cover - engine fills one of the two
-        raise ValueError("result has neither trace nor stats")
-    if window_ticks != result.horizon_ticks:
-        raise ValueError(
-            "a stats-only result cannot be re-windowed; re-run with "
-            "collect_trace=True to account a sub-horizon window"
-        )
+        if window_ticks < result.horizon_ticks:
+            if result.trace is None:
+                raise ValueError(
+                    "a stats-only result cannot be re-windowed; re-run "
+                    "with collect_trace=True to account a sub-horizon window"
+                )
+            return energy_of(
+                result.trace,
+                result.timebase,
+                window_ticks,
+                model=model,
+                permanent_fault=result.permanent_fault,
+                dvs_model=dvs_model,
+            )
+    stats = result.stats
     return energy_from_counts(
-        result.busy_by_processor,
-        result.stats.gap_counts,
+        stats.busy,
+        stats.gap_counts,
         result.timebase,
         model=model,
-        speed_busy=result.stats.speed_busy,
+        speed_busy=stats.speed_busy,
         dvs_model=dvs_model,
     )

@@ -32,7 +32,6 @@ from ..schedulers import (
 from ..schedulers.base import run_policy
 from ..sim.engine import SchedulingPolicy, SimulationResult
 from ..sim.timeline import shared_release_timeline
-from ..sim.trace import TraceIndex
 from ..workload.release import ReleaseModel, resolve_release_model
 
 #: Factories for every registered scheme (fresh policy per run).
@@ -240,23 +239,13 @@ def simulate_scheme(
 
 
 def outcome_of(
-    scheme: str,
-    result: SimulationResult,
-    run: RunSpec = RunSpec(),
-    index: Optional[TraceIndex] = None,
+    scheme: str, result: SimulationResult, run: RunSpec = RunSpec()
 ) -> RunOutcome:
     """The accounting half of :func:`run_scheme`: a finished run's energy
-    (under ``run``'s power model) and QoS.
-
-    A trace run's facts are derived once for both, through ``index`` --
-    the caller's :class:`~repro.sim.trace.TraceIndex` of the trace, or
-    one built here and dropped on return when None.
-    """
-    if index is None and result.trace is not None:
-        index = TraceIndex(result.trace)
+    (under ``run``'s power model) and QoS, both from its counters."""
     return RunOutcome(
         scheme=scheme,
         result=result,
-        energy=energy_of_result(result, run.power_model, index=index),
-        metrics=collect_metrics(result, index),
+        energy=energy_of_result(result, run.power_model),
+        metrics=collect_metrics(result),
     )

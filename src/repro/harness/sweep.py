@@ -93,20 +93,50 @@ DROPPED = "dropped"
 
 #: The execution backends of :func:`utilization_sweep`.  ``pool`` is the
 #: classic per-job path (inline at ``workers=1``, process pool above);
-#: ``serial`` forces the inline path regardless of ``workers``;
 #: ``batch`` advances every batchable job in lockstep on the vectorized
 #: kernel (:mod:`repro.sim.batch`) and falls back to the scalar engine
 #: per job for the rest.
-SWEEP_BACKENDS = ("pool", "batch", "serial")
+SWEEP_BACKENDS = ("pool", "batch")
 
 
-def check_backend(backend: str) -> None:
-    """Raise :class:`ConfigurationError` unless ``backend`` is one of
-    :data:`SWEEP_BACKENDS`."""
+def check_sweep_arguments(
+    bins: Sequence[Tuple[float, float]],
+    schemes: Sequence[str],
+    reference_scheme: str,
+    backend: str,
+    validate: int,
+) -> None:
+    """Reject a sweep that cannot run as asked, before any work.
+
+    Every bin must satisfy lo < hi and every scheme be registered; no
+    bin and no scheme may repeat, since a repeat would run the same jobs
+    twice under one key; the reference scheme must be among the
+    schemes, the backend one of :data:`SWEEP_BACKENDS`, and ``validate``
+    at least 0.  Raises :class:`ConfigurationError` (unknown schemes as
+    :class:`UnknownSchemeError`).
+    """
+    unknown = sorted(set(schemes) - set(SCHEME_FACTORIES))
+    if unknown:
+        raise UnknownSchemeError(
+            f"unknown scheme(s) {unknown}; known: {sorted(SCHEME_FACTORIES)}"
+        )
+    if len(set(schemes)) != len(schemes):
+        raise ConfigurationError(f"schemes repeat: {list(schemes)}")
+    if reference_scheme not in schemes:
+        raise ConfigurationError(
+            f"reference scheme {reference_scheme!r} must be in {list(schemes)}"
+        )
+    for lo, hi in bins:
+        if not lo < hi:
+            raise ConfigurationError(f"bad bin [{lo}, {hi}): need lo < hi")
+    if len({tuple(bin_range) for bin_range in bins}) != len(bins):
+        raise ConfigurationError(f"bins repeat: {[list(b) for b in bins]}")
     if backend not in SWEEP_BACKENDS:
         raise ConfigurationError(
             f"unknown backend {backend!r}; choose from {sorted(SWEEP_BACKENDS)}"
         )
+    if validate < 0:
+        raise ConfigurationError(f"validate must be >= 0, got {validate}")
 
 
 def _freeze(value):
@@ -829,8 +859,10 @@ def utilization_sweep(
     """Run the paper's sweep protocol.
 
     Args:
-        bins: (lo, hi) utilization intervals.
-        schemes: scheme names to compare (must include the reference).
+        bins: distinct (lo, hi) utilization intervals.
+        schemes: distinct scheme names to compare (must include the
+            reference).  :func:`check_sweep_arguments` rejects a sweep
+            that repeats a bin or a scheme before any work.
         scenario_factory: per-task-set fault scenario builder; fault-free
             when omitted.  Always invoked in the parent process, in global
             set order, regardless of ``workers``.
@@ -860,8 +892,7 @@ def utilization_sweep(
             journal rows, and aggregates are byte-identical to the pool
             backend, so journals resume across backends.  Requires
             numpy (``pip install repro[batch]``), otherwise raises
-            :class:`~repro.errors.ConfigurationError`.  ``"serial"``
-            forces the inline scalar path regardless of ``workers``.
+            :class:`~repro.errors.ConfigurationError`.
         journal_path: JSONL checkpoint file; every finished job is
             appended so a crashed or interrupted sweep can resume.
         resume: load completed jobs from ``journal_path`` (validated
@@ -891,28 +922,15 @@ def utilization_sweep(
             journal rows, and the sweep fingerprint are identical with or
             without it.
     """
-    if reference_scheme not in schemes:
-        raise ConfigurationError(
-            f"reference scheme {reference_scheme!r} must be in {schemes}"
-        )
-    unknown = sorted(set(schemes) - set(SCHEME_FACTORIES))
-    if unknown:
-        raise UnknownSchemeError(
-            f"unknown scheme(s) {unknown}; known: {sorted(SCHEME_FACTORIES)}"
-        )
+    check_sweep_arguments(bins, schemes, reference_scheme, backend, validate)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    check_backend(backend)
     if backend == "batch":
         from ..sim.batch import require_numpy
 
         require_numpy()
-    elif backend == "serial":
-        workers = 1
     if resume and not journal_path:
         raise ConfigurationError("resume=True requires journal_path")
-    if validate < 0:
-        raise ConfigurationError(f"validate must be >= 0, got {validate}")
     policy = ExecutionPolicy(
         job_timeout=job_timeout,
         max_retries=max_retries,

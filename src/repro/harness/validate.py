@@ -13,9 +13,10 @@ hook of :func:`repro.harness.sweep.utilization_sweep`.  For one
    report against the DPD rule
    (:func:`~repro.sim.validation.audit_energy`), and
 3. re-runs the *same* descriptor stats-only and requires its
-   :func:`~repro.sim.validation.result_ledger` to match the trace run's
-   exactly (cross-mode differential check) -- the trace-less fast path
-   is thereby held to the fully audited reference.
+   :func:`~repro.sim.validation.result_ledger`, from the counters the
+   engine keeps online, to match the trace run's, derived from its
+   trace, exactly (cross-mode differential check) -- the trace-less
+   fast path is thereby held to the fully audited reference.
 
 Determinism caveat: the differential check re-materializes the fault
 scenario once per mode, so the scenario must be reproducible from its
@@ -33,7 +34,6 @@ from ..faults.scenario import FaultScenario
 from ..model.taskset import TaskSet
 from ..sim.engine import PolicyContext
 from ..sim.profile import SchemeProfile
-from ..sim.trace import TraceIndex
 from ..sim.validation import (
     ValidationIssue,
     audit_energy,
@@ -41,13 +41,7 @@ from ..sim.validation import (
     compare_ledgers,
     result_ledger,
 )
-from .runner import (
-    RunSpec,
-    outcome_of,
-    run_scheme,
-    scheme_factory,
-    simulate_scheme,
-)
+from .runner import RunSpec, run_scheme, scheme_factory
 
 #: The execution modes the auditor covers, in audit order: the trace run
 #: is the differential reference the stats-only run must match.
@@ -123,23 +117,17 @@ def audit_scheme(
         :data:`AUDIT_MODES` order.
     """
     profile = conformance_spec(taskset, scheme, run)
-    result = simulate_scheme(taskset, scheme, scenario, run)
-    # One index of the trace and one DPD verdict memo serve every check
-    # of this audit, and go with it.
-    index = TraceIndex(result.trace)
+    reference = run_scheme(taskset, scheme, scenario, run)
+    result = reference.result
+    # One DPD verdict memo serves both energy audits of this audit.
     decisions: Dict[int, bool] = {}
-    reference = outcome_of(scheme, result, run, index)
-    issues = audit_result(
-        result, profile, initial_history=run.initial_history, index=index
-    )
-    issues += audit_energy(result, reference.energy, index, decisions)
+    issues = audit_result(result, profile, initial_history=run.initial_history)
+    issues += audit_energy(result, reference.energy, decisions)
     trace = ModeAudit(mode="trace", issues=tuple(issues))
     outcome = run_scheme(taskset, scheme, scenario, run, collect_trace=False)
     issues = compare_ledgers(
-        result_ledger(result, index),
-        result_ledger(outcome.result),
-        label="stats",
+        result_ledger(result), result_ledger(outcome.result), label="stats"
     )
-    issues += audit_energy(outcome.result, outcome.energy, decisions=decisions)
+    issues += audit_energy(outcome.result, outcome.energy, decisions)
     stats = ModeAudit(mode="stats", issues=tuple(issues))
     return AuditReport(scheme=scheme, modes=(trace, stats))

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from ..model.job import JobOutcome
 from ..sim.engine import SimulationResult
-from ..sim.trace import TraceIndex
-from .monitor import count_mk_violations
 
 
 @dataclass(frozen=True)
@@ -59,54 +56,18 @@ class QoSMetrics:
         }
 
 
-def collect_metrics(
-    result: SimulationResult, index: Optional[TraceIndex] = None
-) -> QoSMetrics:
-    """Compute :class:`QoSMetrics` from a simulation result.
-
-    Stats-only runs (``result.trace is None``) already carry every count
-    in ``result.stats``; trace runs derive them from the records, and
-    their violations through ``index``, the caller's
-    :class:`~repro.sim.trace.TraceIndex` of the trace (None builds one).
-    Both paths yield identical metrics for the same run.
-    """
-    if result.trace is None:
-        stats = result.stats
-        if stats is None:  # pragma: no cover - engine fills one of the two
-            raise ValueError("result has neither trace nor stats")
-        return QoSMetrics(
-            released=result.released_jobs,
-            effective=stats.effective,
-            missed=stats.missed,
-            mandatory=stats.mandatory,
-            optional_executed=stats.optional_executed,
-            skipped=stats.skipped,
-            mk_violations=count_mk_violations(result),
-            transient_faults=result.transient_fault_count,
-        )
-    effective = 0
-    missed = 0
-    mandatory = 0
-    optional_executed = 0
-    skipped = 0
-    for record in result.trace.records.values():
-        if record.outcome is JobOutcome.EFFECTIVE:
-            effective += 1
-        elif record.outcome is JobOutcome.MISSED:
-            missed += 1
-        if record.classified_as == "mandatory":
-            mandatory += 1
-        elif record.classified_as == "optional":
-            optional_executed += 1
-        elif record.classified_as == "skipped":
-            skipped += 1
+def collect_metrics(result: SimulationResult) -> QoSMetrics:
+    """Compute :class:`QoSMetrics` from a simulation result's counters
+    (:attr:`~repro.sim.engine.SimulationResult.stats`), whatever mode
+    the run took."""
+    stats = result.stats
     return QoSMetrics(
-        released=result.released_jobs,
-        effective=effective,
-        missed=missed,
-        mandatory=mandatory,
-        optional_executed=optional_executed,
-        skipped=skipped,
-        mk_violations=count_mk_violations(result, index),
+        released=stats.released,
+        effective=stats.effective,
+        missed=stats.missed,
+        mandatory=stats.mandatory,
+        optional_executed=stats.optional_executed,
+        skipped=stats.skipped,
+        mk_violations=sum(stats.violations),
         transient_faults=result.transient_fault_count,
     )

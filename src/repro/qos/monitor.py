@@ -10,7 +10,7 @@ went wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..model.mk import MKConstraint
 from ..sim.engine import SimulationResult
@@ -74,55 +74,27 @@ class MKMonitor:
         return tuple(self._outcomes)
 
 
-def verify_mk(
-    result: SimulationResult, index: Optional[TraceIndex] = None
-) -> List[MKViolation]:
+def verify_mk(result: SimulationResult) -> List[MKViolation]:
     """All (m,k) violations of a simulation run, across tasks.
 
     Only *complete* jobs are judged: the trailing jobs whose deadlines fall
     beyond the horizon are still recorded by the engine (their deadline
     events drain), so the outcome list is complete by construction.
 
-    Requires a trace run: stats-only results carry per-task violation
-    *counts* (``result.stats.violations``) but not the per-window detail
-    this report localizes.  ``index`` is the caller's
-    :class:`~repro.sim.trace.TraceIndex` of the trace (None builds one),
-    which keeps the violations for its other consumers.
+    Requires a trace run: every result carries per-task violation
+    *counts* (``result.stats.violations``) but only a trace holds the
+    per-window detail this report localizes.
     """
     if result.trace is None:
         raise ValueError(
             "verify_mk needs a trace run (collect_trace=True); stats-only "
             "results expose per-task violation counts via result.stats"
         )
-    if index is None:
-        index = TraceIndex(result.trace)
-    violations = index.derived.get("mk_violations")
-    if violations is None:
-        violations = []
-        for task_index, task in enumerate(result.taskset):
-            monitor = MKMonitor(task.mk)
-            for effective in index.outcomes_for_task(task_index):
-                monitor.record(effective, task_index=task_index)
-            violations.extend(monitor.violations)
-        index.derived["mk_violations"] = violations
-    return list(violations)
-
-
-def count_mk_violations(
-    result: SimulationResult, index: Optional[TraceIndex] = None
-) -> int:
-    """Number of violated (m,k) windows in a run, regardless of mode.
-
-    The single counting definition shared by every consumer: trace runs
-    replay the recorded outcomes through :func:`verify_mk`; stats-only
-    runs sum the engine's per-task online window counters, which track
-    the same sliding windows.  Both paths count one violation per job
-    index that closes a window with fewer than m successes.  ``index``
-    is passed on to :func:`verify_mk`.
-    """
-    if result.trace is None:
-        stats = result.stats
-        if stats is None:  # pragma: no cover - engine fills one of the two
-            raise ValueError("result has neither trace nor stats")
-        return sum(stats.violations)
-    return len(verify_mk(result, index))
+    index = TraceIndex(result.trace)
+    violations: List[MKViolation] = []
+    for task_index, task in enumerate(result.taskset):
+        monitor = MKMonitor(task.mk)
+        for effective in index.outcomes_for_task(task_index):
+            monitor.record(effective, task_index=task_index)
+        violations.extend(monitor.violations)
+    return violations

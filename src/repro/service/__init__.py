@@ -3,8 +3,8 @@
 The harness already contains every ingredient of a service -- a
 fingerprint-keyed offline-analysis cache, a JSONL journal with
 checkpoint/resume, structured run/job events, and the fault-isolated
-:func:`~repro.harness.sweep.utilization_sweep` with its pool, batch and
-serial backends -- but historically it only ran as a one-shot CLI.  This
+:func:`~repro.harness.sweep.utilization_sweep` with its pool and batch
+backends -- but historically it only ran as a one-shot CLI.  This
 package turns those seams into long-lived server state:
 
 * :mod:`repro.service.spec` -- the sweep-spec wire format: a validated,

@@ -67,6 +67,10 @@ STREAM_END = None
 #: digest, so a stored record that still carries one is read without it.
 REMOVED_SPEC_KEYS = ("collect_trace", "fold")
 
+#: Removed backends, and the one a stored record naming one runs on.
+#: Backends never enter a spec digest, so the record keeps its digest.
+REMOVED_BACKENDS = {"serial": "pool"}
+
 
 class QueueFull(Exception):
     """Admission refused: the global or per-tenant bound is reached."""
@@ -178,11 +182,13 @@ class JobManager:
         servers stored are ignored.
 
         A record written before an execution knob was removed is read
-        without that knob (:data:`REMOVED_SPEC_KEYS`).  A record that
-        still cannot be read -- broken JSON, a spec this version
-        rejects, or one that no longer digests to the record's digest --
-        is left on disk, listed in :attr:`skipped`, and otherwise
-        ignored: one bad file must not keep the server from starting.
+        without that knob (:data:`REMOVED_SPEC_KEYS`), and one naming a
+        removed backend runs on its replacement
+        (:data:`REMOVED_BACKENDS`).  A record that still cannot be read
+        -- broken JSON, a spec this version rejects, or one that no
+        longer digests to the record's digest -- is left on disk, listed
+        in :attr:`skipped`, and otherwise ignored: one bad file must not
+        keep the server from starting.
         Its stored result is still served by digest, and resubmitting
         its spec attaches to that result or resumes its journal.
         """
@@ -219,6 +225,9 @@ class JobManager:
                 for key, value in payload.items()
                 if key not in REMOVED_SPEC_KEYS
             }
+            backend = payload.get("backend")
+            if backend in REMOVED_BACKENDS:
+                payload["backend"] = REMOVED_BACKENDS[backend]
         spec = SweepSpec.from_dict(payload)
         if spec.digest() != record["digest"]:
             raise ValueError(

@@ -29,8 +29,8 @@ from typing import Any, Dict, Optional, Tuple
 from ..energy.dvfs import DVFSConfig
 from ..errors import ConfigurationError
 from ..harness.protocol import DEFAULT_BINS, ExperimentProtocol
-from ..harness.runner import PAPER_SCHEMES, SCHEME_FACTORIES
-from ..harness.sweep import _sweep_fingerprint, check_backend
+from ..harness.runner import PAPER_SCHEMES
+from ..harness.sweep import _sweep_fingerprint, check_sweep_arguments
 from ..workload.release import ReleaseModel
 
 #: Fault regimes, mapping onto the Figure 6 panels.
@@ -103,27 +103,15 @@ class SweepSpec:
                 f"unknown faults regime {self.faults!r}; "
                 f"choose from {FAULT_REGIMES}"
             )
-        unknown = sorted(set(self.schemes) - set(SCHEME_FACTORIES))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scheme(s) {unknown}; known: "
-                f"{sorted(SCHEME_FACTORIES)}"
-            )
-        if self.reference_scheme not in self.schemes:
-            raise ConfigurationError(
-                f"reference scheme {self.reference_scheme!r} must be in "
-                f"{list(self.schemes)}"
-            )
-        for lo, hi in self.bins:
-            if not lo < hi:
-                raise ConfigurationError(f"bad bin [{lo}, {hi}): need lo < hi")
         if self.backend is None:
             object.__setattr__(self, "backend", self._default_backend())
-        check_backend(self.backend)
-        if self.validate < 0:
-            raise ConfigurationError(
-                f"validate must be >= 0, got {self.validate}"
-            )
+        check_sweep_arguments(
+            self.bins,
+            self.schemes,
+            self.reference_scheme,
+            self.backend,
+            self.validate,
+        )
 
     def protocol(self) -> ExperimentProtocol:
         """The Figure 6 protocol this spec runs: its scale and run knobs

@@ -268,8 +268,7 @@ class Ledger:
     def result(self, s: int, item: BatchItem) -> SimulationResult:
         n = self.task_count[s]
         stats = RunStats(n)
-        busy = self.busy[s]
-        stats.busy = list(busy)
+        stats.busy = self.busy[s]
         span = self.gap_span
         for p in (0, 1):
             lo = self.gap_bounds[p * self.S + s]
@@ -295,9 +294,7 @@ class Ledger:
             trace=None,
             permanent_fault=item.permanent,
             transient_fault_count=self.faults[s],
-            released_jobs=self.released[s],
             stats=stats,
-            busy_by_processor=tuple(busy),
         )
 
 

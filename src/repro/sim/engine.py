@@ -38,6 +38,10 @@ instead of self-chaining heap events.  Two execution modes exist:
   downstream sweeps consume (:class:`~repro.sim.stats.RunStats`),
   skipping all segment/record/log construction.
 
+Both modes hand back the same counters: a trace run's result derives
+its :class:`~repro.sim.stats.RunStats` from the trace once, when it is
+built, and every consumer of counters reads them from there.
+
 All times are integer ticks (see :mod:`repro.timebase`).
 """
 
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
@@ -59,9 +63,9 @@ from ..model.job import FINISHED_STATUSES, Job, JobOutcome, JobRole, JobStatus
 from ..model.patterns import is_window_periodic
 from ..model.taskset import TaskSet
 from ..timebase import TimeBase
-from .stats import RunStats
+from .stats import RunStats, trace_stats
 from .timeline import ReleaseTimeline
-from .trace import ExecutionTrace, LogicalJobRecord, TraceIndex
+from .trace import ExecutionTrace, LogicalJobRecord
 
 if TYPE_CHECKING:  # the profile module imports this one
     from .profile import SchemeProfile
@@ -198,10 +202,11 @@ assumption.
 class SimulationResult:
     """Everything observable about one simulation run.
 
-    ``trace`` is None for stats-only runs (``collect_trace=False``), in
-    which case ``stats`` carries the aggregate counters instead; exactly
-    one of the two is always present.  ``busy_by_processor`` is filled
-    by the engine in both modes, making :meth:`busy_ticks` O(1).
+    ``trace`` is None for stats-only runs (``collect_trace=False``).
+    ``stats`` carries the run's counters in every mode: a stats-only run
+    and the batch kernel fill it online, and a result built with a trace
+    and no counters derives them from the trace once, here
+    (:func:`~repro.sim.stats.trace_stats`).
     """
 
     taskset: TaskSet
@@ -211,55 +216,43 @@ class SimulationResult:
     trace: Optional[ExecutionTrace]
     permanent_fault: Optional[Tuple[int, int]] = None  # (processor, tick)
     transient_fault_count: int = 0
-    released_jobs: int = 0
     stats: Optional[RunStats] = None
-    busy_by_processor: Optional[Tuple[int, ...]] = None
     #: The DVFS :class:`~repro.energy.dvfs.SpeedPlan` the run executed
     #: under, or None (every non-DVFS run).  Carried on the result so
     #: energy accounting and the conformance auditor can re-derive the
     #: speed-aware decomposition without re-running the planner.
     speed_plan: Optional[object] = None
-    _mk_cache: Optional[List[bool]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        if self.stats is None:
+            if self.trace is None:
+                raise SimulationError("a result needs a trace or its counters")
+            self.stats = trace_stats(
+                self.trace,
+                self.horizon_ticks,
+                self.permanent_fault,
+                [task.mk for task in self.taskset],
+            )
+
+    @property
+    def released_jobs(self) -> int:
+        """Logical jobs released."""
+        return self.stats.released
 
     def mk_satisfied(self) -> List[bool]:
-        """Per-task verdict: did every k-window keep >= m successes?
-
-        Computed once and cached (sweep aggregation used to recompute
-        the full sliding-window scan on every access).
-        """
-        cached = self._mk_cache
-        if cached is None:
-            if self.trace is not None:
-                index = TraceIndex(self.trace)
-                cached = [
-                    task.mk.is_satisfied_by(index.outcomes_for_task(i))
-                    for i, task in enumerate(self.taskset)
-                ]
-            elif self.stats is not None:
-                cached = [count == 0 for count in self.stats.violations]
-            else:  # pragma: no cover - engine always fills one of the two
-                raise SimulationError("result has neither trace nor stats")
-            self._mk_cache = cached
-        return list(cached)
+        """Per-task verdict: did every k-window keep >= m successes?"""
+        return [count == 0 for count in self.stats.violations]
 
     def all_mk_satisfied(self) -> bool:
         """True when no task violated its (m,k)-constraint."""
-        return all(self.mk_satisfied())
+        return not any(self.stats.violations)
 
     def busy_ticks(self, processor: Optional[int] = None) -> int:
-        """Execution ticks inside [0, horizon); O(1) from counters."""
-        counters = self.busy_by_processor
-        if counters is not None:
-            if processor is None:
-                return sum(counters)
-            if 0 <= processor < len(counters):
-                return counters[processor]
-            return 0
-        if self.trace is None:
-            raise SimulationError("result has neither trace nor counters")
-        return self.trace.busy_ticks(processor, window=(0, self.horizon_ticks))
+        """Execution ticks inside the energy window, from the counters."""
+        busy = self.stats.busy
+        if processor is None:
+            return sum(busy)
+        return busy[processor] if 0 <= processor < len(busy) else 0
 
 
 class _LogicalJob:
@@ -445,7 +438,6 @@ class StandbySparingEngine:
         # without scanning every logical job ever released.
         pending: List[set] = [set(), set()]
         transient_faults = 0
-        released_jobs = 0
 
         # Stats-mode idle accounting: each processor's closed idle gaps
         # inside its energy window [0, window_end), whose complement is
@@ -624,7 +616,6 @@ class StandbySparingEngine:
 
         def handle_release(task_index: int, job_index: int, now: int) -> bool:
             """Plan one release; True when a copy entered a ready queue."""
-            nonlocal released_jobs
             release = now  # timeline entries fire exactly at their tick
             deadline = release + deadlines[task_index]
             fd = (
@@ -665,7 +656,6 @@ class StandbySparingEngine:
             else:
                 copies = None
                 classified = "skipped"
-            released_jobs += 1
             if collect:
                 record = LogicalJobRecord(
                     task_index=task_index,
@@ -1040,11 +1030,6 @@ class StandbySparingEngine:
 
         if collect:
             trace.validate()
-            busy = [0, 0]
-            for segment in trace.segments:
-                if segment.start < horizon:
-                    end = segment.end if segment.end <= horizon else horizon
-                    busy[segment.processor] += end - segment.start
         else:
             # Close each processor's final idle gap against its energy
             # window (the horizon, or the fault tick for a dead one); the
@@ -1067,8 +1052,6 @@ class StandbySparingEngine:
             trace=trace,
             permanent_fault=self.permanent_fault,
             transient_fault_count=transient_faults,
-            released_jobs=released_jobs,
             stats=stats,
-            busy_by_processor=tuple(busy),
             speed_plan=speed_plan,
         )

@@ -1,21 +1,23 @@
 """Execution traces: what ran where, when, and how each job ended up.
 
-The trace is the single source of truth downstream: energy accounting
-integrates processor busy time from segments, the QoS monitor reads
-logical-job outcomes, and the Gantt renderer draws the segments.
+The trace is a trace run's single source of truth: its counters
+(:func:`repro.sim.stats.trace_stats`) are derived from the segments and
+records, the (m,k) report and the auditor read the outcomes and
+segments, and the Gantt renderer draws the segments.
 
 A consumer that asks a trace several questions builds a
 :class:`TraceIndex` when it starts and drops it when it returns: the
-index derives each answer (a processor's segments in time order, an
-accounting window's busy ticks and idle gaps, a task's records in job
-order) once, from the trace as it is while the consumer runs.
+index groups the trace once (a processor's segments in time order, a
+task's records in job order), from the trace as it is while the
+consumer runs.  :func:`repro.sim.stats.trace_stats` reads a trace run's
+counters through one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..model.job import Job, JobOutcome
@@ -248,29 +250,23 @@ WindowFacts = Tuple[int, Dict[int, int], Dict[object, int]]
 
 
 class TraceIndex:
-    """The facts a trace's consumers derive, each computed once.
+    """A trace's segments and records, grouped once for its consumers.
 
     Every answer equals the matching :class:`ExecutionTrace` query
     (:meth:`~ExecutionTrace.segments_on`, :meth:`~ExecutionTrace.busy_ticks`
     and :meth:`~ExecutionTrace.idle_gaps` over a window,
-    :meth:`~ExecutionTrace.outcomes_for_task`), but a fact is derived on
-    its first query and then reused.  The index reads the trace lazily
-    and never notices a later change to it, so build one where an audit
-    or a consumer starts and drop it when that call returns; never keep
-    one beside a trace that may still change.
-
-    ``derived`` holds facts that layers above the trace compute from the
-    index (the (m,k) violations of :func:`repro.qos.monitor.verify_mk`),
-    so they too are derived once per index.
+    :meth:`~ExecutionTrace.outcomes_for_task`), but the segments and the
+    records are grouped on the first query and then reused.  The index
+    reads the trace lazily and never notices a later change to it, so
+    build one where an audit or a consumer starts and drop it when that
+    call returns; never keep one beside a trace that may still change.
     """
 
-    __slots__ = ("trace", "derived", "_on", "_windows", "_task_keys")
+    __slots__ = ("trace", "_on", "_task_keys")
 
     def __init__(self, trace: ExecutionTrace) -> None:
         self.trace = trace
-        self.derived: Dict[str, Any] = {}
         self._on: Optional[Dict[int, List[Segment]]] = None
-        self._windows: Dict[Tuple[int, int, int], WindowFacts] = {}
         self._task_keys: Optional[Dict[int, List[Tuple[int, int]]]] = None
 
     def segments_on(self, processor: int) -> List[Segment]:
@@ -293,11 +289,7 @@ class TraceIndex:
     def window(self, processor: int, start: int, end: int) -> WindowFacts:
         """Busy ticks, idle-gap lengths and per-speed busy ticks of one
         processor inside ``[start, end)``, from one walk over its
-        segments (shared dicts: do not modify them)."""
-        key = (processor, start, end)
-        facts = self._windows.get(key)
-        if facts is not None:
-            return facts
+        segments."""
         busy = 0
         gaps: Dict[int, int] = {}
         speeds: Dict[object, int] = {}
@@ -320,9 +312,7 @@ class TraceIndex:
             cursor = hi
         if cursor < end:
             gaps[end - cursor] = gaps.get(end - cursor, 0) + 1
-        facts = (busy, gaps, speeds)
-        self._windows[key] = facts
-        return facts
+        return busy, gaps, speeds
 
     def task_keys(self) -> Dict[int, List[Tuple[int, int]]]:
         """Each task's record keys, in job order (shared: do not modify)."""

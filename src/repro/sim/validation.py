@@ -43,20 +43,21 @@ Separate entry points cover the remaining surfaces:
 * :func:`audit_energy` -- DPD legality: an
   :class:`~repro.energy.accounting.EnergyReport` must decompose each
   processor's window exactly as the
-  :func:`~repro.energy.dpd.shutdown_decision` rule dictates.  On a DVFS
+  :func:`~repro.energy.dpd.shutdown_decision` rule dictates over the
+  run's counters, deciding each distinct gap length once.  On a DVFS
   run it additionally re-derives the per-speed busy decomposition from
-  the run itself and recomputes the active energy from it, bit-exactly.
+  the counters and recomputes the active energy from it, bit-exactly.
 * :func:`result_ledger` / :func:`compare_ledgers` -- a canonical,
-  mode-independent summary of a run, used by the cross-mode differential
-  check (trace and stats-only runs of the same descriptor must agree
-  bit-for-bit).
+  mode-independent summary of a run's counters, used by the cross-mode
+  differential check: a trace run's counters, derived from its trace
+  (:func:`~repro.sim.stats.trace_stats`), must equal bit-for-bit the
+  ones a stats-only run of the same descriptor keeps online.
 
-Each entry point takes an optional :class:`~repro.sim.trace.TraceIndex`
-of the run's trace: an audit builds one when it starts, hands it to
-every check, and drops it when it ends, so the checks share each
-derived fact (segments in time order, window busy ticks and gaps, each
-task's records in job order, the (m,k) violations) without sharing the
-engine's counters.  A call given no index builds its own.
+:func:`validate_result` and :func:`audit_result` read the trace itself
+and take an optional :class:`~repro.sim.trace.TraceIndex` of it: an
+audit builds one when it starts, hands it to both, and drops it when it
+ends, so the checks share the grouped segments and records.  A call
+given no index builds its own.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from ..energy.accounting import active_energy_of
 from ..energy.dpd import shutdown_decision
 from ..model.history import make_initial_history, normalize_initial_history
 from ..model.job import JobOutcome, JobRole
-from ..qos.monitor import verify_mk
 from ..sim.engine import PRIMARY, SPARE, SimulationResult
 from ..sim.profile import SchemeProfile, TaskProfile
 from ..sim.trace import TraceIndex
@@ -738,49 +738,23 @@ def assert_valid(result: SimulationResult, max_copies: int = 2) -> None:
 # -- DPD legality ---------------------------------------------------------
 
 
-def _energy_window_end(result: SimulationResult, processor: int) -> int:
-    """End of a processor's accounting window: the horizon, or the fault
-    instant of a processor the permanent fault killed."""
-    window_end = result.horizon_ticks
-    fault = result.permanent_fault
-    if fault is not None and fault[0] == processor:
-        window_end = min(window_end, fault[1])
-    return window_end
-
-
 def _expected_decomposition(
-    result: SimulationResult,
-    model,
-    index: Optional[TraceIndex],
-    decisions: Dict[int, bool],
+    result: SimulationResult, model, decisions: Dict[int, bool]
 ) -> Dict[int, Tuple[Fraction, Fraction, Fraction, int]]:
     """Per-processor (busy, idle, sleep, transitions) the DPD rule demands.
 
-    Recomputed from the run itself -- the trace's segments/gaps or the
-    stats ledger -- applying :func:`~repro.energy.dpd.shutdown_decision`
-    to every idle gap inside the processor's accounting window
-    ([0, horizon), truncated at a dead processor's fault instant).
+    Recomputed from the run's counters -- each processor's busy ticks and
+    idle-gap lengths inside its accounting window ([0, horizon),
+    truncated at a dead processor's fault instant) -- applying
+    :func:`~repro.energy.dpd.shutdown_decision` to every gap length.
     """
     base = result.timebase
-    expected: Dict[int, Tuple[Fraction, Fraction, Fraction, int]] = {}
-    if result.trace is not None:
-        for processor in range(result.trace.processor_count):
-            busy, counts, _ = index.window(
-                processor, 0, _energy_window_end(result, processor)
-            )
-            expected[processor] = (base.from_ticks(busy),) + _split_gaps(
-                counts, base, model, decisions
-            )
-        return expected
     stats = result.stats
-    if stats is None:  # pragma: no cover - engine fills one of the two
-        raise ValueError("result has neither trace nor stats")
-    for processor, counts in enumerate(stats.gap_counts):
-        busy = base.from_ticks(result.busy_by_processor[processor])
-        expected[processor] = (busy,) + _split_gaps(
-            counts, base, model, decisions
-        )
-    return expected
+    return {
+        processor: (base.from_ticks(stats.busy[processor]),)
+        + _split_gaps(counts, base, model, decisions)
+        for processor, counts in enumerate(stats.gap_counts)
+    }
 
 
 def _split_gaps(
@@ -806,38 +780,24 @@ def _split_gaps(
 
 
 def _expected_speed_units(
-    result: SimulationResult, index: Optional[TraceIndex]
+    result: SimulationResult,
 ) -> Dict[int, Tuple[Tuple[object, Fraction], ...]]:
-    """Per-processor sorted (speed, units) of DVFS-scaled execution.
-
-    Re-derived from the run itself -- windowed segment overlaps on a
-    trace run, the engine's :attr:`RunStats.speed_busy` ledger on a
-    stats-only run -- independently of the accounting code under audit.
-    """
-    if result.trace is not None:
-        by_processor = [
-            index.window(processor, 0, _energy_window_end(result, processor))[2]
-            for processor in range(result.trace.processor_count)
-        ]
-    else:
-        stats = result.stats
-        if stats is None:  # pragma: no cover - engine fills one of the two
-            raise ValueError("result has neither trace nor stats")
-        by_processor = stats.speed_busy
+    """Per-processor sorted (speed, units) of DVFS-scaled execution,
+    re-derived from the run's :attr:`RunStats.speed_busy` ledger
+    independently of the accounting code under audit."""
     base = result.timebase
     return {
         processor: tuple(
             (speed, base.from_ticks(by_speed[speed]))
             for speed in sorted(by_speed)
         )
-        for processor, by_speed in enumerate(by_processor)
+        for processor, by_speed in enumerate(result.stats.speed_busy)
     }
 
 
 def audit_energy(
     result: SimulationResult,
     report,
-    index: Optional[TraceIndex] = None,
     decisions: Optional[Dict[int, bool]] = None,
 ) -> List[ValidationIssue]:
     """DPD legality: the energy report must match the shutdown rule.
@@ -854,18 +814,15 @@ def audit_energy(
     (the charging formula fixes its summation order so an independent
     recomputation reproduces the float exactly).
 
-    ``index`` is the audit's :class:`~repro.sim.trace.TraceIndex` of a
-    trace run (None builds one).  ``decisions`` memoizes the DPD verdict
-    per gap length (length -> sleeps) across the energy audits of one
-    audit, whose runs share the report's power model and tick grid;
-    None decides afresh for this call.
+    ``decisions`` memoizes the DPD verdict per gap length (length ->
+    sleeps) across the energy audits of one audit, whose runs share the
+    report's power model and tick grid; None decides afresh for this
+    call.
     """
     issues: List[ValidationIssue] = []
-    if index is None and result.trace is not None:
-        index = TraceIndex(result.trace)
     if decisions is None:
         decisions = {}
-    expected = _expected_decomposition(result, report.model, index, decisions)
+    expected = _expected_decomposition(result, report.model, decisions)
     plan = result.speed_plan
     dvs = getattr(report, "dvs", None)
     if (plan is None) != (dvs is None):
@@ -885,9 +842,7 @@ def audit_energy(
                 f"{plan.model}",
             )
         )
-    speed_expected = (
-        _expected_speed_units(result, index) if plan is not None else {}
-    )
+    speed_expected = _expected_speed_units(result) if plan is not None else {}
     for processor in sorted(
         set(expected) | set(report.per_processor)
     ):
@@ -942,77 +897,29 @@ def audit_energy(
 # -- cross-mode differential ----------------------------------------------
 
 
-def result_ledger(
-    result: SimulationResult, index: Optional[TraceIndex] = None
-) -> Dict[str, object]:
-    """Canonical mode-independent summary of a run.
+def result_ledger(result: SimulationResult) -> Dict[str, object]:
+    """Canonical mode-independent summary of a run's counters.
 
-    Computable from a trace run (re-derived from segments and records,
-    through ``index``, the audit's :class:`~repro.sim.trace.TraceIndex`
-    of the trace, or one built here when None) or a stats-only run (the
-    engine's ledger); two runs of the same descriptor must produce equal
-    ledgers in every mode.
+    A trace run's counters are derived from its trace and a stats-only
+    run's are kept online by the engine or the kernel, so two runs of
+    the same descriptor must produce equal ledgers in every mode.
     """
-    if result.trace is None:
-        stats = result.stats
-        if stats is None:  # pragma: no cover - engine fills one of the two
-            raise ValueError("result has neither trace nor stats")
-        return {
-            "released": stats.released,
-            "effective": stats.effective,
-            "missed": stats.missed,
-            "mandatory": stats.mandatory,
-            "optional_executed": stats.optional_executed,
-            "skipped": stats.skipped,
-            "violations": tuple(stats.violations),
-            "busy": tuple(result.busy_by_processor),
-            "gaps": tuple(
-                tuple(sorted(counts.items())) for counts in stats.gap_counts
-            ),
-            "speed_busy": tuple(
-                tuple(sorted(counts.items())) for counts in stats.speed_busy
-            ),
-            "transient_faults": result.transient_fault_count,
-        }
-    trace = result.trace
-    if index is None:
-        index = TraceIndex(trace)
-    effective = missed = mandatory = optional_executed = skipped = 0
-    for record in trace.records.values():
-        if record.outcome is JobOutcome.EFFECTIVE:
-            effective += 1
-        elif record.outcome is JobOutcome.MISSED:
-            missed += 1
-        if record.classified_as == "mandatory":
-            mandatory += 1
-        elif record.classified_as == "optional":
-            optional_executed += 1
-        elif record.classified_as == "skipped":
-            skipped += 1
-    violations = [0] * len(result.taskset)
-    for violation in verify_mk(result, index):
-        violations[violation.task_index] += 1
-    busy: List[int] = []
-    gaps: List[Tuple[Tuple[int, int], ...]] = []
-    speed_busy: List[Tuple[Tuple[object, int], ...]] = []
-    for processor in range(trace.processor_count):
-        ticks, counts, by_speed = index.window(
-            processor, 0, _energy_window_end(result, processor)
-        )
-        busy.append(ticks)
-        gaps.append(tuple(sorted(counts.items())))
-        speed_busy.append(tuple(sorted(by_speed.items())))
+    stats = result.stats
     return {
-        "released": len(trace.records),
-        "effective": effective,
-        "missed": missed,
-        "mandatory": mandatory,
-        "optional_executed": optional_executed,
-        "skipped": skipped,
-        "violations": tuple(violations),
-        "busy": tuple(busy),
-        "gaps": tuple(gaps),
-        "speed_busy": tuple(speed_busy),
+        "released": stats.released,
+        "effective": stats.effective,
+        "missed": stats.missed,
+        "mandatory": stats.mandatory,
+        "optional_executed": stats.optional_executed,
+        "skipped": stats.skipped,
+        "violations": tuple(stats.violations),
+        "busy": tuple(stats.busy),
+        "gaps": tuple(
+            tuple(sorted(counts.items())) for counts in stats.gap_counts
+        ),
+        "speed_busy": tuple(
+            tuple(sorted(counts.items())) for counts in stats.speed_busy
+        ),
         "transient_faults": result.transient_fault_count,
     }
 

@@ -69,10 +69,9 @@ SCHEMES = sorted(SCHEME_FACTORIES)
 
 
 def result_view(result):
-    """Aggregates every execution mode exposes (trace mode has no
-    RunStats ledger, so this is the common observable surface)."""
+    """Aggregates every execution mode exposes."""
     return (
-        result.busy_by_processor,
+        result.stats.busy,
         result.released_jobs,
         result.permanent_fault,
     )

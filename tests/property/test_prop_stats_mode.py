@@ -12,7 +12,7 @@ These tests close the triangle:
 * stats-only mode == the verbatim seed reference engine on a sample of
   the same configurations;
 * the stats-mode surface of :class:`~repro.sim.engine.SimulationResult`
-  (O(1) busy ticks, the cached (m,k) verdict, no trace).
+  (busy ticks and the (m,k) verdict read from its counters, no trace).
 """
 
 from __future__ import annotations
@@ -178,7 +178,6 @@ class TestStatsModeResult:
     def test_busy_ticks_from_counters(self, taskset):
         trace_run = self.run(taskset)
         stats_run = self.run(taskset, collect_trace=False)
-        assert stats_run.busy_by_processor is not None
         assert stats_run.busy_ticks() == trace_run.busy_ticks()
         assert stats_run.busy_ticks(0) == trace_run.busy_ticks(0)
         assert stats_run.busy_ticks(1) == trace_run.busy_ticks(1)

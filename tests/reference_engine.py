@@ -186,7 +186,6 @@ class ReferenceStandbySparingEngine:
         deadlines = [base.to_ticks(task.deadline) for task in taskset]
         wcets = [base.to_ticks(task.wcet) for task in taskset]
         transient_faults = 0
-        released_jobs = 0
 
         heap: List[Tuple[int, int, int, tuple]] = []
         seq = 0
@@ -311,7 +310,6 @@ class ReferenceStandbySparingEngine:
                 decide(entry, effective=False, now=now)
 
         def handle_release(task_index: int, job_index: int, now: int) -> None:
-            nonlocal released_jobs
             release = (job_index - 1) * periods[task_index]
             if release >= self.horizon:
                 return
@@ -331,7 +329,6 @@ class ReferenceStandbySparingEngine:
             trace.records[(task_index, job_index)] = record
             entry = _LogicalJob(record)
             logical[(task_index, job_index)] = entry
-            released_jobs += 1
 
             actual_wcet = wcets[task_index]
             if self.execution_time_fn is not None and plan.copies:
@@ -511,5 +508,4 @@ class ReferenceStandbySparingEngine:
             trace=trace,
             permanent_fault=self.permanent_fault,
             transient_fault_count=transient_faults,
-            released_jobs=released_jobs,
         )

@@ -232,6 +232,7 @@ class TestCommands:
             ["sweep", "--bins", "0.4:0.5", "--fold"],
             ["triage", "--no-fold"],
             ["validate", "--preset", "fig1", "--modes", "trace,stats"],
+            ["sweep", "--bins", "0.4:0.5", "--backend", "serial"],
         ],
         ids=[
             "sweep-no-trace",
@@ -239,6 +240,7 @@ class TestCommands:
             "sweep-fold",
             "triage-no-fold",
             "validate-modes",
+            "sweep-backend-serial",
         ],
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):
@@ -250,6 +252,10 @@ class TestCommands:
             main(argv)
         assert excinfo.value.code == 2
         assert argv[-1] in capsys.readouterr().err
+
+    def test_sweep_repeated_bin_errors(self, capsys):
+        assert main(["sweep", "--bins", "0.2:0.3,0.2:0.3"]) == 2
+        assert "bins repeat" in capsys.readouterr().err
 
     def test_sweep_resume_mismatched_journal_errors(self, capsys, tmp_path):
         journal = tmp_path / "sweep.jsonl"

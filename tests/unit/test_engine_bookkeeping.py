@@ -133,7 +133,7 @@ class TestNoGarbageCycles:
 
 def assert_same_ledger(trace_run, stats_run):
     assert stats_run.trace is None
-    assert stats_run.busy_by_processor == trace_run.busy_by_processor
+    assert stats_run.stats.busy == trace_run.stats.busy
     assert compare_ledgers(result_ledger(trace_run), result_ledger(stats_run)) == []
 
 
@@ -148,7 +148,7 @@ class TestBusyTimeFromGaps:
         )
         assert_same_ledger(trace_run, stats_run)
         per_unit = taskset.timebase().ticks_per_unit
-        assert stats_run.busy_by_processor == (6 * per_unit, 0)
+        assert stats_run.stats.busy == [6 * per_unit, 0]
 
     def test_running_copy_lost_at_a_permanent_fault(self):
         # Kill the spare one tick into its first fault-free segment, so
@@ -172,7 +172,7 @@ class TestBusyTimeFromGaps:
     def test_processor_that_never_runs(self):
         trace_run, stats_run = run_both(fig5_taskset(), SingleProcessorFP, 30)
         assert_same_ledger(trace_run, stats_run)
-        assert stats_run.busy_by_processor[SPARE] == 0
+        assert stats_run.stats.busy[SPARE] == 0
         assert stats_run.stats.gap_counts[SPARE] == {trace_run.horizon_ticks: 1}
 
     def test_execution_time_model(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.faults.scenario import FaultScenario
 from repro.model.mk import MKConstraint
 from repro.qos.metrics import collect_metrics
-from repro.qos.monitor import MKMonitor, count_mk_violations, verify_mk
+from repro.qos.monitor import MKMonitor, verify_mk
 from repro.schedulers import MKSSSelective, MKSSStatic
 from repro.schedulers.base import run_policy
 from repro.sim.engine import StandbySparingEngine
@@ -80,13 +80,9 @@ class TestVerifyAndMetrics:
 
 
 class TestUnifiedViolationCount:
-    """Both metric paths must count (m,k) violations identically.
-
-    Regression: trace-mode metrics used to count via verify_mk while
-    stats-mode metrics read the engine's per-task ledger -- two separate
-    definitions that could drift.  Both now go through
-    count_mk_violations, pinned here on fault-heavy paired runs.
-    """
+    """Every (m,k) violation count agrees, pinned on fault-heavy paired
+    runs: the metrics of both modes, the per-window report of the trace
+    and the stats-only run's online per-task counters."""
 
     @pytest.mark.parametrize("seed,rate", [(7, 0.05), (7, 0.1), (77, 0.1)])
     def test_trace_and_stats_agree_under_heavy_faults(self, fig1, seed, rate):
@@ -98,8 +94,8 @@ class TestUnifiedViolationCount:
         counts = {
             collect_metrics(trace_run).mk_violations,
             collect_metrics(stats_run).mk_violations,
-            count_mk_violations(trace_run),
-            count_mk_violations(stats_run),
+            len(verify_mk(trace_run)),
+            sum(stats_run.stats.violations),
         }
         assert len(counts) == 1
         assert counts.pop() > 0  # the scenario really is fault-heavy

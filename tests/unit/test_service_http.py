@@ -260,6 +260,24 @@ class TestServerAnswers:
         assert answer.startswith(b"HTTP/1.1 400 ")
         assert b"must be a JSON integer" in answer
 
+    @pytest.mark.parametrize(
+        "repeat,message",
+        [
+            ({"bins": [[0.2, 0.3], [0.2, 0.3]], "sets_per_bin": 5}, b"bins repeat"),
+            ({"schemes": ["MKSS_ST", "MKSS_ST", "MKSS_DP"]}, b"schemes repeat"),
+        ],
+        ids=["bins", "schemes"],
+    )
+    def test_repeated_bin_or_scheme_answers_400(self, tmp_path, repeat, message):
+        answer = self._post_spec(tmp_path, {"faults": "none", **repeat})
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert message in answer
+
+    def test_removed_serial_backend_answers_400(self, tmp_path):
+        answer = self._post_spec(tmp_path, {"faults": "none", "backend": "serial"})
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"unknown backend" in answer
+
     def test_removed_fold_knob_answers_400(self, tmp_path):
         answer = self._post_spec(tmp_path, {"faults": "none", "fold": True})
         assert answer.startswith(b"HTTP/1.1 400 ")

@@ -160,6 +160,30 @@ class TestRecordLifecycle:
 
 
 class TestRecovery:
+    def test_a_serial_backend_record_loads_as_pool(self, tmp_path):
+        # The serial backend was the pool at one worker and is gone.  No
+        # backend enters a digest, so a record naming it keeps its
+        # digest and its job requeues on the pool instead of answering
+        # 404.
+        config = ServiceConfig(data_dir=str(tmp_path))
+        os.makedirs(config.path("jobs"))
+        spec = SweepSpec.from_dict({**SMALL, "backend": "pool"})
+        record = _record(
+            dict(spec.to_dict(), backend="serial"), spec.digest(), "running"
+        )
+        with open(
+            config.path("jobs", f"{spec.digest()}.json"), "w", encoding="utf-8"
+        ) as handle:
+            json.dump(record, handle)
+
+        manager = _manager(config)
+
+        assert manager.skipped == []
+        assert manager.recovered == [spec.digest()]
+        job = manager.jobs[spec.digest()]
+        assert (job.state, job.spec.backend) == ("queued", "pool")
+        assert job.spec == spec
+
     @pytest.mark.parametrize("fold", [True, False], ids=["fold-on", "fold-off"])
     def test_unreadable_records_are_skipped_not_fatal(self, tmp_path, fold):
         config = ServiceConfig(data_dir=str(tmp_path))

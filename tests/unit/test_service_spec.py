@@ -68,6 +68,28 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             SweepSpec.from_dict({**SMALL, "backend": "gpu"})
 
+    def test_removed_serial_backend_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            SweepSpec.from_dict({**SMALL, "backend": "serial"})
+
+    def test_repeated_bin_rejected(self):
+        # Wide enough to resolve to the batch backend, which would serve
+        # the bin twice at 10 sets from the 5 it generated.
+        with pytest.raises(ConfigurationError, match="bins repeat"):
+            SweepSpec.from_dict(
+                {
+                    "faults": "none",
+                    "bins": [[0.2, 0.3], [0.2, 0.3]],
+                    "sets_per_bin": 5,
+                }
+            )
+
+    def test_repeated_scheme_rejected(self):
+        with pytest.raises(ConfigurationError, match="schemes repeat"):
+            SweepSpec.from_dict(
+                {**SMALL, "schemes": ["MKSS_ST", "MKSS_ST", "MKSS_DP"]}
+            )
+
     def test_non_dict_payload_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
             SweepSpec.from_dict(["faults", "none"])
@@ -104,7 +126,7 @@ class TestSweepSpec:
         # mode, so the backend must not split the cache.
         base = SweepSpec.from_dict(SMALL)
         assert (
-            SweepSpec.from_dict({**SMALL, "backend": "serial"}).digest()
+            SweepSpec.from_dict({**SMALL, "backend": "batch"}).digest()
             == base.digest()
         )
 
@@ -240,7 +262,7 @@ class TestDefaultBackend:
     def test_without_numpy_resolves_to_pool(self, no_numpy):
         assert SweepSpec.from_dict({"faults": "none"}).backend == "pool"
 
-    @pytest.mark.parametrize("backend", ["pool", "batch", "serial"])
+    @pytest.mark.parametrize("backend", ["pool", "batch"])
     def test_explicit_backend_is_kept(self, backend):
         for payload in (SMALL, {"faults": "none"}):
             spec = SweepSpec.from_dict({**payload, "backend": backend})
@@ -266,7 +288,7 @@ class TestDefaultBackend:
         spec = SweepSpec.from_dict({"faults": "transient"})
         assert spec.backend == "pool"
         assert spec.digest() == SweepSpec(
-            faults="transient", backend="serial"
+            faults="transient", backend="batch"
         ).digest()
 
 

@@ -20,6 +20,7 @@ from repro.harness.runner import RunSpec
 from repro.harness.sweep import (
     DROPPED,
     OK,
+    SWEEP_BACKENDS,
     BinResult,
     ExecutionPolicy,
     SweepResult,
@@ -496,20 +497,28 @@ class TestBackends:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             SweepSpec(backend="quantum")
 
-    def test_serial_backend_runs_inline(self):
-        # ``serial`` forces one worker whatever ``workers`` asks for, and
-        # gives the pool backend's results.
-        from repro.harness.store import sweep_to_dict
-
-        kwargs = dict(
-            bins=[(0.3, 0.4)], sets_per_bin=2, seed=77,
-            run=RunSpec(horizon_cap_units=300),
-        )
+    @pytest.mark.parametrize("backend", SWEEP_BACKENDS)
+    @pytest.mark.parametrize(
+        "bins,schemes,message",
+        [
+            ([(0.2, 0.3)], ["MKSS_ST", "MKSS_ST", "MKSS_DP"], "schemes repeat"),
+            ([(0.2, 0.3), (0.2, 0.3)], ["MKSS_ST", "MKSS_DP"], "bins repeat"),
+            ([(0.3, 0.2)], ["MKSS_ST"], "bad bin"),
+        ],
+        ids=["repeated-scheme", "repeated-bin", "inverted-bin"],
+    )
+    def test_bad_sweep_rejected_before_any_work(
+        self, backend, bins, schemes, message
+    ):
+        # A repeat would run one set's jobs twice under one key; no
+        # event may fire, so nothing was generated or run.
         log = EventLog()
-        serial = utilization_sweep(
-            backend="serial", workers=2, events=log, **kwargs
-        )
-        pool = utilization_sweep(**kwargs)
-        assert sweep_to_dict(serial) == sweep_to_dict(pool)
-        start = log.of_kind(RUN_START)[0].data
-        assert (start["backend"], start["workers"]) == ("serial", 1)
+        with pytest.raises(ConfigurationError, match=message):
+            utilization_sweep(
+                bins=bins,
+                schemes=schemes,
+                sets_per_bin=1,
+                backend=backend,
+                events=log,
+            )
+        assert log.events == []
